@@ -64,7 +64,7 @@ from .formation import (
     dilution_fidelity,
     dilution_plan,
     formation_protocol,
-    truncated_state,
+    mixture_factor,
     typical_set,
     verify_fid_bounds,
 )

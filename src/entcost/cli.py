@@ -14,12 +14,10 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .eof import eof_optimize, eof_two_qubit_closed_form
 from .formation import formation_protocol
-from .metrics import metric_relation_check
+from .metrics import divergence_sequence, metric_relation_check
 from .qcore import (
     Ensemble,
     PureState,
@@ -209,11 +207,7 @@ def _cmd_demo_divergence(args):
     seed = _resolve_seed(args)
     if not 0.0 <= args.fidelity <= 1.0:
         raise InputError("per-copy fidelity must lie in [0, 1]")
-    rows = []
-    for k in range(1, args.k_max + 1):
-        fk = args.fidelity ** k
-        dk = 2.0 * np.sqrt(max(0.0, 1.0 - fk))
-        rows.append((k, fk, dk))
+    rows = divergence_sequence(args.fidelity, args.k_max)
     if args.format == "csv":
         _emit(_csv(rows, ("k", "fidelity", "bures")), args.output)
     else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DimensionError, QuantumState, tensor_matrix
+from .qcore import RANK_TOL, DimensionError, QuantumState, tensor_matrix
 
 CHAIN_TOL = 1e-9
 
@@ -35,20 +35,30 @@ def sqrtm_psd(matrix) -> np.ndarray:
     return (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
 
 
+def fidelity_factors(fa, fb) -> float:
+    """Uhlmann fidelity of a = A A^dag and b = B B^dag from the factors alone.
+
+    The singular values of B^dag A are the square roots of the eigenvalues of
+    sqrt(a) b sqrt(a), so the fidelity is the nuclear norm of B^dag A.  Any
+    factorization works: the columns need not be orthogonal or independent.
+    """
+    return float(np.linalg.svd(fb.conj().T @ fa, compute_uv=False).sum())
+
+
 def fidelity_matrices(a, b) -> float:
     """Uhlmann fidelity of two PSD matrices (unit trace not required).
 
-    Computed as the trace norm of B^dag A for factorizations a = A A^dag,
-    b = B B^dag, whose singular values are the square roots of the eigenvalues
-    of sqrt(a) b sqrt(a).  Unlike the direct eigendecomposition of that
-    product, this never takes square roots of eigenvalue-level noise, so
+    Both matrices are factored through their eigendecompositions and passed
+    to `fidelity_factors`.  Eigenvalues at most RANK_TOL times the largest are
+    zeroed first, so eigenvalue-level noise never reaches a square root and
     rank-deficient inputs come out accurate to machine precision.
     """
-    ea, va = np.linalg.eigh(a)
-    eb, vb = np.linalg.eigh(b)
-    fa = va * np.sqrt(np.clip(ea, 0.0, None))
-    fb = vb * np.sqrt(np.clip(eb, 0.0, None))
-    return float(np.linalg.svd(fb.conj().T @ fa, compute_uv=False).sum())
+    factors = []
+    for m in (a, b):
+        evals, evecs = np.linalg.eigh(m)
+        evals = np.where(evals > RANK_TOL * max(evals.max(), 0.0), evals, 0.0)
+        factors.append(evecs * np.sqrt(evals))
+    return fidelity_factors(*factors)
 
 
 def uhlmann_fidelity(rho, sigma) -> float:
@@ -112,6 +122,12 @@ def metric_relation_check(rho, sigma) -> DistanceReport:
     )
 
 
+def divergence_sequence(f1, k_max):
+    """(k, F^k, 2 sqrt(1 - F^k)) for k = 1..k_max from a per-copy fidelity F."""
+    return [(k, f1 ** k, 2.0 * np.sqrt(max(0.0, 1.0 - f1 ** k)))
+            for k in range(1, k_max + 1)]
+
+
 def tensor_power_divergence(rho, sigma, k_max, *, dim_cap=4096, cross_check_tol=1e-8):
     """Per-copy fidelity raised to tensor powers: (k, F^k, 2 sqrt(1 - F^k)).
 
@@ -131,9 +147,7 @@ def tensor_power_divergence(rho, sigma, k_max, *, dim_cap=4096, cross_check_tol=
     entries = []
     pa, pdims_a = a, dims
     pb, pdims_b = b, dims
-    for k in range(1, k_max + 1):
-        fk = f1 ** k
-        dk = 2.0 * np.sqrt(max(0.0, 1.0 - fk))
+    for k, fk, dk in divergence_sequence(f1, k_max):
         direct = None
         if k == 1:
             direct = f1

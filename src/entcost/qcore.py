@@ -72,6 +72,8 @@ class QuantumState:
         if m.shape != (d, d):
             raise DimensionError(
                 f"matrix of shape {m.shape} does not match dims {dims} (order {d})")
+        if not np.isfinite(m).all():
+            raise StateValidationError("matrix has non-finite entries")
         if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
             raise StateValidationError("matrix is not Hermitian within 1e-9")
         m = (m + m.conj().T) / 2.0
@@ -102,6 +104,8 @@ class PureState:
         if v.shape != (d,):
             raise DimensionError(
                 f"vector of shape {v.shape} does not match dims {dims} (length {d})")
+        if not np.isfinite(v).all():
+            raise StateValidationError("vector has non-finite entries")
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > HERMITICITY_TOL:
             raise StateValidationError(f"norm {nrm!r} differs from 1 beyond 1e-9")
@@ -135,6 +139,8 @@ class Ensemble:
             raise StateValidationError("weights and states must have equal length")
         if w.size == 0:
             raise StateValidationError("ensemble must be non-empty")
+        if not np.isfinite(w).all():
+            raise StateValidationError("ensemble weights must be finite")
         if np.any(w < 0):
             raise StateValidationError("ensemble weights must be non-negative")
         total = float(w.sum())

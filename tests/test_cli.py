@@ -101,6 +101,12 @@ class TestInputErrors:
         assert main(["eof", singlet_file,
                      "--output", str(tmp_path / "x.json")]) == EXIT_INPUT
 
+    def test_nan_entry_is_an_input_error(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"dims": [2, 2], "vector": '
+                        '[[1.0, 0.0], [NaN, 0.0], [0.0, 0.0], [0.0, 0.0]]}')
+        assert main(["eof", str(path)]) == EXIT_INPUT
+
     def test_bad_demo_fidelity(self):
         assert main(["demo-divergence", "--fidelity", "1.5"]) == EXIT_INPUT
 
@@ -214,6 +220,19 @@ class TestDemoDivergence:
                                  "--k-max", "3"], tmp_path)
         assert code == EXIT_OK
         assert [row["k"] for row in doc["result"]] == [1, 2, 3]
+
+
+    def test_rows_equal_tensor_power_divergence(self, tmp_path):
+        from entcost.metrics import tensor_power_divergence
+        rho = sample_density_matrix((2, 2), 2, RandomSource(8))
+        sigma = sample_density_matrix((2, 2), 3, RandomSource(9))
+        entries = tensor_power_divergence(rho, sigma, 6, dim_cap=16)
+        fid = repr(entries[0]["fidelity"])
+        code, doc = run_to_json(["demo-divergence", "--fidelity", fid,
+                                 "--k-max", "6", "--format", "json"], tmp_path)
+        assert code == EXIT_OK
+        assert doc["result"] == [
+            {key: e[key] for key in ("k", "fidelity", "bures")} for e in entries]
 
 
 def test_violation_exit_code_is_distinct():

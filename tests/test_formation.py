@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from entcost.formation import (
-    TypicalSet,
     dilute_pure_state,
     dilution_fidelity,
     dilution_plan,
     formation_protocol,
-    truncated_state,
+    mixture_factor,
     typical_count_windows,
     typical_set,
     verify_fid_bounds,
 )
+from entcost.metrics import fidelity_matrices
 from entcost.qcore import (
     Ensemble,
     PureState,
@@ -26,8 +26,10 @@ from entcost.qcore import (
     ensemble_average,
     pure_power,
     sample_density_matrix,
+    sample_pure_state,
     singlet,
     tensor_power,
+    tensor_pure,
 )
 
 
@@ -125,37 +127,109 @@ class TestTypicalSet:
 
 
 class TestTruncatedState:
+    """rho_T, built as a factor by mixture_factor."""
+
     def test_full_window_reproduces_tensor_power(self):
         ens = half_half_ensemble()
         rho = ensemble_average(ens)
         tset = typical_set(ens.weights, 3, 2.0)
         assert tset.total_weight == pytest.approx(1.0, abs=1e-12)
-        m = truncated_state(ens, tset)
+        f = mixture_factor(ens.states, tset.sequences)
         expect = tensor_power(rho, 3).matrix
-        assert np.abs(m - expect).max() < 1e-12
+        assert np.abs(f @ f.conj().T - expect).max() < 1e-12
 
     def test_subnormalized_trace_is_total_weight(self):
         ens = half_half_ensemble()
         tset = typical_set(ens.weights, 4, 0.5)
-        m = truncated_state(ens, tset)
-        assert np.trace(m).real == pytest.approx(tset.total_weight, abs=1e-12)
-        mu = truncated_state(ens, tset, normalize=True)
-        assert np.trace(mu).real == pytest.approx(1.0, abs=1e-12)
+        f = mixture_factor(ens.states, tset.sequences)
+        assert f.shape == (256, len(tset.sequences))
+        assert (np.abs(f) ** 2).sum() == pytest.approx(tset.total_weight,
+                                                       abs=1e-12)
 
     def test_singleton_set_gives_pure_power(self):
         psi = schmidt_state(0.9)
-        ens = Ensemble(np.array([1.0]), (psi,))
-        tset = TypicalSet(3, 0.5, 1, "paper", (((0, 0, 0), 1.0),),
-                          1.0, 0.0, (1.0, 1.0), ((3, 3),))
-        m = truncated_state(ens, tset)
+        f = mixture_factor((psi,), [((0, 0, 0), 1.0)])
         expect = pure_power(psi, 3).density_matrix()
-        assert np.abs(m - expect).max() < 1e-12
+        assert np.abs(f @ f.conj().T - expect).max() < 1e-12
 
     def test_mismatched_ensemble_rejected(self):
         ens = half_half_ensemble()
         tset = typical_set([0.5, 0.3, 0.2], 3, 0.5)
         with pytest.raises(StateValidationError):
-            truncated_state(ens, tset)
+            mixture_factor(ens.states, tset.sequences)
+
+
+def _sequence_vector(blocks, seq, dims):
+    """Dense reference: the blocks' product permuted into sequence order,
+    with the permutation applied as an explicit basis-index map."""
+    n = len(seq)
+    vec = None
+    for i in sorted(set(seq)):
+        blk = blocks(i, seq.count(i))
+        vec = blk if vec is None else tensor_pure(vec, blk)
+    order = [pos for i in sorted(set(seq)) for pos in range(n) if seq[pos] == i]
+    dA, dB = dims
+    out = np.zeros_like(vec.vector)
+    for idx in itertools.product(*([range(dA)] * n + [range(dB)] * n)):
+        a_digits, b_digits = idx[:n], idx[n:]
+        src_a = sum(a_digits[order[j]] * dA ** (n - 1 - j) for j in range(n))
+        src_b = sum(b_digits[order[j]] * dB ** (n - 1 - j) for j in range(n))
+        dst_a = sum(a_digits[j] * dA ** (n - 1 - j) for j in range(n))
+        dst_b = sum(b_digits[j] * dB ** (n - 1 - j) for j in range(n))
+        out[dst_a * dB ** n + dst_b] = vec.vector[src_a * dB ** n + src_b]
+    return out
+
+
+def dense_reference(rho, ens, res):
+    """fid1, fid1_sub, fid2 and the fidelity behind exact_bures from dense
+    matrices: tensor_power, outer products of sequence vectors, and the
+    floored fidelity_matrices."""
+    rho_n = tensor_power(rho, res.n).matrix
+    d = rho_n.shape[0]
+    rho_t = np.zeros((d, d), dtype=complex)
+    rho_approx = np.zeros((d, d), dtype=complex)
+    exact = lambda i, c: pure_power(ens.states[i], c)
+    diluted = lambda i, c: dilute_pure_state(
+        ens.states[i], c, res.plan.entries[i].singlets)[0]
+    for seq, ps in res.typical.sequences:
+        v = _sequence_vector(exact, seq, rho.dims)
+        w = _sequence_vector(diluted, seq, rho.dims)
+        rho_t += ps * np.outer(v, v.conj())
+        rho_approx += ps * np.outer(w, w.conj())
+    p_t = np.trace(rho_t).real
+    rho_approx /= np.trace(rho_approx).real
+    return (fidelity_matrices(rho_n, rho_t / p_t),
+            fidelity_matrices(rho_n, rho_t),
+            fidelity_matrices(rho_t / p_t, rho_approx),
+            fidelity_matrices(rho_n, rho_approx))
+
+
+def _equivalence_cases():
+    for n in (3, 4, 5):
+        yield pytest.param(half_half_ensemble(), n, 0.25, id=f"criterion6-n{n}")
+    rng = RandomSource(41)
+    for j in range(6):
+        ens = Ensemble(np.array([0.5, 0.3, 0.2]),
+                       tuple(sample_pure_state((2, 2), rng.split())
+                             for _ in range(3)))
+        for n in (3, 4):
+            yield pytest.param(ens, n, 0.25, id=f"ens3-{j}-n{n}")
+    lossy = Ensemble(np.array([0.5, 0.5]),
+                     (schmidt_state(0.9), basis_pure((2, 2), 0, 1)))
+    yield pytest.param(lossy, 3, 0.0, id="lossy-n3")
+
+
+@pytest.mark.parametrize("ens,n,delta2", _equivalence_cases())
+def test_factored_fidelities_match_dense_reference(ens, n, delta2):
+    rho = ensemble_average(ens)
+    res = formation_protocol(rho, ens, n, 0.5, delta2)
+    assert res.exact_mode
+    fid1, fid1_sub, fid2, fid_bures = dense_reference(rho, ens, res)
+    assert res.fid1_fidelity == pytest.approx(fid1, abs=1e-12)
+    assert res.fid1_fidelity_sub == pytest.approx(fid1_sub, abs=1e-12)
+    assert res.fid2_fidelity == pytest.approx(fid2, abs=1e-12)
+    assert 1.0 - (res.exact_bures / 2.0) ** 2 == pytest.approx(fid_bures,
+                                                               abs=1e-12)
 
 
 class TestDilution:
@@ -311,6 +385,16 @@ class TestFormationProtocol:
         rho = ensemble_average(ens)
         with pytest.raises(ValueError):
             formation_protocol(rho, ens, 3, 0.5, 0.25, normalization="trace")
+
+
+def test_exact_mode_finishes_at_the_dimension_cap():
+    # the criterion-6 ensemble at n = 6 has dimension 4^6 = 4096, the cap
+    ens = half_half_ensemble()
+    res = formation_protocol(ensemble_average(ens), ens, 6, 0.5, 0.25)
+    assert res.exact_mode
+    assert res.fid1_holds and res.fid2_holds
+    assert res.exact_bures <= res.bures_bound
+    assert verify_fid_bounds(res)["all_hold"]
 
 
 class TestVerifyFidBounds:

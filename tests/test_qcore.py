@@ -249,6 +249,23 @@ class TestValidation:
         with pytest.raises(StateValidationError):
             PureState((2, 2), np.array([1.0, 1.0, 0.0, 0.0]))
 
+    def test_non_finite_entries_rejected(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 1] = np.nan
+        with pytest.raises(StateValidationError, match="non-finite"):
+            QuantumState((2, 2), m)
+        m[1, 1] = np.inf
+        with pytest.raises(StateValidationError, match="non-finite"):
+            QuantumState((2, 2), m)
+        with pytest.raises(StateValidationError, match="non-finite"):
+            PureState((2, 2), np.array([1.0, np.nan, 0.0, 0.0]))
+
+    def test_non_finite_ensemble_weight_rejected(self):
+        s = (basis_pure((2, 2), 0, 0), basis_pure((2, 2), 1, 1))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(StateValidationError, match="finite"):
+                Ensemble(np.array([1.0, bad]), s)
+
 
 class TestRandomSource:
     def test_same_seed_same_stream(self):
