@@ -43,9 +43,8 @@ SPECTRUM_CAP = 1 << 22
 
 WINDOW_KINDS = ("paper", "plain")
 
-# perfbench/tracing.py wraps these three names in this module when a traced
-# benchmark run starts.  The protocol calls none of them; they stay bound,
-# to None, until that wrap list drops them.
+# perfbench/tracing.py wraps these names when a traced run starts; nothing
+# calls them, and they go when its wrap list drops them (ROADMAP item 6).
 truncated_state = fidelity_matrices = tensor_power = None
 
 
@@ -154,6 +153,10 @@ def mixture_factor(states, sequences, block=None):
     in s; v_s lives on (dA^n, dB^n) with copies in sequence order.  The default
     block is the undiluted power psi_i^(x)c_i.  Each block and each product of
     blocks is built once per composition (c_0, ..., c_{k-1}).
+
+    With more sequences than the dimension d = (dA dB)^n, the rows are
+    compressed by QR as they come in (rows = Q R gives the same mixture from
+    R), so the factor has at most d columns and memory stays O(d^2).
     """
     block = functools.cache(block or (lambda i, c: pure_power(states[i], c)))
     dA, dB = states[0].dims
@@ -162,8 +165,12 @@ def mixture_factor(states, sequences, block=None):
     if d > DIMENSION_CAP:
         raise ValueError(f"total dimension {d} exceeds the cap {DIMENSION_CAP}")
     products = {}
-    rows = np.empty((len(sequences), d), dtype=complex)
-    for row, (seq, w) in zip(rows, sequences):
+    rows = np.empty((min(len(sequences), 2 * d), d), dtype=complex)
+    filled = 0
+    for seq, w in sequences:
+        if filled == len(rows):
+            rows[:d] = np.linalg.qr(rows, mode="r")
+            filled = d
         counts = tuple(seq.count(i) for i in range(len(states)))
         if sum(counts) != n:
             raise StateValidationError(
@@ -177,8 +184,11 @@ def mixture_factor(states, sequences, block=None):
         # the product holds member 0's copies first, then member 1's, ...
         order = sorted(range(n), key=lambda pos: seq[pos])
         inv = [int(j) for j in np.argsort(order)]
-        row[:] = np.sqrt(w) * products[counts].transpose(
+        rows[filled] = np.sqrt(w) * products[counts].transpose(
             inv + [n + j for j in inv]).reshape(-1)
+        filled += 1
+    if filled > d:
+        return np.linalg.qr(rows[:filled], mode="r").T
     return rows.T
 
 
@@ -368,14 +378,8 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     eps1 = max(0.0, 1.0 - tset.total_weight)
 
     # per-block dilution fidelities, shared across sequences of the same type
-    fid_cache = {}
-
-    def block_fidelity(i, count):
-        key = (i, count)
-        if key not in fid_cache:
-            fid_cache[key] = dilution_fidelity(
-                ensemble.states[i], count, plan.entries[i].singlets)
-        return fid_cache[key]
+    block_fidelity = functools.cache(lambda i, count: dilution_fidelity(
+        ensemble.states[i], count, plan.entries[i].singlets))
 
     eps2 = 0.0
     overlaps = []

@@ -50,8 +50,9 @@ def fidelity_matrices(a, b) -> float:
 
     Both matrices are factored through their eigendecompositions and passed
     to `fidelity_factors`.  Eigenvalues at most RANK_TOL times the largest are
-    zeroed first, so eigenvalue-level noise never reaches a square root and
-    rank-deficient inputs come out accurate to machine precision.
+    zeroed first, so eigenvalue-level noise never reaches a square root; real
+    weight that small is dropped with it, which can move the fidelity by up
+    to about sqrt(RANK_TOL) per dropped eigenvalue.
     """
     factors = []
     for m in (a, b):

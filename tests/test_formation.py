@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from entcost.eof import eof_optimize
 from entcost.formation import (
     dilute_pure_state,
     dilution_fidelity,
@@ -152,6 +153,19 @@ class TestTruncatedState:
         expect = pure_power(psi, 3).density_matrix()
         assert np.abs(f @ f.conj().T - expect).max() < 1e-12
 
+    def test_more_sequences_than_dimension_give_a_square_factor(self):
+        # nine members on 2x2: 81 sequences at n = 2, against dimension 16
+        rng = RandomSource(3)
+        ens = Ensemble(np.full(9, 1 / 9),
+                       tuple(sample_pure_state((2, 2), rng.split())
+                             for _ in range(9)))
+        tset = typical_set(ens.weights, 2, 2.0, "plain")
+        assert len(tset.sequences) == 81
+        f = mixture_factor(ens.states, tset.sequences)
+        assert f.shape == (16, 16)
+        expect = tensor_power(ensemble_average(ens), 2).matrix
+        assert np.abs(f @ f.conj().T - expect).max() < 1e-12
+
     def test_mismatched_ensemble_rejected(self):
         ens = half_half_ensemble()
         tset = typical_set([0.5, 0.3, 0.2], 3, 0.5)
@@ -219,8 +233,7 @@ def _equivalence_cases():
     yield pytest.param(lossy, 3, 0.0, id="lossy-n3")
 
 
-@pytest.mark.parametrize("ens,n,delta2", _equivalence_cases())
-def test_factored_fidelities_match_dense_reference(ens, n, delta2):
+def assert_matches_dense_reference(ens, n, delta2):
     rho = ensemble_average(ens)
     res = formation_protocol(rho, ens, n, 0.5, delta2)
     assert res.exact_mode
@@ -230,6 +243,23 @@ def test_factored_fidelities_match_dense_reference(ens, n, delta2):
     assert res.fid2_fidelity == pytest.approx(fid2, abs=1e-12)
     assert 1.0 - (res.exact_bures / 2.0) ** 2 == pytest.approx(fid_bures,
                                                                abs=1e-12)
+    return res
+
+
+@pytest.mark.parametrize("ens,n,delta2", _equivalence_cases())
+def test_factored_fidelities_match_dense_reference(ens, n, delta2):
+    assert_matches_dense_reference(ens, n, delta2)
+
+
+def test_factored_fidelities_match_dense_reference_with_more_members_than_dimension():
+    # the CLI's density-matrix path: eof_optimize gives a rank-3 state nine
+    # members, more than the dimension 4, so 504 typical sequences at n = 3
+    # outnumber the dimension 64 and the factors are compressed
+    rho = sample_density_matrix((2, 2), 3, RandomSource(5))
+    ens = eof_optimize(rho, rng=RandomSource(5)).ensemble
+    assert len(ens) == 9
+    res = assert_matches_dense_reference(ens, 3, 0.25)
+    assert len(res.typical.sequences) == 504
 
 
 class TestDilution:
