@@ -4,7 +4,8 @@ Subcommands: eof, metrics, regularize, formation, verify, demo-divergence.
 Every report is a JSON envelope {tool_version, seed, config, result} with
 floats at 17 significant digits, so a rerun with the same configuration and
 inputs is byte-identical.  Exit codes: 0 success, 1 property violation,
-2 input or usage error.  The ENTCOST_SEED environment variable overrides the
+2 input or usage error, 3 internal error (an unexpected exception, reported
+on stderr).  The ENTCOST_SEED environment variable overrides the
 default seed; an explicit --seed flag wins over both.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from . import __version__
 from .eof import eof_optimize, eof_two_qubit_closed_form
@@ -35,6 +37,7 @@ SEED_ENV_VAR = "ENTCOST_SEED"
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 class InputError(Exception):
@@ -168,23 +171,20 @@ def _cmd_formation(args):
                                 rng=RandomSource(seed)).ensemble
     try:
         res = formation_protocol(rho, ensemble, args.n, args.delta1,
-                                 args.delta2, window=args.window,
-                                 normalization=args.normalize)
+                                 args.delta2, window=args.window)
     except (ValueError, StateValidationError) as exc:
         raise InputError(str(exc)) from exc
     config = {"subcommand": "formation", "state": args.state, "n": args.n,
               "delta1": args.delta1, "delta2": args.delta2,
-              "window": args.window, "normalize": args.normalize,
-              "restarts": args.restarts}
+              "window": args.window, "restarts": args.restarts}
     _emit(_envelope(seed, config, res.to_json_obj()), args.output)
     if args.csv:
-        rows = []
-        for n in range(1, args.n + 1):
-            r = formation_protocol(rho, ensemble, n, args.delta1, args.delta2,
-                                   window=args.window,
-                                   normalization=args.normalize)
-            rows.append((n, r.m, r.rate, r.eps1, r.eps3, r.bures_bound,
-                         r.exact_bures if r.exact_bures is not None else ""))
+        # the sweep's last row is the run reported above
+        runs = [formation_protocol(rho, ensemble, n, args.delta1, args.delta2,
+                                   window=args.window) for n in range(1, args.n)]
+        rows = [(r.n, r.m, r.rate, r.eps1, r.eps3, r.bures_bound,
+                 r.exact_bures if r.exact_bures is not None else "")
+                for r in runs + [res]]
         _emit(_csv(rows, ("n", "m", "rate", "eps1", "eps3", "bures_bound",
                           "exact_bures")), args.csv)
     ok = res.fid1_holds is not False and res.fid2_holds is not False
@@ -266,7 +266,6 @@ def build_parser():
     p.add_argument("--delta1", type=float, default=0.5)
     p.add_argument("--delta2", type=float, default=0.25)
     p.add_argument("--window", choices=("paper", "plain"), default="paper")
-    p.add_argument("--normalize", choices=("unit", "sub"), default="unit")
     p.add_argument("--restarts", type=int, default=4,
                    help="optimizer restarts when only a density matrix is given")
     p.add_argument("--csv", default=None, help="also write a sweep over n here")
@@ -307,6 +306,10 @@ def main(argv=None):
     except StateValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

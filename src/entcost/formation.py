@@ -20,12 +20,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import fidelity_factors
 from .qcore import (
+    DIMENSION_CAP,
     Ensemble,
     PureState,
     QuantumState,
@@ -37,7 +38,6 @@ from .qcore import (
     tensor_pure,
 )
 
-DIMENSION_CAP = 4096
 ENUMERATION_CAP = 10_000_000
 SPECTRUM_CAP = 1 << 22
 
@@ -298,13 +298,6 @@ def dilution_plan(ensemble: Ensemble, tset: TypicalSet, delta2: float) -> Diluti
 
 
 @dataclass(frozen=True)
-class FormationArtifacts:
-    """Exact-mode data kept for bound verification (not serialized)."""
-
-    overlaps: tuple      # |<psi_s|psi'_s>| per typical sequence
-
-
-@dataclass(frozen=True)
 class FormationResult:
     n: int
     m: int
@@ -317,15 +310,13 @@ class FormationResult:
     bures_bound: float          # 2 sqrt(1 - sqrt(1 - eps1)) + 2 sqrt(eps3)
     exact_mode: bool
     exact_bures: float | None
-    fid1_fidelity: float | None          # F(rho^(x)n, rho_T), selected variant
-    fid1_fidelity_sub: float | None      # same against the subnormalized rho_T
+    fid1_fidelity: float | None          # F(rho^(x)n, rho_T), unit-trace rho_T
     fid1_holds: bool | None
-    fid2_fidelity: float | None          # F(rho_T, rho'_T), unit-trace variants
+    fid2_fidelity: float | None          # F(rho_T, rho'_T), both unit-trace
     fid2_holds: bool | None
-    normalization: str
     plan: DilutionPlan
     typical: TypicalSet
-    artifacts: FormationArtifacts | None = field(repr=False, default=None)
+    overlap_aggregate: float    # sum_s (p_s / p_T) |<psi_s|psi'_s>|, not serialized
 
     def to_json_obj(self):
         return {
@@ -341,28 +332,24 @@ class FormationResult:
             "exact_mode": self.exact_mode,
             "exact_bures": self.exact_bures,
             "fid1_fidelity": self.fid1_fidelity,
-            "fid1_fidelity_sub": self.fid1_fidelity_sub,
             "fid1_holds": self.fid1_holds,
             "fid2_fidelity": self.fid2_fidelity,
             "fid2_holds": self.fid2_holds,
-            "normalization": self.normalization,
             "plan": self.plan.to_json_obj(),
             "typical_set": self.typical.to_json_obj(),
         }
 
 
 def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
-                       delta1: float, delta2: float, *, window="paper",
-                       normalization="unit") -> FormationResult:
+                       delta1: float, delta2: float, *,
+                       window="paper") -> FormationResult:
     """Run the typical-set formation protocol for rho^(x)n and account its cost.
 
     Exact fidelities (and therefore the exact Bures distance and the bounds
-    fid1/fid2) are computed whenever (dA dB)^n <= 4096, from factors of
-    rho^(x)n, rho_T and rho'_T built by `mixture_factor`; above the cap only
-    the analytic bounds from p_T and the dilution fidelities are emitted.
+    fid1/fid2) are computed whenever (dA dB)^n <= DIMENSION_CAP, from
+    factors of rho^(x)n, rho_T and rho'_T; above the cap only the analytic
+    bounds from p_T and the dilution fidelities are emitted.
     """
-    if normalization not in ("unit", "sub"):
-        raise ValueError("normalization must be 'unit' or 'sub'")
     avg = ensemble_average(ensemble)
     if avg.dims != rho.dims or np.abs(avg.matrix - rho.matrix).max() > 1e-7:
         raise StateValidationError("ensemble does not realize the given state")
@@ -376,14 +363,15 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     plan = dilution_plan(ensemble, tset, delta2)
     k = len(ensemble)
     eps1 = max(0.0, 1.0 - tset.total_weight)
+    p_t = 1.0 - eps1
 
     # per-block dilution fidelities, shared across sequences of the same type
     block_fidelity = functools.cache(lambda i, count: dilution_fidelity(
         ensemble.states[i], count, plan.entries[i].singlets))
 
     eps2 = 0.0
-    overlaps = []
-    for seq, _ in tset.sequences:
+    overlap_aggregate = 0.0
+    for seq, ps in tset.sequences:
         counts = [0] * k
         for idx in seq:
             counts[idx] += 1
@@ -394,7 +382,7 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
             f = block_fidelity(i, c)
             eps2 = max(eps2, 1.0 - f)
             o *= f
-        overlaps.append(o)
+        overlap_aggregate += ps / p_t * o
     eps3 = 1.0 - (1.0 - eps2) ** k
     bound = 2.0 * np.sqrt(max(0.0, 1.0 - np.sqrt(max(0.0, 1.0 - eps1)))) \
         + 2.0 * np.sqrt(eps3)
@@ -406,73 +394,62 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     slack = rate - mean_ent
 
     exact = rho.dim ** n <= DIMENSION_CAP
-    artifacts = None
-    exact_bures = fid1 = fid1_sub = fid2 = None
+    exact_bures = fid1 = fid2 = None
     fid1_holds = fid2_holds = None
     if exact:
-        # rho^(x)n from rho's eigen-ensemble {lam_j, e_j}; rho_T and rho'_T
-        # at unit trace from the typical sequences, undiluted and diluted
-        cols = purify(rho).vector.reshape(rho.dim, -1)     # sqrt(lam_j) e_j
-        lam = (np.abs(cols) ** 2).sum(axis=0)
-        eigen = [PureState(rho.dims, c / np.sqrt(w)) for c, w in zip(cols.T, lam)]
-        f_n = mixture_factor(eigen, [(s, float(np.prod(lam[list(s)]))) for s
-                                     in itertools.product(range(lam.size), repeat=n)])
-        p_t = 1.0 - eps1
+        # rho^(x)n is the reduced state of purify(rho)^(x)n, whose slots
+        # (A1 B1 A2 B2 ... An Bn, R1 ... Rn) regroup to (A1 ... An B1 ... Bn)
+        # by rows; rho_T and rho'_T at unit trace from the typical sequences,
+        # undiluted and diluted
+        dA, dB = rho.dims
+        f_n = pure_power(purify(rho), n).vector.reshape((dA, dB) * n + (-1,))
+        f_n = f_n.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n])
+        f_n = f_n.reshape(rho.dim ** n, -1)
         unit = [(seq, ps / p_t) for seq, ps in tset.sequences]
         f_t = mixture_factor(ensemble.states, unit)
         f_approx = mixture_factor(ensemble.states, unit, lambda i, c: dilute_pure_state(
             ensemble.states[i], c, plan.entries[i].singlets)[0])
         fid1 = fidelity_factors(f_n, f_t)
-        fid1_sub = np.sqrt(p_t) * fid1
         fid2 = fidelity_factors(f_t, f_approx)
         exact_bures = 2.0 * np.sqrt(max(0.0, 1.0 - fidelity_factors(f_n, f_approx)))
-        selected = fid1 if normalization == "unit" else fid1_sub
-        fid1_holds = bool(selected >= np.sqrt(1.0 - eps1) - 1e-9)
+        fid1_holds = bool(fid1 >= np.sqrt(p_t) - 1e-9)
         fid2_holds = bool(fid2 >= (1.0 - eps3) - 1e-9)
-        artifacts = FormationArtifacts(tuple(overlaps))
 
     return FormationResult(
         n=n, m=m, rate=float(rate), mean_entanglement=mean_ent,
         slack=float(slack), eps1=float(eps1), eps2=float(eps2),
         eps3=float(eps3), bures_bound=float(bound), exact_mode=bool(exact),
         exact_bures=None if exact_bures is None else float(exact_bures),
-        fid1_fidelity=None if fid1 is None else float(
-            fid1 if normalization == "unit" else fid1_sub),
-        fid1_fidelity_sub=None if fid1_sub is None else float(fid1_sub),
+        fid1_fidelity=None if fid1 is None else float(fid1),
         fid1_holds=fid1_holds, fid2_fidelity=None if fid2 is None else float(fid2),
-        fid2_holds=fid2_holds, normalization=normalization,
-        plan=plan, typical=tset, artifacts=artifacts)
+        fid2_holds=fid2_holds, plan=plan, typical=tset,
+        overlap_aggregate=float(overlap_aggregate))
 
 
 def verify_fid_bounds(result: FormationResult) -> dict:
     """Re-check the fidelity chain of an exact-mode run on its own fidelities.
 
-    Asserts F(rho^(x)n, rho_T) >= sqrt(1 - eps1), the aggregate per-sequence
-    overlap against 1 - eps3, and the Bures triangle inequality through rho_T.
+    Reports the protocol's F(rho^(x)n, rho_T) >= sqrt(1 - eps1) check, checks
+    the aggregate per-sequence overlap against 1 - eps3, and the Bures
+    triangle inequality through rho_T.
     """
-    art = result.artifacts
-    if art is None:
-        raise ValueError("exact-mode artifacts are required")
-    p_t = 1.0 - result.eps1
-    fid1 = result.fid1_fidelity_sub / np.sqrt(p_t)     # against unit-trace rho_T
-    fid1_ok = fid1 >= np.sqrt(max(0.0, 1.0 - result.eps1)) - 1e-9
-
-    weights = np.array([ps for _, ps in result.typical.sequences])
-    aggregate = float(np.dot(weights / p_t, art.overlaps))
+    if not result.exact_mode:
+        raise ValueError("exact-mode fidelities are required")
+    aggregate = result.overlap_aggregate
     fid2_ok = aggregate >= (1.0 - result.eps3) - 1e-9
 
     d_left = result.exact_bures
-    d_a = 2.0 * np.sqrt(max(0.0, 1.0 - fid1))
+    d_a = 2.0 * np.sqrt(max(0.0, 1.0 - result.fid1_fidelity))
     d_b = 2.0 * np.sqrt(max(0.0, 1.0 - result.fid2_fidelity))
     triangle_ok = d_left <= d_a + d_b + 1e-8
 
     return {
-        "fid1_fidelity": float(fid1),
-        "fid1_holds": bool(fid1_ok),
+        "fid1_fidelity": result.fid1_fidelity,
+        "fid1_holds": result.fid1_holds,
         "overlap_aggregate": aggregate,
         "fid2_holds": bool(fid2_ok),
         "bures_left": float(d_left),
         "bures_via_truncation": float(d_a + d_b),
         "triangle_holds": bool(triangle_ok),
-        "all_hold": bool(fid1_ok and fid2_ok and triangle_ok),
+        "all_hold": bool(result.fid1_holds and fid2_ok and triangle_ok),
     }

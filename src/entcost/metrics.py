@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import RANK_TOL, DimensionError, QuantumState, tensor_matrix
+from .qcore import (
+    DIMENSION_CAP,
+    RANK_TOL,
+    DimensionError,
+    QuantumState,
+    tensor_matrix,
+)
 
 CHAIN_TOL = 1e-9
 
@@ -129,7 +135,8 @@ def divergence_sequence(f1, k_max):
             for k in range(1, k_max + 1)]
 
 
-def tensor_power_divergence(rho, sigma, k_max, *, dim_cap=4096, cross_check_tol=1e-8):
+def tensor_power_divergence(rho, sigma, k_max, *, dim_cap=DIMENSION_CAP,
+                            cross_check_tol=1e-8):
     """Per-copy fidelity raised to tensor powers: (k, F^k, 2 sqrt(1 - F^k)).
 
     Fidelity is multiplicative under tensor products, so F_k = F(rho, sigma)^k;

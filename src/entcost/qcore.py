@@ -19,6 +19,7 @@ EIG_ERROR_FLOOR = -1e-6   # eigenvalues below this signal a caller bug
 EIG_WARN_FLOOR = -1e-9    # [-1e-6, -1e-9): warn and repair; [-1e-9, 0): clip
 RANK_TOL = 1e-12
 WEIGHT_FLOOR = 1e-12
+DIMENSION_CAP = 4096      # largest total dimension of a tensor power built exactly
 
 
 class DimensionError(ValueError):

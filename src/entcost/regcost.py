@@ -16,6 +16,7 @@ import numpy as np
 
 from .eof import eof_optimize
 from .qcore import (
+    DIMENSION_CAP,
     Ensemble,
     QuantumState,
     RandomSource,
@@ -23,7 +24,6 @@ from .qcore import (
     tensor_pure,
 )
 
-DIMENSION_CAP = 4096
 LIMIT_CAVEAT = ("finite-n certificate only: the n -> infinity limit is not "
                 "computable and these entries bound it from above, not estimate it")
 
@@ -40,7 +40,6 @@ class RegularizationTrace:
     entries: tuple                 # TraceEntry per n = 1..n_max
     subadditivity_checks: tuple    # (n, m, n*A_n + m*A_m - (n+m)*A_{n+m})
     ensembles: tuple               # best ensemble per n (internal, not serialized)
-    caveat: str = LIMIT_CAVEAT
 
     def rate(self, n: int) -> float:
         return self.entries[n - 1].rate
@@ -51,7 +50,7 @@ class RegularizationTrace:
                         for e in self.entries],
             "subadditivity_checks": [
                 {"n": n, "m": m, "gap": g} for n, m, g in self.subadditivity_checks],
-            "caveat": self.caveat,
+            "caveat": LIMIT_CAVEAT,
         }
 
 
@@ -188,12 +187,11 @@ class CostBracket:
     upper_on_regularized: float    # min over computed A_n
     achievable_rate: float         # A_1 = E_f(rho): protocol-achievable cost
     n_max: int
-    caveat: str
 
     def to_json_obj(self):
         return {"upper_on_regularized": self.upper_on_regularized,
                 "achievable_rate": self.achievable_rate,
-                "n_max": self.n_max, "caveat": self.caveat}
+                "n_max": self.n_max, "caveat": LIMIT_CAVEAT}
 
 
 def cost_bracket(rho: QuantumState, n_max: int, *,
@@ -208,5 +206,5 @@ def cost_bracket(rho: QuantumState, n_max: int, *,
                                  ensemble_size=ensemble_size,
                                  max_cycles=max_cycles)
     upper = min(e.rate for e in trace.entries)
-    bracket = CostBracket(float(upper), float(trace.rate(1)), n_max, LIMIT_CAVEAT)
+    bracket = CostBracket(float(upper), float(trace.rate(1)), n_max)
     return trace, bracket

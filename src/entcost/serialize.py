@@ -96,6 +96,7 @@ def save_object(path, obj):
 def _format_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
+    x += 0.0    # -0.0 + 0.0 is +0.0, so negative zero prints as 0.0
     if x == int(x) and abs(x) < 1e16:
         return format(x, ".1f")
     return format(x, ".17g")

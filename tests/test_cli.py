@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from entcost import __version__
-from entcost.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
+from entcost import cli
+from entcost.cli import (
+    EXIT_INPUT,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_VIOLATION,
+    main,
+)
 from entcost.qcore import (
     Ensemble,
     RandomSource,
@@ -43,6 +50,15 @@ class TestEofCommand:
         assert doc["seed"] == 3
         assert doc["config"]["subcommand"] == "eof"
         assert doc["result"]["value"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_product_state_prints_positive_zero(self, tmp_path):
+        path = tmp_path / "product.json"
+        save_object(path, basis_pure((2, 2), 0, 1))
+        out = tmp_path / "out.json"
+        assert main(["eof", str(path), "--output", str(out)]) == EXIT_OK
+        text = out.read_text()
+        assert '"value": 0.0' in text
+        assert "-0.0" not in text
 
     def test_mixed_state_within_oracle_tolerance(self, mixed_file, tmp_path):
         from entcost.eof import eof_two_qubit_closed_form
@@ -106,6 +122,19 @@ class TestInputErrors:
         path.write_text('{"dims": [2, 2], "vector": '
                         '[[1.0, 0.0], [NaN, 0.0], [0.0, 0.0], [0.0, 0.0]]}')
         assert main(["eof", str(path)]) == EXIT_INPUT
+
+    def test_unexpected_exception_is_an_internal_error(self, singlet_file,
+                                                       monkeypatch, capsys):
+        def crash(args):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "_cmd_eof", crash)
+        assert main(["eof", singlet_file]) == EXIT_INTERNAL
+        assert capsys.readouterr().err.startswith("internal error: ")
+
+    def test_removed_normalize_flag_is_a_usage_error(self, singlet_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["formation", singlet_file, "--normalize", "sub"])
+        assert exc.value.code == EXIT_INPUT
 
     def test_bad_demo_fidelity(self):
         assert main(["demo-divergence", "--fidelity", "1.5"]) == EXIT_INPUT
@@ -186,6 +215,29 @@ class TestFormationCommand:
         assert lines[0].startswith("n,m,rate")
         assert len(lines) == 4
 
+    def test_csv_last_row_is_the_reported_run(self, tmp_path):
+        from entcost.qcore import PureState
+        v = np.zeros(4, dtype=complex)
+        v[0] = v[3] = 1 / np.sqrt(2)
+        ens = Ensemble(np.array([0.5, 0.5]),
+                       (PureState((2, 2), v), basis_pure((2, 2), 0, 0)))
+        path = tmp_path / "ens.json"
+        save_object(path, ens)
+        csv_path = tmp_path / "sweep.csv"
+        code, doc = run_to_json(["formation", str(path), "--n", "4",
+                                 "--csv", str(csv_path)], tmp_path)
+        assert code == EXIT_OK
+        lines = csv_path.read_text().strip().splitlines()
+        header = lines[0].split(",")
+        assert header == ["n", "m", "rate", "eps1", "eps3", "bures_bound",
+                          "exact_bures"]
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [1, 2, 3, 4]
+        last = dict(zip(header, lines[-1].split(",")))
+        res = doc["result"]
+        assert int(last["m"]) == res["m"]
+        for key in header[2:]:
+            assert float(last[key]) == res[key]
+
 
 class TestVerifyCommand:
     def test_small_run_is_clean(self, tmp_path):
@@ -236,4 +288,4 @@ class TestDemoDivergence:
 
 
 def test_violation_exit_code_is_distinct():
-    assert {EXIT_OK, EXIT_VIOLATION, EXIT_INPUT} == {0, 1, 2}
+    assert {EXIT_OK, EXIT_VIOLATION, EXIT_INPUT, EXIT_INTERNAL} == {0, 1, 2, 3}

@@ -239,7 +239,8 @@ def assert_matches_dense_reference(ens, n, delta2):
     assert res.exact_mode
     fid1, fid1_sub, fid2, fid_bures = dense_reference(rho, ens, res)
     assert res.fid1_fidelity == pytest.approx(fid1, abs=1e-12)
-    assert res.fid1_fidelity_sub == pytest.approx(fid1_sub, abs=1e-12)
+    assert np.sqrt(1.0 - res.eps1) * res.fid1_fidelity == pytest.approx(
+        fid1_sub, abs=1e-12)
     assert res.fid2_fidelity == pytest.approx(fid2, abs=1e-12)
     assert 1.0 - (res.exact_bures / 2.0) ** 2 == pytest.approx(fid_bures,
                                                                abs=1e-12)
@@ -347,7 +348,6 @@ class TestFormationProtocol:
         assert res.eps2 == pytest.approx(0.0, abs=1e-12)
         assert res.eps3 == pytest.approx(0.0, abs=1e-12)
         assert res.fid1_fidelity >= np.sqrt(0.875) - 1e-9
-        assert res.fid1_fidelity_sub <= res.fid1_fidelity
         assert res.fid1_holds and res.fid2_holds
         assert res.exact_bures <= res.bures_bound + 1e-12
 
@@ -371,16 +371,6 @@ class TestFormationProtocol:
         assert res.rate == 0.0
         assert res.fid2_holds
 
-    def test_subnormalized_variant_reports_smaller_fidelity(self):
-        ens = half_half_ensemble()
-        rho = ensemble_average(ens)
-        res = formation_protocol(rho, ens, 4, 0.5, 0.25, normalization="sub")
-        assert res.normalization == "sub"
-        unit = formation_protocol(rho, ens, 4, 0.5, 0.25)
-        assert res.fid1_fidelity == pytest.approx(unit.fid1_fidelity_sub,
-                                                  abs=1e-12)
-        assert res.fid1_fidelity <= unit.fid1_fidelity
-
     def test_analytic_mode_beyond_dimension_cap(self):
         ens = half_half_ensemble()
         rho = ensemble_average(ens)
@@ -403,6 +393,7 @@ class TestFormationProtocol:
         assert res.eps2 > 0.0
         assert res.exact_bures <= res.bures_bound + 1e-12
         assert res.fid1_holds and res.fid2_holds
+        assert verify_fid_bounds(res)["all_hold"]
 
     def test_wrong_ensemble_rejected(self):
         ens = half_half_ensemble()
@@ -410,11 +401,18 @@ class TestFormationProtocol:
         with pytest.raises(StateValidationError):
             formation_protocol(other, ens, 3, 0.5, 0.25)
 
-    def test_bad_normalization_flag(self):
+    def test_fid1_is_checked_against_the_unit_trace_bound(self):
+        # unit-trace rho_T: sqrt(p_T) F(rho^(x)n, rho_T) = 0.926 would miss
+        # the bound sqrt(p_T) = 0.935, but F itself is compared with it
         ens = half_half_ensemble()
         rho = ensemble_average(ens)
-        with pytest.raises(ValueError):
-            formation_protocol(rho, ens, 3, 0.5, 0.25, normalization="trace")
+        res = formation_protocol(rho, ens, 4, 0.5, 0.25)
+        assert np.sqrt(1.0 - res.eps1) * res.fid1_fidelity < np.sqrt(0.875)
+        assert res.fid1_holds is bool(res.fid1_fidelity
+                                      >= np.sqrt(1.0 - res.eps1) - 1e-9)
+        assert res.fid1_holds
+        with pytest.raises(TypeError):
+            formation_protocol(rho, ens, 3, 0.5, 0.25, normalization="sub")
 
 
 def test_exact_mode_finishes_at_the_dimension_cap():
@@ -437,6 +435,26 @@ class TestVerifyFidBounds:
         assert rep["fid1_holds"] and rep["fid2_holds"] and rep["triangle_holds"]
         assert rep["fid1_fidelity"] == pytest.approx(res.fid1_fidelity, abs=1e-12)
         assert rep["bures_left"] <= rep["bures_via_truncation"] + 1e-8
+
+    def test_overlap_aggregate_is_the_weighted_sequence_overlap(self):
+        ens = Ensemble(np.array([0.5, 0.5]),
+                       (schmidt_state(0.9), basis_pure((2, 2), 0, 1)))
+        rho = ensemble_average(ens)
+        res = formation_protocol(rho, ens, 4, 0.5, 0.0)
+        p_t = 1.0 - res.eps1
+        assert p_t < 1.0
+        expect = 0.0
+        for seq, ps in res.typical.sequences:
+            o = 1.0
+            for i in set(seq):
+                target = pure_power(ens.states[i], seq.count(i))
+                approx, _ = dilute_pure_state(ens.states[i], seq.count(i),
+                                              res.plan.entries[i].singlets)
+                o *= abs(np.vdot(target.vector, approx.vector))
+            expect += ps / p_t * o
+        assert expect < 1.0 - 1e-3     # the budget is lossy
+        assert res.overlap_aggregate == pytest.approx(expect, abs=1e-12)
+        assert verify_fid_bounds(res)["overlap_aggregate"] == res.overlap_aggregate
 
     def test_lossy_run_still_passes(self):
         ens = Ensemble(np.array([0.5, 0.5]),

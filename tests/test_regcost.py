@@ -139,7 +139,7 @@ class TestCostBracket:
                                       rng=RandomSource(0), restarts=1)
         assert bracket.upper_on_regularized == pytest.approx(1.0, abs=1e-9)
         assert bracket.achievable_rate == pytest.approx(1.0, abs=1e-9)
-        assert bracket.caveat == LIMIT_CAVEAT
+        assert bracket.to_json_obj()["caveat"] == LIMIT_CAVEAT
 
     def test_upper_never_exceeds_achievable(self):
         rng = RandomSource(23)

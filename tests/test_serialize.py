@@ -117,6 +117,11 @@ class TestCanonicalJson:
         parsed = json.loads(out)
         assert parsed == {"x": 0.5, "n": 4, "flag": True, "v": [1.0, 2.0]}
 
+    def test_negative_zero_prints_as_zero(self):
+        assert dumps_canonical(-0.0) == "0.0"
+        assert dumps_canonical(np.float64(-0.0)) == "0.0"
+        assert dumps_canonical([-0.0, 0.0]) == dumps_canonical([0.0, 0.0])
+
     def test_rejects_non_finite_floats(self):
         with pytest.raises(ValueError):
             dumps_canonical(float("nan"))
