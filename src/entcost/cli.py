@@ -12,9 +12,13 @@ default seed; an explicit --seed flag wins over both.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import traceback
+from contextlib import contextmanager
+
+import numpy as np
 
 from . import __version__
 from .eof import eof_optimize, eof_two_qubit_closed_form
@@ -44,15 +48,56 @@ class InputError(Exception):
     pass
 
 
+def _number(kind, least, *, strict=False):
+    """argparse type: a finite `kind` >= least (> least when strict).
+
+    A rejected value is a usage error, so argparse exits with EXIT_INPUT
+    before any work starts.
+    """
+    bound = f"> {least}" if strict else f">= {least}"
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value > least if strict else value >= least)):
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__} {bound}, got {text!r}")
+        return value
+    return parse
+
+
+_POSITIVE_INT = _number(int, 1)
+_COUNT = _number(int, 0)
+_POSITIVE_FLOAT = _number(float, 0.0, strict=True)
+_NONNEGATIVE_FLOAT = _number(float, 0.0)
+
+
+@contextmanager
+def _library_input_checks():
+    """Turn the library's own argument checks (ValueError) into input errors.
+
+    They reject what only the input can decide, such as an ensemble size below
+    the state's rank or a tensor power beyond the dimension cap.  A failed
+    linear-algebra kernel is a ValueError too, but an internal one.
+    """
+    try:
+        yield
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _resolve_seed(args):
     if args.seed is not None:
         return int(args.seed)
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+            return _COUNT(env)
+        except argparse.ArgumentTypeError as exc:
+            raise InputError(f"{SEED_ENV_VAR}: {exc}") from exc
     return 0
 
 
@@ -119,9 +164,10 @@ def _csv(rows, header):
 def _cmd_eof(args):
     seed = _resolve_seed(args)
     rho = _as_density(_load(args.state))
-    res = eof_optimize(rho, ensemble_size=args.ensemble_size,
-                       restarts=args.restarts, rng=RandomSource(seed),
-                       improvement_tol=args.tol)
+    with _library_input_checks():
+        res = eof_optimize(rho, ensemble_size=args.ensemble_size,
+                           restarts=args.restarts, rng=RandomSource(seed),
+                           improvement_tol=args.tol)
     config = {"subcommand": "eof", "state": args.state,
               "ensemble_size": args.ensemble_size, "restarts": args.restarts,
               "tol": args.tol}
@@ -145,9 +191,10 @@ def _cmd_metrics(args):
 def _cmd_regularize(args):
     seed = _resolve_seed(args)
     rho = _as_density(_load(args.state))
-    trace, bracket = cost_bracket(rho, args.n_max, rng=RandomSource(seed),
-                                  restarts=args.restarts,
-                                  ensemble_size=args.ensemble_size)
+    with _library_input_checks():
+        trace, bracket = cost_bracket(rho, args.n_max, rng=RandomSource(seed),
+                                      restarts=args.restarts,
+                                      ensemble_size=args.ensemble_size)
     config = {"subcommand": "regularize", "state": args.state,
               "n_max": args.n_max, "restarts": args.restarts,
               "ensemble_size": args.ensemble_size}
@@ -162,18 +209,16 @@ def _cmd_regularize(args):
 def _cmd_formation(args):
     seed = _resolve_seed(args)
     obj = _load(args.state)
-    if isinstance(obj, Ensemble):
-        ensemble = obj
-        rho = ensemble_average(ensemble)
-    else:
-        rho = _as_density(obj)
-        ensemble = eof_optimize(rho, restarts=args.restarts,
-                                rng=RandomSource(seed)).ensemble
-    try:
+    with _library_input_checks():
+        if isinstance(obj, Ensemble):
+            ensemble = obj
+            rho = ensemble_average(ensemble)
+        else:
+            rho = _as_density(obj)
+            ensemble = eof_optimize(rho, restarts=args.restarts,
+                                    rng=RandomSource(seed)).ensemble
         res = formation_protocol(rho, ensemble, args.n, args.delta1,
                                  args.delta2, window=args.window)
-    except (ValueError, StateValidationError) as exc:
-        raise InputError(str(exc)) from exc
     config = {"subcommand": "formation", "state": args.state, "n": args.n,
               "delta1": args.delta1, "delta2": args.delta2,
               "window": args.window, "restarts": args.restarts}
@@ -232,15 +277,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_COUNT, default=None,
                        help="random seed (default 0, or ENTCOST_SEED)")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("eof", help="optimize the entanglement of formation")
     p.add_argument("state", help="state or ensemble JSON file")
-    p.add_argument("--ensemble-size", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--ensemble-size", type=_POSITIVE_INT, default=None)
+    p.add_argument("--restarts", type=_POSITIVE_INT, default=4)
+    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-6,
                    help="per-cycle improvement tolerance in ebits")
     common(p)
     p.set_defaults(func=_cmd_eof)
@@ -253,33 +298,34 @@ def build_parser():
 
     p = sub.add_parser("regularize", help="finite-n regularization trace")
     p.add_argument("state")
-    p.add_argument("--n-max", type=int, default=2)
-    p.add_argument("--restarts", type=int, default=2)
-    p.add_argument("--ensemble-size", type=int, default=None)
+    p.add_argument("--n-max", type=_POSITIVE_INT, default=2)
+    p.add_argument("--restarts", type=_COUNT, default=2,
+                   help="random restarts per n (at least one at n = 1)")
+    p.add_argument("--ensemble-size", type=_POSITIVE_INT, default=None)
     p.add_argument("--csv", default=None, help="also write (n, rate) CSV here")
     common(p)
     p.set_defaults(func=_cmd_regularize)
 
     p = sub.add_parser("formation", help="simulate the typical-set formation protocol")
     p.add_argument("state", help="state or ensemble JSON file")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--delta1", type=float, default=0.5)
-    p.add_argument("--delta2", type=float, default=0.25)
+    p.add_argument("--n", type=_POSITIVE_INT, default=4)
+    p.add_argument("--delta1", type=_POSITIVE_FLOAT, default=0.5)
+    p.add_argument("--delta2", type=_NONNEGATIVE_FLOAT, default=0.25)
     p.add_argument("--window", choices=("paper", "plain"), default="paper")
-    p.add_argument("--restarts", type=int, default=4,
+    p.add_argument("--restarts", type=_POSITIVE_INT, default=4,
                    help="optimizer restarts when only a density matrix is given")
     p.add_argument("--csv", default=None, help="also write a sweep over n here")
     common(p)
     p.set_defaults(func=_cmd_formation)
 
     p = sub.add_parser("verify", help="run the property fuzzing suite")
-    p.add_argument("--pairs", type=int, default=1000,
+    p.add_argument("--pairs", type=_COUNT, default=1000,
                    help="metric-chain sample pairs")
-    p.add_argument("--channels", type=int, default=100,
+    p.add_argument("--channels", type=_COUNT, default=100,
                    help="monotonicity (state, channel) pairs")
-    p.add_argument("--perturbed", type=int, default=100,
+    p.add_argument("--perturbed", type=_COUNT, default=100,
                    help="continuity perturbed pairs")
-    p.add_argument("--quadruples", type=int, default=100,
+    p.add_argument("--quadruples", type=_COUNT, default=100,
                    help="multiplicativity tensor quadruples")
     common(p)
     p.set_defaults(func=_cmd_verify)
@@ -287,7 +333,7 @@ def build_parser():
     p = sub.add_parser("demo-divergence",
                        help="tensor-power Bures divergence of a fixed per-copy fidelity")
     p.add_argument("--fidelity", type=float, default=0.99)
-    p.add_argument("--k-max", type=int, default=200)
+    p.add_argument("--k-max", type=_POSITIVE_INT, default=200)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     common(p)
     p.set_defaults(func=_cmd_demo_divergence)

@@ -6,11 +6,13 @@ of rho.  The optimizer parameterizes decompositions through the purification:
 every size-L ensemble arises from an L x r isometry applied to the rank-r
 eigen-ensemble, so every iterate is feasible by construction.  The search is
 a seeded multi-start Jacobi sweep: cyclic two-row plane rotations (real and
-phased) with a bracketed scalar line search on the objective.
+phased) with a bounded scalar line search on the objective, which each pair
+evaluates from three Gram blocks of its two rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,31 +91,104 @@ class EofResult:
         }
 
 
-def _reduced_spectrum(w, dA, dB):
-    m = w.reshape(dA, dB)
-    g = m @ m.conj().T
-    if dA == 2:
-        t = g[0, 0].real + g[1, 1].real
-        disc = np.sqrt(max(0.0, (g[0, 0].real - g[1, 1].real) ** 2
-                           + 4.0 * abs(g[0, 1]) ** 2))
-        return np.array([max(0.0, (t - disc) / 2.0), max(0.0, (t + disc) / 2.0)])
-    return np.clip(np.linalg.eigvalsh(g), 0.0, None)
+def _row_blocks(W, dA, dB):
+    """Each row of W (last axis) as a k x m matrix, k = min(dA, dB).
+
+    Its Gram matrix M M^dag is the reduced state on the smaller factor, which
+    has the same nonzero spectrum as the reduced state on the larger one.
+    """
+    M = W.reshape(W.shape[:-1] + (dA, dB))
+    return M if dA <= dB else np.swapaxes(M, -1, -2)
 
 
-def _entropy_contrib(w, dA, dB):
-    """Weighted entanglement p_i E(psi_i) of a subnormalized row vector."""
-    mu = _reduced_spectrum(w, dA, dB)
-    p = float(mu.sum())
-    if p <= 1e-15:
-        return 0.0
-    nz = mu[mu > 1e-18]
-    return float(-(nz * np.log2(nz)).sum() + p * np.log2(p))
+def _spectrum_entropy(mu):
+    """p E(psi) of a subnormalized pure state from its reduced spectrum mu.
+
+    Python floats: with p = sum mu, the entropy of mu / p times p is
+    p log2 p - sum mu log2 mu.  Eigenvalues at or below 1e-18 are noise.
+    """
+    p = e = 0.0
+    for m in mu:
+        if m > 1e-18:
+            p += m
+            e -= m * math.log2(m)
+    return e + p * math.log2(p) if p > 1e-15 else 0.0
+
+
+def _pauli(g):
+    """Components (t, x, y, z) of 2 x 2 Hermitian g = (t I + x X + y Y + z Z) / 2.
+
+    g is a stack; each component comes back as a list of Python floats.
+    """
+    d0, d1, off = g[..., 0, 0].real, g[..., 1, 1].real, g[..., 0, 1]
+    return ((d0 + d1).tolist(), (2.0 * off.real).tolist(),
+            (-2.0 * off.imag).tolist(), (d0 - d1).tolist())
+
+
+def _qubit_gram_entropy(t, x, y, z):
+    """_spectrum_entropy of (t I + x X + y Y + z Z) / 2, on Python floats.
+
+    Its eigenvalues are (t -+ |(x, y, z)|) / 2; no eigensolver is called.
+    """
+    r = math.sqrt(x * x + y * y + z * z)
+    return _spectrum_entropy(((t - r) / 2.0, (t + r) / 2.0))
+
+
+def _gram_entropy(g):
+    """_spectrum_entropy of each Gram matrix M M^dag in the stack g (n, k, k)."""
+    if g.shape[-1] == 2:
+        return [_qubit_gram_entropy(*c) for c in zip(*_pauli(g))]
+    return [_spectrum_entropy(mu) for mu in np.linalg.eigvalsh(g).tolist()]
+
+
+def _entropy_contrib(W, dA, dB):
+    """Weighted entanglement p_i E(psi_i) of each subnormalized row of W."""
+    M = _row_blocks(W.reshape(-1, W.shape[-1]), dA, dB)
+    g = M @ np.swapaxes(M, -1, -2).conj()
+    return np.reshape(_gram_entropy(g), W.shape[:-1])
+
+
+def _pair_objective(Ma, Mb, phase):
+    """theta -> entanglement of the rows with blocks Ma, Mb after the rotation
+    a -> c a + s phase b, b -> -s conj(phase) a + c b (c, s = cos, sin theta).
+
+    With P = Ma Ma^dag, Q = Mb Mb^dag and H = phase Mb Ma^dag + h.c., the
+    rotated rows have Gram matrices c^2 P + s^2 Q +- cs H, that is
+    (P + Q)/2 +- (cos 2theta (P - Q) + sin 2theta H)/2.  The three k x k blocks
+    are built once and serve every theta.  Shifting theta by pi/2 swaps the
+    two Gram matrices, so the objective has period pi/2.
+    """
+    C = phase * (Mb @ Ma.conj().T)
+    P = Ma @ Ma.conj().T
+    Q = Mb @ Mb.conj().T
+    blocks = np.stack([P + Q, P - Q, C + C.conj().T]) / 2.0
+    if blocks.shape[-1] == 2:
+        (mt, dt, ht), (mx, dx, hx), (my, dy, hy), (mz, dz, hz) = _pauli(blocks)
+
+        def objective(theta):
+            c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
+            t, x = c * dt + s * ht, c * dx + s * hx
+            y, z = c * dy + s * hy, c * dz + s * hz
+            return (_qubit_gram_entropy(mt + t, mx + x, my + y, mz + z)
+                    + _qubit_gram_entropy(mt - t, mx - x, my - y, mz - z))
+        return objective
+
+    mean = blocks[0]
+    sign = np.array([1.0, -1.0])[:, None, None]
+    diff, herm = sign * blocks[1], sign * blocks[2]
+
+    def objective(theta):
+        g = diff * math.cos(2.0 * theta)
+        g += herm * math.sin(2.0 * theta)
+        g += mean
+        return sum(_gram_entropy(g))
+    return objective
 
 
 def _jacobi_refine(W, dA, dB, improvement_tol, max_cycles):
     """Minimize sum_i p_i E_i over plane rotations of the rows of W in place."""
     L = W.shape[0]
-    contrib = np.array([_entropy_contrib(W[i], dA, dB) for i in range(L)])
+    contrib = _entropy_contrib(W, dA, dB)
     converged = False
     total = float(contrib.sum())
     bounds = (-np.pi / 2.0, np.pi / 2.0)
@@ -126,26 +201,17 @@ def _jacobi_refine(W, dA, dB, improvement_tol, max_cycles):
                 if contrib[a] + contrib[b] < 1e-13:
                     continue
                 for phase in (1.0, 1.0j):
-                    wa = W[a].copy()
-                    wb = W[b].copy()
+                    wa, wb = pair = W[[a, b]]
+                    Ma, Mb = _row_blocks(pair, dA, dB)
                     cur = contrib[a] + contrib[b]
-
-                    def objective(theta):
-                        c, s = np.cos(theta), np.sin(theta)
-                        na = c * wa + s * phase * wb
-                        nb = -s * np.conj(phase) * wa + c * wb
-                        return (_entropy_contrib(na, dA, dB)
-                                + _entropy_contrib(nb, dA, dB))
-
-                    res = minimize_scalar(objective, bounds=bounds,
-                                          method="bounded",
+                    res = minimize_scalar(_pair_objective(Ma, Mb, phase),
+                                          bounds=bounds, method="bounded",
                                           options={"xatol": 1e-5, "maxiter": 40})
                     if res.fun < cur - 1e-13:
-                        c, s = np.cos(res.x), np.sin(res.x)
+                        c, s = math.cos(res.x), math.sin(res.x)
                         W[a] = c * wa + s * phase * wb
                         W[b] = -s * np.conj(phase) * wa + c * wb
-                        contrib[a] = _entropy_contrib(W[a], dA, dB)
-                        contrib[b] = _entropy_contrib(W[b], dA, dB)
+                        contrib[[a, b]] = _entropy_contrib(W[[a, b]], dA, dB)
         total = float(contrib.sum())
         if start_total - total < improvement_tol:
             converged = True

@@ -349,6 +349,10 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     fid1/fid2) are computed whenever (dA dB)^n <= DIMENSION_CAP, from
     factors of rho^(x)n, rho_T and rho'_T; above the cap only the analytic
     bounds from p_T and the dilution fidelities are emitted.
+
+    exact_bures = 2 sqrt(max(0, 1 - F)) has a rounding floor: near F = 1 a
+    one-ulp change in F (about 1.1e-16) moves it by about 2e-8, so values
+    below about 3e-8 are rounding noise rather than a distance.
     """
     avg = ensemble_average(ensemble)
     if avg.dims != rho.dims or np.abs(avg.matrix - rho.matrix).max() > 1e-7:

@@ -287,5 +287,59 @@ class TestDemoDivergence:
             {key: e[key] for key in ("k", "fidelity", "bures")} for e in entries]
 
 
+class TestNumericFlags:
+    """Out-of-range numbers are usage errors (exit 2) before any work runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eof", "{state}", "--tol", "nan"],
+        ["eof", "{state}", "--tol", "inf"],
+        ["eof", "{state}", "--tol", "-1"],
+        ["eof", "{state}", "--restarts", "0"],
+        ["eof", "{state}", "--ensemble-size", "0"],
+        ["eof", "{state}", "--seed", "-1"],
+        ["regularize", "{state}", "--n-max", "0"],
+        ["regularize", "{state}", "--restarts", "-1"],
+        ["formation", "{state}", "--restarts", "0"],
+        ["formation", "{state}", "--delta1", "nan"],
+        ["formation", "{state}", "--delta2", "-0.5"],
+        ["verify", "--pairs", "-1"],
+        ["demo-divergence", "--k-max", "-3"],
+        ["demo-divergence", "--k-max", "2.5"],
+    ])
+    def test_rejected_by_the_parser(self, argv, mixed_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([mixed_file if a == "{state}" else a for a in argv])
+        assert exc.value.code == EXIT_INPUT
+        assert "expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        # the mixed state has rank 2, so no one-member ensemble realizes it
+        ["eof", "{state}", "--ensemble-size", "1"],
+        ["regularize", "{state}", "--ensemble-size", "1"],
+        # 4^7 exceeds the dimension cap
+        ["regularize", "{state}", "--n-max", "7"],
+    ])
+    def test_rejected_by_the_state(self, argv, mixed_file, capsys):
+        assert main([mixed_file if a == "{state}" else a for a in argv]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_seed_env(self, monkeypatch):
+        monkeypatch.setenv("ENTCOST_SEED", "-1")
+        assert main(["demo-divergence", "--k-max", "1"]) == EXIT_INPUT
+
+    def test_zero_restarts_at_n_two_still_runs(self, mixed_file, tmp_path):
+        code, doc = run_to_json(["regularize", mixed_file, "--restarts", "0"],
+                                tmp_path)
+        assert code == EXIT_OK
+        assert doc["config"]["restarts"] == 0
+
+    def test_linear_algebra_failure_stays_internal(self, singlet_file,
+                                                   monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+        monkeypatch.setattr(cli, "eof_optimize", fail)
+        assert main(["eof", singlet_file]) == EXIT_INTERNAL
+
+
 def test_violation_exit_code_is_distinct():
     assert {EXIT_OK, EXIT_VIOLATION, EXIT_INPUT, EXIT_INTERNAL} == {0, 1, 2, 3}
