@@ -2,9 +2,9 @@
 
 Given an ensemble {p_i, psi_i} realizing rho, the protocol keeps only the
 strongly typical sequences of ensemble members, prepares each typical
-product state by entanglement dilution (Schmidt-spectrum truncation against
-a singlet budget), and mixes the diluted states.  At desk scale everything
-is computed exactly, so the fidelity chain
+product state by entanglement dilution (the 2^budget heaviest Kronecker
+products of each member's own Schmidt vectors), and mixes the diluted states.
+At desk scale everything is computed exactly, so the fidelity chain
 
     F(rho^(x)n, rho_T) >= sqrt(1 - eps1)
     F(rho_T, rho'_T)  >= (1 - eps2)^k = 1 - eps3
@@ -86,7 +86,8 @@ def typical_count_windows(p, n, delta1, window="paper"):
     The default half-width is delta1 * n / (k |log2 p_i|), whose per-index
     contributions to log2 p_s sum to at most delta1 * n, so every admitted
     sequence weight obeys the two-sided 2^{-n(H +/- delta1)} bounds.  The
-    plain window uses half-width delta1 * n instead.
+    plain window uses half-width delta1 * n instead.  A unit weight (a pure
+    state, one member) gets the window (n, n) in both kinds.
     """
     p = np.asarray(p, dtype=float)
     k = p.size
@@ -94,11 +95,12 @@ def typical_count_windows(p, n, delta1, window="paper"):
         raise ValueError(f"window must be one of {WINDOW_KINDS}, got {window!r}")
     windows = []
     for pi in p:
-        if not 0.0 < pi < 1.0:
+        if not 0.0 < pi <= 1.0:
             raise StateValidationError(
-                f"typicality needs every p_i in (0, 1); got {pi!r} "
-                "(a unit weight means the state is pure: use the pure-state path)")
-        if window == "paper":
+                f"typicality needs every p_i in (0, 1]; got {pi!r}")
+        if pi == 1.0:
+            half = 0.0      # a pure state: its one sequence gets window (n, n)
+        elif window == "paper":
             half = delta1 * n / (k * abs(np.log2(pi)))
         else:
             half = delta1 * n
@@ -126,10 +128,7 @@ def typical_set(p, n, delta1, window="paper") -> TypicalSet:
     sequences = []
     total = 0.0
     for seq in itertools.product(range(k), repeat=n):
-        counts = [0] * k
-        for idx in seq:
-            counts[idx] += 1
-        if all(lo <= c <= hi for c, (lo, hi) in zip(counts, windows)):
+        if all(lo <= seq.count(i) <= hi for i, (lo, hi) in enumerate(windows)):
             ps = float(np.prod(p[list(seq)]))
             sequences.append((seq, ps))
             total += ps
@@ -206,48 +205,57 @@ def _power_spectrum(mu, count):
     return np.sort(acc)[::-1]
 
 
-def _schmidt_weights(psi: PureState):
-    sv = np.linalg.svd(psi.vector.reshape(psi.dims), compute_uv=False)
-    return sv * sv
+def _schmidt(psi: PureState):
+    """Schmidt vectors and weights of psi: psi = sum_j sqrt(mu_j) u_j (x) vh_j."""
+    u, s, vh = np.linalg.svd(psi.vector.reshape(psi.dims), full_matrices=False)
+    return u, s * s, vh
+
+
+def _truncation(ranked, count: int, singlet_budget: int):
+    """(kept terms, fidelity) when 2^budget singlets keep the head of `ranked`,
+    the Schmidt weights of psi^(x)count in keep order.  The keep count never
+    forms 2^budget past the term count; the fidelity is sqrt(1 - dropped)."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if singlet_budget < 0:
+        raise ValueError("singlet budget must be >= 0")
+    keep = min(ranked.size, 1 << min(singlet_budget, ranked.size.bit_length()))
+    return keep, float(np.sqrt(max(0.0, 1.0 - ranked[keep:].sum())))
 
 
 def dilution_fidelity(psi: PureState, count: int, singlet_budget: int) -> float:
     """Square-root fidelity of diluting psi^(x)count from `singlet_budget` singlets.
 
     The dilution keeps the 2^budget largest Schmidt weights of the tensor
-    power, so the achieved fidelity is the square root of the retained weight.
+    power, so the fidelity is the square root of one minus the dropped weight.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if singlet_budget < 0:
-        raise ValueError("singlet budget must be >= 0")
-    mu = _power_spectrum(_schmidt_weights(psi), count)
-    keep = min(int(min(2.0 ** singlet_budget, mu.size)), mu.size)
-    return float(np.sqrt(min(1.0, mu[:keep].sum())))
+    return _truncation(_power_spectrum(_schmidt(psi)[1], count), count,
+                       singlet_budget)[1]
 
 
 def dilute_pure_state(psi: PureState, count: int, singlet_budget: int):
-    """Schmidt-truncated approximation of psi^(x)count, with its fidelity.
+    """Schmidt-truncated approximation of psi^(x)count on (dA^count, dB^count),
+    with its fidelity (its overlap with psi^(x)count).
 
-    Returns (approximation, fidelity) where the approximation lives on
-    (dA^count, dB^count) and the fidelity equals the square root of the
-    retained Schmidt weight; it is 1 whenever 2^budget covers the rank.
+    Each term of psi^(x)count is a Kronecker product of psi's own Schmidt
+    vectors, one per index tuple, weighed once per occupation pattern (the
+    sorted tuple): permuted tuples tie exactly, and ties keep index order.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if singlet_budget < 0:
-        raise ValueError("singlet budget must be >= 0")
     if psi.dim ** count > DIMENSION_CAP:
         raise ValueError("total dimension exceeds the cap")
-    phi = pure_power(psi, count)
-    dA = psi.dims[0] ** count
-    dB = psi.dims[1] ** count
-    u, s, vh = np.linalg.svd(phi.vector.reshape(dA, dB))
-    keep = min(int(min(2.0 ** singlet_budget, s.size)), s.size)
-    retained = float((s[:keep] ** 2).sum())
-    trunc = (u[:, :keep] * s[:keep]) @ vh[:keep]
-    vec = trunc.reshape(dA * dB) / np.sqrt(retained)
-    return PureState((dA, dB), vec), float(np.sqrt(min(1.0, retained)))
+    u, mu, vh = _schmidt(psi)
+    terms = list(itertools.product(range(mu.size), repeat=count))
+    weight = functools.cache(lambda occupation: math.prod(mu[list(occupation)]))
+    w = np.array([weight(tuple(sorted(t))) for t in terms])
+    order = np.argsort(-w, kind="stable")
+    keep, fidelity = _truncation(w[order], count, singlet_budget)
+    kept = order[:keep]
+    left, right = np.sqrt(w[kept])[None, :], np.ones((keep, 1))
+    for j in np.array(terms)[kept].T:      # copy by copy, in Kronecker order
+        left = (left[:, None, :] * u[:, j]).reshape(-1, keep)
+        right = (right[:, :, None] * vh[j][:, None, :]).reshape(keep, -1)
+    vec = (left @ right).reshape(-1)
+    return PureState((left.shape[0], right.shape[1]), vec / np.linalg.norm(vec)), fidelity
 
 
 # ---------------------------------------------------------------------------
@@ -284,17 +292,16 @@ class DilutionPlan:
 
 def dilution_plan(ensemble: Ensemble, tset: TypicalSet, delta2: float) -> DilutionPlan:
     """Singlet budget per ensemble member, charged at the worst typical count."""
-    entries = []
-    for i, psi in enumerate(ensemble.states):
-        count = tset.count_windows[i][1]
-        ent = pure_entanglement(psi)
-        if ent < 1e-12:
-            singlets = 0    # unentangled members cost nothing to prepare
-        else:
-            singlets = math.ceil(count * (ent + delta2))
-        entries.append(PlanEntry(i, count, ent, float(delta2), singlets))
-    total = sum(e.singlets for e in entries)
-    return DilutionPlan(tuple(entries), total, tset.delta1, float(delta2))
+    counts = [hi for _, hi in tset.count_windows]
+    ents = [pure_entanglement(psi) for psi in ensemble.states]
+    # unentangled members cost nothing to prepare
+    needs = [0.0 if e < 1e-12 else c * (e + delta2) for c, e in zip(counts, ents)]
+    if not math.isfinite(sum(needs)):
+        raise ValueError(f"delta2 = {delta2!r} makes the singlet count overflow")
+    entries = tuple(PlanEntry(i, c, e, float(delta2), math.ceil(x))
+                    for i, (c, e, x) in enumerate(zip(counts, ents, needs)))
+    return DilutionPlan(entries, sum(e.singlets for e in entries), tset.delta1,
+                        float(delta2))
 
 
 @dataclass(frozen=True)
@@ -352,18 +359,15 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
 
     exact_bures = 2 sqrt(max(0, 1 - F)) has a rounding floor: near F = 1 a
     one-ulp change in F (about 1.1e-16) moves it by about 2e-8, so values
-    below about 3e-8 are rounding noise rather than a distance.
+    below about 3e-8 are rounding noise rather than a distance.  bures_bound
+    has the same floor in its 2 sqrt(eps3) term; a lossless dilution gives
+    eps2 = eps3 = 0 exactly.
     """
     avg = ensemble_average(ensemble)
     if avg.dims != rho.dims or np.abs(avg.matrix - rho.matrix).max() > 1e-7:
         raise StateValidationError("ensemble does not realize the given state")
 
-    if len(ensemble) == 1:
-        # pure state: no typical-set truncation, the protocol is pure dilution
-        tset = TypicalSet(n, float(delta1), 1, window,
-                          (((0,) * n, 1.0),), 1.0, 0.0, (1.0, 1.0), ((n, n),))
-    else:
-        tset = typical_set(ensemble.weights, n, delta1, window)
+    tset = typical_set(ensemble.weights, n, delta1, window)
     plan = dilution_plan(ensemble, tset, delta2)
     k = len(ensemble)
     eps1 = max(0.0, 1.0 - tset.total_weight)
@@ -376,14 +380,9 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     eps2 = 0.0
     overlap_aggregate = 0.0
     for seq, ps in tset.sequences:
-        counts = [0] * k
-        for idx in seq:
-            counts[idx] += 1
         o = 1.0
-        for i, c in enumerate(counts):
-            if c == 0:
-                continue
-            f = block_fidelity(i, c)
+        for i in sorted(set(seq)):
+            f = block_fidelity(i, seq.count(i))
             eps2 = max(eps2, 1.0 - f)
             o *= f
         overlap_aggregate += ps / p_t * o

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -214,6 +215,42 @@ class TestFormationCommand:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("n,m,rate")
         assert len(lines) == 4
+
+    def test_lossless_pure_state_prints_a_zero_bound(self, tmp_path):
+        from entcost.qcore import sample_pure_state
+        path = tmp_path / "psi.json"
+        save_object(path, sample_pure_state((2, 2), RandomSource(5)))
+        code, doc = run_to_json(["formation", str(path), "--n", "1",
+                                 "--delta2", "0.1"], tmp_path)
+        assert code == EXIT_OK
+        res = doc["result"]
+        assert (res["eps2"], res["eps3"], res["bures_bound"]) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("delta2,expect", [("600", EXIT_OK),
+                                               ("1e300", EXIT_OK),
+                                               ("1.7e308", EXIT_INPUT)])
+    def test_large_delta2(self, tmp_path, delta2, expect):
+        # budgets far past the Schmidt rank keep everything; a singlet count
+        # that overflows a float is an input error, not a crash
+        from entcost.qcore import sample_pure_state
+        rng = RandomSource(41)
+        ens = Ensemble(np.array([0.5, 0.3, 0.2]),
+                       tuple(sample_pure_state((2, 2), rng.split())
+                             for _ in range(3)))
+        path = tmp_path / "ens.json"
+        save_object(path, ens)
+        start = time.perf_counter()
+        code, doc = run_to_json(["formation", str(path), "--n", "3",
+                                 "--delta2", delta2], tmp_path)
+        assert time.perf_counter() - start < 60.0
+        assert code == expect
+        if expect == EXIT_OK:
+            res = doc["result"]
+            assert res["eps2"] == 0.0 and res["eps3"] == 0.0
+            assert res["m"] == sum(e["singlets"] for e in res["plan"]["entries"])
+            assert res["fid1_holds"] and res["fid2_holds"]
+        else:
+            assert doc is None
 
     def test_csv_last_row_is_the_reported_run(self, tmp_path):
         from entcost.qcore import PureState

@@ -67,9 +67,17 @@ class TestCountWindows:
         for lo, hi in windows:
             assert 0 <= lo <= hi <= 3
 
-    def test_unit_weight_rejected_with_pointer_to_pure_path(self):
-        with pytest.raises(StateValidationError, match="pure"):
-            typical_count_windows([1.0], 4, 0.5)
+    @pytest.mark.parametrize("window", ["paper", "plain"])
+    def test_unit_weight_gets_the_full_window(self, window):
+        # a pure state: its one sequence is typical, in both window kinds
+        assert typical_count_windows([1.0], 4, 0.5, window) == ((4, 4),)
+        tset = typical_set([1.0], 4, 0.5, window)
+        assert tset.sequences == (((0, 0, 0, 0), 1.0),)
+        assert tset.total_weight == 1.0
+        assert tset.entropy == 0.0
+        assert tset.weight_bounds == (1.0, 1.0)
+        with pytest.raises(StateValidationError):
+            typical_count_windows([0.0, 1.0], 4, 0.5)
 
     def test_unknown_window_kind(self):
         with pytest.raises(ValueError):
@@ -218,14 +226,19 @@ def dense_reference(rho, ens, res):
             fidelity_matrices(rho_n, rho_approx))
 
 
+def _seeded_ensembles():
+    """Six seeded (0.5, 0.3, 0.2) ensembles of random two-qubit states."""
+    rng = RandomSource(41)
+    return [Ensemble(np.array([0.5, 0.3, 0.2]),
+                     tuple(sample_pure_state((2, 2), rng.split())
+                           for _ in range(3)))
+            for _ in range(6)]
+
+
 def _equivalence_cases():
     for n in (3, 4, 5):
         yield pytest.param(half_half_ensemble(), n, 0.25, id=f"criterion6-n{n}")
-    rng = RandomSource(41)
-    for j in range(6):
-        ens = Ensemble(np.array([0.5, 0.3, 0.2]),
-                       tuple(sample_pure_state((2, 2), rng.split())
-                             for _ in range(3)))
+    for j, ens in enumerate(_seeded_ensembles()):
         for n in (3, 4):
             yield pytest.param(ens, n, 0.25, id=f"ens3-{j}-n{n}")
     lossy = Ensemble(np.array([0.5, 0.5]),
@@ -261,6 +274,25 @@ def test_factored_fidelities_match_dense_reference_with_more_members_than_dimens
     assert len(ens) == 9
     res = assert_matches_dense_reference(ens, 3, 0.25)
     assert len(res.typical.sequences) == 504
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_tiny_perturbations_do_not_move_the_diluted_fidelities(n):
+    # delta2 = 0 cuts the Schmidt terms of psi^(x)c inside groups of permuted
+    # index tuples of equal weight; the cut must not depend on rounding
+    rng = np.random.default_rng(7)
+
+    def nudge(psi):
+        v = psi.vector + 1e-13 * (rng.standard_normal(4)
+                                  + 1j * rng.standard_normal(4))
+        return PureState((2, 2), v / np.linalg.norm(v))
+
+    for ens in _seeded_ensembles():
+        moved = Ensemble(ens.weights, tuple(nudge(psi) for psi in ens.states))
+        a, b = (formation_protocol(ensemble_average(e), e, n, 0.5, 0.0)
+                for e in (ens, moved))
+        assert abs(a.fid2_fidelity - b.fid2_fidelity) < 1e-10
+        assert abs(a.exact_bures - b.exact_bures) < 1e-10
 
 
 class TestDilution:
@@ -304,6 +336,28 @@ class TestDilution:
             assert fid == pytest.approx(dilution_fidelity(psi, 2, budget),
                                         abs=1e-12)
 
+    def test_ties_keep_index_order(self):
+        # weights 0.81, 0.09, 0.09, 0.01 for tuples (0,0), (0,1), (1,0), (1,1):
+        # two kept terms are (0,0) and (0,1), on basis states |00>|00> and |01>|01>
+        approx, fid = dilute_pure_state(schmidt_state(0.9), 2, 1)
+        expect = np.zeros(16)
+        expect[0], expect[5] = 0.9, 0.1
+        assert np.abs(approx.vector) ** 2 == pytest.approx(expect, abs=1e-12)
+        assert fid == pytest.approx(np.sqrt(0.9), abs=1e-12)
+
+    def test_lossless_dilution_is_exactly_lossless(self):
+        for psi in (schmidt_state(0.9), bell_phi_plus(),
+                    sample_pure_state((2, 3), RandomSource(5))):
+            for count in (1, 2, 3):
+                assert dilution_fidelity(psi, count, count) == 1.0
+                assert dilute_pure_state(psi, count, count)[1] == 1.0
+        assert dilution_fidelity(basis_pure((2, 2), 0, 1), 4, 0) == 1.0
+
+    def test_huge_budget_keeps_everything(self):
+        psi = sample_pure_state((2, 2), RandomSource(5))
+        assert dilution_fidelity(psi, 3, 10 ** 300) == 1.0
+        assert dilute_pure_state(psi, 3, 10 ** 300)[1] == 1.0
+
     def test_input_validation(self):
         psi = schmidt_state(0.9)
         with pytest.raises(ValueError):
@@ -312,6 +366,10 @@ class TestDilution:
             dilution_fidelity(psi, 1, -1)
         with pytest.raises(ValueError):
             dilute_pure_state(psi, 8, 2)   # 4^8 exceeds the dimension cap
+        with pytest.raises(ValueError):
+            dilute_pure_state(psi, 0, 1)
+        with pytest.raises(ValueError):
+            dilute_pure_state(psi, 1, -1)
 
 
 class TestDilutionPlan:

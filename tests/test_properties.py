@@ -4,6 +4,7 @@ Each numpy array is generated from a drawn integer seed, so every example is
 reproducible from the seed hypothesis prints on failure.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from entcost.eof import (
     eof_optimize,
     eof_two_qubit_closed_form,
 )
+from entcost.formation import dilute_pure_state, dilution_fidelity
 from entcost.qcore import (
     Ensemble,
     PureState,
@@ -26,6 +28,7 @@ from entcost.qcore import (
     StateValidationError,
     basis_pure,
     ensemble_average,
+    pure_power,
     sample_unitary,
 )
 
@@ -127,3 +130,42 @@ def test_pair_objective_matches_rotated_rows(dims, seed, phase, theta, split,
     assert objective(theta) == pytest.approx(reference, abs=1e-12)
     assert objective(theta + math.pi / 2) == pytest.approx(objective(theta),
                                                            abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Entanglement dilution of a tensor power
+# ---------------------------------------------------------------------------
+
+DILUTION_DIMS = st.sampled_from([(2, 2), (2, 3)])
+
+
+def _random_pure(dims, seed):
+    g = np.random.default_rng(seed)
+    v = g.standard_normal(dims[0] * dims[1]) + 1j * g.standard_normal(dims[0] * dims[1])
+    return PureState(dims, v / np.linalg.norm(v))
+
+
+@PROPERTY
+@given(dims=DILUTION_DIMS, seed=SEEDS, count=st.integers(1, 5), data=st.data())
+def test_dilution_fidelity_matches_brute_force_ranking(dims, seed, count, data):
+    budget = data.draw(st.integers(0, 2 * count))
+    psi = _random_pure(dims, seed)
+    mu = np.linalg.svd(psi.vector.reshape(dims), compute_uv=False) ** 2
+    # every index tuple of psi^(x)count, weighed and sorted on its own
+    weights = sorted((math.prod(mu[list(t)])
+                      for t in itertools.product(range(mu.size), repeat=count)),
+                     reverse=True)
+    expect = math.sqrt(sum(weights[:2 ** budget]))
+    assert dilution_fidelity(psi, count, budget) == pytest.approx(expect, abs=1e-12)
+
+
+@PROPERTY
+@given(dims=DILUTION_DIMS, seed=SEEDS, count=st.integers(1, 4), data=st.data())
+def test_diluted_state_overlap_is_its_fidelity(dims, seed, count, data):
+    budget = data.draw(st.integers(0, 2 * count))
+    psi = _random_pure(dims, seed)
+    approx, fid = dilute_pure_state(psi, count, budget)
+    assert approx.dims == (dims[0] ** count, dims[1] ** count)
+    overlap = abs(np.vdot(pure_power(psi, count).vector, approx.vector))
+    assert overlap == pytest.approx(fid, abs=1e-12)
+    assert fid == pytest.approx(dilution_fidelity(psi, count, budget), abs=1e-12)
