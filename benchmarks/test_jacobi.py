@@ -6,8 +6,9 @@ Outside the tier-1 suite: `testpaths` collects only `tests/`.  Run with
         --benchmark-json=bench.json
 
 Layers, at dims (2, 2) and (4, 4):
-- one pair line search: the bounded scalar minimization over the rotation
-  angle of rows 0 and 1 with the complex phase, as one sweep performs it;
+- one pair line search: building the objective of rows 0 and 1 with the
+  complex phase and minimizing it over the rotation angle, as one sweep does;
+- the bounded search alone, on that pair's objective built once;
 - one `_jacobi_refine` sweep (max_cycles=1) over every pair of a seeded
   random start.
 
@@ -18,9 +19,13 @@ rank 4, with nine rows (the A_2 step of regularize-n2).
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 
-from entcost.eof import _jacobi_refine, _pair_objective, _row_blocks
+from entcost.eof import (
+    _jacobi_refine,
+    _pair_objective,
+    _row_blocks,
+    minimize_scalar,
+)
 from entcost.qcore import RandomSource, sample_density_matrix, tensor_product
 
 # (dims, rank of the state, rows), matching the eof-qubit and regularize-n2 items
@@ -44,17 +49,27 @@ def _start(dims):
     return q @ base
 
 
-def _line_search(W, dims):
-    Ma, Mb = _row_blocks(W[[0, 1]], *dims)
-    return minimize_scalar(_pair_objective(Ma, Mb, 1.0j),
-                           bounds=(-np.pi / 2, np.pi / 2), method="bounded",
-                           options={"xatol": 1e-5, "maxiter": 40})
+def _objective(W, dims):
+    return _pair_objective(*_row_blocks(W[[0, 1]], *dims), 1.0j)
+
+
+def _search(objective):
+    # the bounds and options of _jacobi_refine
+    return minimize_scalar(objective, (-np.pi / 2, np.pi / 2),
+                           xatol=1e-5, maxiter=40)
 
 
 @pytest.mark.parametrize("dims", list(CASES), ids=str)
 def test_pair_line_search(benchmark, dims):
     W = _start(dims)
-    res = benchmark(_line_search, W, dims)
+    res = benchmark(lambda: _search(_objective(W, dims)))
+    assert np.isfinite(res.fun)
+
+
+@pytest.mark.parametrize("dims", list(CASES), ids=str)
+def test_search_only(benchmark, dims):
+    objective = _objective(_start(dims), dims)
+    res = benchmark(_search, objective)
     assert np.isfinite(res.fun)
 
 

@@ -7,16 +7,17 @@ every size-L ensemble arises from an L x r isometry applied to the rank-r
 eigen-ensemble, so every iterate is feasible by construction.  The search is
 a seeded multi-start Jacobi sweep: cyclic two-row plane rotations (real and
 phased) with a bounded scalar line search on the objective, which each pair
-evaluates from three Gram blocks of its two rows.
+evaluates from three Gram blocks of its two rows.  The line search,
+`minimize_scalar`, is bounded Brent minimization (fminbound) on Python floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .metrics import bures_distance
 from .qcore import (
@@ -185,6 +186,89 @@ def _pair_objective(Ma, Mb, phase):
     return objective
 
 
+class ScalarMinimum(NamedTuple):
+    x: float       # best point found
+    fun: float     # func(x)
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def minimize_scalar(func, bounds, xatol, maxiter):
+    """Bounded Brent minimization of func over the interval bounds (fminbound).
+
+    A transcription of scipy 1.17's `_minimize_scalar_bounded` onto Python
+    floats: the same IEEE operations in the same order, so each search visits
+    the same points and returns the same x and fun as
+    `scipy.optimize.minimize_scalar(method="bounded")` with these options.
+    Stops once the bracket around x is within about xatol, or after maxiter
+    evaluations of func.
+    """
+    a, b = bounds
+    xf = nfc = fulc = a + _GOLDEN_MEAN * (b - a)
+    rat = e = 0.0
+    fx = fnfc = ffulc = func(xf)
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # parabola through xf, nfc and fulc, if the last steps moved enough
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if (abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf)) and (
+                    p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN_MEAN * e
+        # scipy steps by sign(rat) + (rat == 0), which is +1 at rat = -0.0
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0.0 else xf + step
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return ScalarMinimum(xf, fx)
+
+
 def _jacobi_refine(W, dA, dB, improvement_tol, max_cycles):
     """Minimize sum_i p_i E_i over plane rotations of the rows of W in place."""
     L = W.shape[0]
@@ -205,8 +289,7 @@ def _jacobi_refine(W, dA, dB, improvement_tol, max_cycles):
                     Ma, Mb = _row_blocks(pair, dA, dB)
                     cur = contrib[a] + contrib[b]
                     res = minimize_scalar(_pair_objective(Ma, Mb, phase),
-                                          bounds=bounds, method="bounded",
-                                          options={"xatol": 1e-5, "maxiter": 40})
+                                          bounds, xatol=1e-5, maxiter=40)
                     if res.fun < cur - 1e-13:
                         c, s = math.cos(res.x), math.sin(res.x)
                         W[a] = c * wa + s * phase * wb

@@ -104,6 +104,8 @@ def typical_count_windows(p, n, delta1, window="paper"):
             half = delta1 * n / (k * abs(np.log2(pi)))
         else:
             half = delta1 * n
+        # beyond n the window is [0, n] anyway; a huge delta1 gives inf here
+        half = min(half, n)
         lo = max(0, math.floor(pi * n - half))
         hi = min(n, math.ceil(pi * n + half))
         windows.append((lo, hi))

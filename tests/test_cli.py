@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entcost
 from entcost import __version__
 from entcost import cli
 from entcost.cli import (
@@ -252,6 +257,22 @@ class TestFormationCommand:
         else:
             assert doc is None
 
+    @pytest.mark.parametrize("window", ["paper", "plain"])
+    def test_huge_delta1_admits_every_sequence(self, tmp_path, window):
+        # delta1 * n overflows to inf; the count window is [0, n] all the same
+        from entcost.qcore import sample_pure_state
+        rng = RandomSource(41)
+        ens = Ensemble(np.array([0.5, 0.3, 0.2]),
+                       tuple(sample_pure_state((2, 2), rng.split())
+                             for _ in range(3)))
+        path = tmp_path / "ens.json"
+        save_object(path, ens)
+        code, doc = run_to_json(["formation", str(path), "--n", "3",
+                                 "--delta1", "1e308", "--window", window],
+                                tmp_path)
+        assert code == EXIT_OK
+        assert doc["result"]["eps1"] == 0.0
+
     def test_csv_last_row_is_the_reported_run(self, tmp_path):
         from entcost.qcore import PureState
         v = np.zeros(4, dtype=complex)
@@ -380,3 +401,16 @@ class TestNumericFlags:
 
 def test_violation_exit_code_is_distinct():
     assert {EXIT_OK, EXIT_VIOLATION, EXIT_INPUT, EXIT_INTERNAL} == {0, 1, 2, 3}
+
+
+def test_import_does_not_load_scipy():
+    # every CLI call pays for its imports: scipy.optimize added about 0.5 s
+    # and 50 MB to `import entcost.cli` (2-core Xeon, Python 3.11)
+    src = str(Path(entcost.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, entcost.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from entcost.eof import (
     LOCC_KINDS,
     LoccChannel,
+    _pair_objective,
+    _row_blocks,
     apply_locc,
     check_monotonicity,
     concurrence,
@@ -11,6 +15,7 @@ from entcost.eof import (
     eof_optimize,
     eof_two_qubit_closed_form,
     eta,
+    minimize_scalar,
     sample_locc,
 )
 from entcost.qcore import (
@@ -169,6 +174,62 @@ class TestOptimizer:
         r2 = eof_optimize(rho, ensemble_size=4, restarts=2, rng=RandomSource(5))
         assert r1.value == r2.value
         assert r1.value_history == r2.value_history
+
+
+def _seeded_pair_objective(dims, seed, phase, second_row_scale=1.0):
+    g = np.random.default_rng(seed)
+    d = dims[0] * dims[1]
+    W = g.standard_normal((2, d)) + 1j * g.standard_normal((2, d))
+    W[1] *= second_row_scale
+    return _pair_objective(*_row_blocks(W, *dims), phase)
+
+
+# id -> (objective, maxiter, evaluations expected or None)
+LINE_SEARCH_CASES = {
+    f"pair{dims}-{name}-seed{seed}": (_seeded_pair_objective(dims, seed, phase),
+                                      40, None)
+    for dims in [(2, 2), (4, 4)]
+    for name, phase in [("real", 1.0), ("phased", 1.0j)]
+    for seed in range(3)
+}
+LINE_SEARCH_CASES.update({
+    "near-zero-second-row": (_seeded_pair_objective((2, 2), 5, 1.0j, 1e-12),
+                             40, None),
+    "constant": (lambda theta: 1.0, 40, None),
+    # converges after 11 evaluations at maxiter 40; stopped at 8
+    "hits-maxiter": (_seeded_pair_objective((2, 2), 6, 1.0), 8, 8),
+})
+
+
+class TestLineSearch:
+    """The bounded Brent line search takes scipy's iterates exactly."""
+
+    @pytest.mark.parametrize("case", list(LINE_SEARCH_CASES))
+    def test_matches_scipy_bounded(self, case):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        func, maxiter, evaluations = LINE_SEARCH_CASES[case]
+        bounds = (-np.pi / 2.0, np.pi / 2.0)
+        ours, theirs = [], []
+        res = minimize_scalar(lambda t: ours.append(t) or func(t), bounds,
+                              xatol=1e-5, maxiter=maxiter)
+        ref = scipy_optimize.minimize_scalar(
+            lambda t: theirs.append(t) or func(t), bounds=bounds,
+            method="bounded", options={"xatol": 1e-5, "maxiter": maxiter})
+        assert ours == theirs
+        assert res.x == ref.x and res.fun == ref.fun
+        assert res.fun == func(res.x)
+        if evaluations is not None:
+            assert len(ours) == evaluations
+
+    def test_stays_within_bounds(self):
+        # needs no scipy
+        res = minimize_scalar(lambda t: (t - 5.0) ** 2, (-1.0, 2.0),
+                              xatol=1e-5, maxiter=500)
+        assert 2.0 - 1e-4 < res.x <= 2.0
+        assert res.fun == pytest.approx(9.0, abs=1e-3)
+        res = minimize_scalar(math.cos, (0.0, 2.0 * math.pi), xatol=1e-8,
+                              maxiter=500)
+        assert res.x == pytest.approx(math.pi, abs=1e-6)
 
 
 class TestContinuity:

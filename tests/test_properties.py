@@ -18,6 +18,7 @@ from entcost.eof import (
     _row_blocks,
     eof_optimize,
     eof_two_qubit_closed_form,
+    minimize_scalar,
 )
 from entcost.formation import dilute_pure_state, dilution_fidelity
 from entcost.qcore import (
@@ -130,6 +131,32 @@ def test_pair_objective_matches_rotated_rows(dims, seed, phase, theta, split,
     assert objective(theta) == pytest.approx(reference, abs=1e-12)
     assert objective(theta + math.pi / 2) == pytest.approx(objective(theta),
                                                            abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The bounded Brent line search
+# ---------------------------------------------------------------------------
+
+@PROPERTY
+@given(seed=SEEDS, lo=st.floats(-5.0, 5.0), width=st.floats(1e-3, 10.0),
+       xatol=st.sampled_from([1e-8, 1e-5, 1e-3]), maxiter=st.integers(1, 60))
+def test_line_search_matches_scipy_on_smooth_functions(seed, lo, width, xatol,
+                                                       maxiter):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    # a random trigonometric polynomial plus a quadratic
+    c = np.random.default_rng(seed).standard_normal(8).tolist()
+
+    def func(t):
+        return (c[0] * math.sin(c[1] * t + c[2]) + c[3] * math.cos(3.0 * t)
+                + c[4] * math.sin(c[5] * 5.0 * t) + c[6] * t * t + c[7] * t)
+
+    bounds = (lo, lo + width)
+    res = minimize_scalar(func, bounds, xatol=xatol, maxiter=maxiter)
+    ref = scipy_optimize.minimize_scalar(
+        func, bounds=bounds, method="bounded",
+        options={"xatol": xatol, "maxiter": maxiter})
+    assert res.x == ref.x and res.fun == ref.fun
+    assert bounds[0] <= res.x <= bounds[1]
 
 
 # ---------------------------------------------------------------------------
