@@ -6,8 +6,9 @@ Outside the tier-1 suite: `testpaths` collects only `tests/`.  Run with
         benchmarks/test_formation.py --benchmark-json=bench.json
 
 Layers:
-- `dilution_fidelity` at counts 2-6 and at 22, where the 2^22 Schmidt
-  weights of a two-qubit power reach `SPECTRUM_CAP`;
+- `dilution_fidelity` at counts 2-6, at 22 (the largest count the deleted
+  r^c spectrum array allowed at r = 2) and at 1000, a walk over the 1001
+  occupation patterns of a two-qubit power;
 - `dilute_pure_state` at counts 1-5;
 - `typical_set` over k^n = 2^16 sequences (k = 2, n = 16).
 
@@ -21,7 +22,6 @@ import math
 import pytest
 
 from entcost.formation import (
-    SPECTRUM_CAP,
     dilute_pure_state,
     dilution_fidelity,
     typical_set,
@@ -35,9 +35,8 @@ def _budget(count):
     return math.ceil(count * pure_entanglement(PSI))
 
 
-@pytest.mark.parametrize("count", [2, 3, 4, 5, 6, 22])
+@pytest.mark.parametrize("count", [2, 3, 4, 5, 6, 22, 1000])
 def test_dilution_fidelity(benchmark, count):
-    assert count < 22 or 2 ** count == SPECTRUM_CAP
     fid = benchmark(dilution_fidelity, PSI, count, _budget(count))
     assert 0.0 < fid <= 1.0
 

@@ -21,10 +21,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .metrics import fidelity_factors
+from .metrics import bures_from_fidelity, fidelity_factors
 from .qcore import (
     DIMENSION_CAP,
     Ensemble,
@@ -39,7 +40,7 @@ from .qcore import (
 )
 
 ENUMERATION_CAP = 10_000_000
-SPECTRUM_CAP = 1 << 22
+SPECTRUM_CAP = 1 << 22         # occupation patterns x count per dilution walk
 
 WINDOW_KINDS = ("paper", "plain")
 
@@ -197,42 +198,58 @@ def mixture_factor(states, sequences, block=None):
 # Entanglement dilution by Schmidt truncation
 # ---------------------------------------------------------------------------
 
-def _power_spectrum(mu, count):
-    """Sorted (desc) Schmidt weights of psi^(x)count from per-copy weights."""
-    acc = np.array([1.0])
-    for _ in range(count):
-        acc = np.outer(acc, mu).ravel()
-        if acc.size > SPECTRUM_CAP:
-            raise ValueError("Schmidt spectrum too large to enumerate")
-    return np.sort(acc)[::-1]
-
-
 def _schmidt(psi: PureState):
     """Schmidt vectors and weights of psi: psi = sum_j sqrt(mu_j) u_j (x) vh_j."""
     u, s, vh = np.linalg.svd(psi.vector.reshape(psi.dims), full_matrices=False)
     return u, s * s, vh
 
 
-def _truncation(ranked, count: int, singlet_budget: int):
-    """(kept terms, fidelity) when 2^budget singlets keep the head of `ranked`,
-    the Schmidt weights of psi^(x)count in keep order.  The keep count never
-    forms 2^budget past the term count; the fidelity is sqrt(1 - dropped)."""
+def _times(count: int, weight: float) -> float:
+    """count * weight rounded once, also for counts past the float range."""
+    return float(count * Fraction(weight)) if count >> 53 else count * weight
+
+
+def _ranked_patterns(mu, count: int):
+    """(weight, arrangements, pattern) per occupation pattern of psi^(x)count,
+    heaviest first.  Refused past SPECTRUM_CAP work, or when the walked mass
+    misses (sum mu)^count by more than 1e-12: rounding alone misses by about
+    count ulp at most, so only weights that underflowed get there."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if math.comb(count + mu.size - 1, count) * count > SPECTRUM_CAP:
+        raise ValueError("Schmidt occupation patterns too many to walk")
+    weights, orderings, ranked = mu.tolist(), math.factorial(count), []
+    for pattern in itertools.combinations_with_replacement(range(mu.size), count):
+        arrangements = orderings // math.prod(
+            math.factorial(pattern.count(j)) for j in set(pattern))
+        ranked.append((math.prod(map(weights.__getitem__, pattern)), arrangements, pattern))
+    ranked.sort(key=lambda term: -term[0])
+    if abs(math.fsum(_times(a, w) for w, a, _ in ranked)
+           - math.fsum(weights) ** count) > 1e-12:
+        raise ValueError(f"the Schmidt weights of psi^(x){count} underflow a float")
+    return ranked
+
+
+def _truncation(ranked, singlet_budget: int):
+    """(kept terms, sqrt(1 - dropped)) when 2^budget singlets keep the head of
+    `ranked`, 2^budget never formed past the term count.  A pattern's
+    arrangements share one weight, so a cut inside one drops exact weight."""
     if singlet_budget < 0:
         raise ValueError("singlet budget must be >= 0")
-    keep = min(ranked.size, 1 << min(singlet_budget, ranked.size.bit_length()))
-    return keep, float(np.sqrt(max(0.0, 1.0 - ranked[keep:].sum())))
+    ends = list(itertools.accumulate(a for _, a, _ in ranked))
+    keep = min(ends[-1], 1 << min(singlet_budget, ends[-1].bit_length()))
+    dropped = math.fsum(_times(min(a, max(0, end - keep)), w)
+                        for (w, a, _), end in zip(ranked, ends))
+    return keep, math.sqrt(max(0.0, 1.0 - dropped))
 
 
 def dilution_fidelity(psi: PureState, count: int, singlet_budget: int) -> float:
     """Square-root fidelity of diluting psi^(x)count from `singlet_budget` singlets.
 
-    The dilution keeps the 2^budget largest Schmidt weights of the tensor
+    The dilution keeps the 2^budget heaviest Schmidt terms of the tensor
     power, so the fidelity is the square root of one minus the dropped weight.
     """
-    return _truncation(_power_spectrum(_schmidt(psi)[1], count), count,
-                       singlet_budget)[1]
+    return _truncation(_ranked_patterns(_schmidt(psi)[1], count), singlet_budget)[1]
 
 
 def dilute_pure_state(psi: PureState, count: int, singlet_budget: int):
@@ -240,18 +257,19 @@ def dilute_pure_state(psi: PureState, count: int, singlet_budget: int):
     with its fidelity (its overlap with psi^(x)count).
 
     Each term of psi^(x)count is a Kronecker product of psi's own Schmidt
-    vectors, one per index tuple, weighed once per occupation pattern (the
+    vectors, one per index tuple, weighed by its occupation pattern (the
     sorted tuple): permuted tuples tie exactly, and ties keep index order.
+    Weights, keep count and fidelity come from `dilution_fidelity`'s walk.
     """
     if psi.dim ** count > DIMENSION_CAP:
         raise ValueError("total dimension exceeds the cap")
     u, mu, vh = _schmidt(psi)
+    ranked = _ranked_patterns(mu, count)
+    keep, fidelity = _truncation(ranked, singlet_budget)
+    weight = {pattern: w for w, _, pattern in ranked}
     terms = list(itertools.product(range(mu.size), repeat=count))
-    weight = functools.cache(lambda occupation: math.prod(mu[list(occupation)]))
-    w = np.array([weight(tuple(sorted(t))) for t in terms])
-    order = np.argsort(-w, kind="stable")
-    keep, fidelity = _truncation(w[order], count, singlet_budget)
-    kept = order[:keep]
+    w = np.array([weight[tuple(sorted(t))] for t in terms])
+    kept = np.argsort(-w, kind="stable")[:keep]
     left, right = np.sqrt(w[kept])[None, :], np.ones((keep, 1))
     for j in np.array(terms)[kept].T:      # copy by copy, in Kronecker order
         left = (left[:, None, :] * u[:, j]).reshape(-1, keep)
@@ -359,11 +377,9 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     factors of rho^(x)n, rho_T and rho'_T; above the cap only the analytic
     bounds from p_T and the dilution fidelities are emitted.
 
-    exact_bures = 2 sqrt(max(0, 1 - F)) has a rounding floor: near F = 1 a
-    one-ulp change in F (about 1.1e-16) moves it by about 2e-8, so values
-    below about 3e-8 are rounding noise rather than a distance.  bures_bound
-    has the same floor in its 2 sqrt(eps3) term; a lossless dilution gives
-    eps2 = eps3 = 0 exactly.
+    exact_bures and the 2 sqrt(eps3) term of bures_bound share the rounding
+    floor of `bures_from_fidelity`; a lossless dilution gives eps2 = eps3 = 0
+    exactly.
     """
     avg = ensemble_average(ensemble)
     if avg.dims != rho.dims or np.abs(avg.matrix - rho.matrix).max() > 1e-7:
@@ -389,8 +405,7 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
             o *= f
         overlap_aggregate += ps / p_t * o
     eps3 = 1.0 - (1.0 - eps2) ** k
-    bound = 2.0 * np.sqrt(max(0.0, 1.0 - np.sqrt(max(0.0, 1.0 - eps1)))) \
-        + 2.0 * np.sqrt(eps3)
+    bound = bures_from_fidelity(np.sqrt(max(0.0, 1.0 - eps1))) + 2.0 * np.sqrt(eps3)
 
     m = plan.total_singlets
     rate = m / n
@@ -416,7 +431,7 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
             ensemble.states[i], c, plan.entries[i].singlets)[0])
         fid1 = fidelity_factors(f_n, f_t)
         fid2 = fidelity_factors(f_t, f_approx)
-        exact_bures = 2.0 * np.sqrt(max(0.0, 1.0 - fidelity_factors(f_n, f_approx)))
+        exact_bures = bures_from_fidelity(fidelity_factors(f_n, f_approx))
         fid1_holds = bool(fid1 >= np.sqrt(p_t) - 1e-9)
         fid2_holds = bool(fid2 >= (1.0 - eps3) - 1e-9)
 
@@ -444,8 +459,8 @@ def verify_fid_bounds(result: FormationResult) -> dict:
     fid2_ok = aggregate >= (1.0 - result.eps3) - 1e-9
 
     d_left = result.exact_bures
-    d_a = 2.0 * np.sqrt(max(0.0, 1.0 - result.fid1_fidelity))
-    d_b = 2.0 * np.sqrt(max(0.0, 1.0 - result.fid2_fidelity))
+    d_a = bures_from_fidelity(result.fid1_fidelity)
+    d_b = bures_from_fidelity(result.fid2_fidelity)
     triangle_ok = d_left <= d_a + d_b + 1e-8
 
     return {

@@ -78,9 +78,15 @@ def uhlmann_fidelity(rho, sigma) -> float:
     return float(min(max(f, 0.0), 1.0))
 
 
+def bures_from_fidelity(f) -> float:
+    """D = 2 sqrt(1 - F), 1 - F clipped at zero.  Near F = 1 one ulp of F
+    moves D by about 2e-8, so D below about 3e-8 is rounding noise."""
+    return 2.0 * np.sqrt(max(0.0, 1.0 - f))
+
+
 def bures_distance(rho, sigma) -> float:
     """D(rho, sigma) = 2 sqrt(1 - F(rho, sigma))."""
-    return 2.0 * np.sqrt(max(0.0, 1.0 - uhlmann_fidelity(rho, sigma)))
+    return bures_from_fidelity(uhlmann_fidelity(rho, sigma))
 
 
 def trace_distance(rho, sigma) -> float:
@@ -121,7 +127,7 @@ def metric_relation_check(rho, sigma) -> DistanceReport:
     holds = (lower - CHAIN_TOL) <= d <= (upper + CHAIN_TOL)
     return DistanceReport(
         fidelity=f,
-        bures=2.0 * np.sqrt(max(0.0, 1.0 - f)),
+        bures=bures_from_fidelity(f),
         trace=d,
         chain_lower=lower,
         chain_upper=upper,
@@ -131,7 +137,7 @@ def metric_relation_check(rho, sigma) -> DistanceReport:
 
 def divergence_sequence(f1, k_max):
     """(k, F^k, 2 sqrt(1 - F^k)) for k = 1..k_max from a per-copy fidelity F."""
-    return [(k, f1 ** k, 2.0 * np.sqrt(max(0.0, 1.0 - f1 ** k)))
+    return [(k, f1 ** k, bures_from_fidelity(f1 ** k))
             for k in range(1, k_max + 1)]
 
 

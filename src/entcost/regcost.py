@@ -17,6 +17,7 @@ import numpy as np
 from .eof import eof_optimize
 from .qcore import (
     DIMENSION_CAP,
+    RANK_TOL,
     Ensemble,
     QuantumState,
     RandomSource,
@@ -83,7 +84,7 @@ def regularized_sequence(rho: QuantumState, n_max: int, *,
             f"dim^n_max = {rho.dim ** n_max} exceeds the cap {DIMENSION_CAP}")
     if rng is None:
         rng = RandomSource(0)
-    rank1 = int(np.sum(np.linalg.eigvalsh(rho.matrix) > 1e-12))
+    rank1 = int(np.sum(np.linalg.eigvalsh(rho.matrix) > RANK_TOL))
 
     entries = []
     ensembles = []

@@ -231,6 +231,47 @@ class TestFormationCommand:
         res = doc["result"]
         assert (res["eps2"], res["eps3"], res["bures_bound"]) == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("n,bound,rate", [(22, 0.35252, 4 / 22),
+                                              (100, 0.18778, 0.17),
+                                              (300, 0.041189, 0.17),
+                                              (1000, 7.8785e-4, 0.168)])
+    def test_pure_state_asymptotics(self, tmp_path, n, bound, rate):
+        # one typical sequence; the dilution walks the n + 1 occupation
+        # patterns of psi^(x)n, so the bound falls as n grows
+        from entcost.qcore import sample_pure_state
+        path = tmp_path / "psi.json"
+        save_object(path, sample_pure_state((2, 2), RandomSource(5)))
+        start = time.perf_counter()
+        code, doc = run_to_json(["formation", str(path), "--n", str(n),
+                                 "--delta2", "0.1"], tmp_path)
+        assert time.perf_counter() - start < 10.0
+        assert code == EXIT_OK
+        res = doc["result"]
+        assert res["bures_bound"] == pytest.approx(bound, rel=1e-4)
+        assert res["rate"] == pytest.approx(rate, abs=1e-12)
+        assert res["slack"] <= 0.1 + 1.0 / n
+
+    @pytest.mark.parametrize("dims,weights,args", [
+        ((3, 3), None, ["--n", "400"]),
+        ((2, 2), (0.55, 0.45), ["--n", "1100", "--delta2", "0"])])
+    def test_dilution_past_the_walk_is_an_input_error(self, tmp_path, dims,
+                                                      weights, args):
+        # (3,3) at n = 400 has too many occupation patterns to walk; the
+        # Schmidt weights of (0.55, 0.45) at 1100 copies underflow a float
+        from entcost.qcore import PureState, sample_pure_state
+        if weights is None:
+            psi = sample_pure_state(dims, RandomSource(5))
+        else:
+            v = np.zeros(4, dtype=complex)
+            v[0], v[3] = np.sqrt(weights[0]), np.sqrt(weights[1])
+            psi = PureState(dims, v)
+        path = tmp_path / "psi.json"
+        save_object(path, psi)
+        start = time.perf_counter()
+        code, doc = run_to_json(["formation", str(path)] + args, tmp_path)
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_INPUT and doc is None
+
     @pytest.mark.parametrize("delta2,expect", [("600", EXIT_OK),
                                                ("1e300", EXIT_OK),
                                                ("1.7e308", EXIT_INPUT)])

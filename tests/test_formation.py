@@ -1,11 +1,13 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from entcost.eof import eof_optimize
 from entcost.formation import (
+    _ranked_patterns,
     dilute_pure_state,
     dilution_fidelity,
     dilution_plan,
@@ -333,8 +335,7 @@ class TestDilution:
             target = pure_power(psi, 2)
             overlap = abs(np.vdot(target.vector, approx.vector))
             assert overlap == pytest.approx(fid, abs=1e-12)
-            assert fid == pytest.approx(dilution_fidelity(psi, 2, budget),
-                                        abs=1e-12)
+            assert fid == dilution_fidelity(psi, 2, budget)
 
     def test_ties_keep_index_order(self):
         # weights 0.81, 0.09, 0.09, 0.01 for tuples (0,0), (0,1), (1,0), (1,1):
@@ -358,6 +359,50 @@ class TestDilution:
         assert dilution_fidelity(psi, 3, 10 ** 300) == 1.0
         assert dilute_pure_state(psi, 3, 10 ** 300)[1] == 1.0
 
+    def test_walked_mass_sums_to_one(self):
+        # each weight carries at most `count` roundings and psi's Schmidt
+        # weights sum to 1 within a few ulp, so the mass stays within
+        # count * 1e-15 of 1
+        for dims, counts in (((2, 2), (1, 22, 1000, 2000)), ((3, 3), (1, 13, 200))):
+            psi = sample_pure_state(dims, RandomSource(5))
+            mu = np.linalg.svd(psi.vector.reshape(dims), compute_uv=False) ** 2
+            for count in counts:
+                ranked = _ranked_patterns(mu, count)
+                assert sum(a for _, a, _ in ranked) == mu.size ** count
+                assert [w for w, _, _ in ranked] == sorted(
+                    (w for w, _, _ in ranked), reverse=True)
+                mass = math.fsum(float(a * Fraction(w)) for w, a, _ in ranked)
+                assert abs(mass - 1.0) <= count * 1e-15
+
+    def test_walk_refuses_what_it_cannot_do(self):
+        # the cap counts patterns x count before any enumeration; weights of
+        # (0.55, 0.45) at count 1100 fall below the smallest normal float and
+        # their multiplicities pass 2^1024
+        with pytest.raises(ValueError, match="too many"):
+            dilution_fidelity(sample_pure_state((3, 3), RandomSource(5)), 400, 10)
+        with pytest.raises(ValueError, match="underflow"):
+            dilution_fidelity(schmidt_state(0.55), 1100, 0)
+
+    def test_binomial_oracle_at_count_1000(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60
+        count = 1000
+        for psi in (sample_pure_state((2, 2), RandomSource(5)),
+                    schmidt_state(0.7), schmidt_state(0.55)):
+            mu = np.linalg.svd(psi.vector.reshape(2, 2), compute_uv=False) ** 2
+            heavy, light = (mpmath.mpf(float(x)) for x in mu)
+            # k copies of the lighter weight, heaviest pattern first
+            patterns = [(math.comb(count, k), heavy ** (count - k) * light ** k)
+                        for k in range(count + 1)]
+            for budget in (0, 68, 168, 880, 950):
+                left, dropped = 2 ** budget, mpmath.mpf(0)
+                for a, w in patterns:
+                    dropped += max(0, a - left) * w
+                    left = max(0, left - a)
+                expect = float(1 - dropped)
+                assert dilution_fidelity(psi, count, budget) ** 2 == \
+                    pytest.approx(expect, abs=1e-12)
+
     def test_input_validation(self):
         psi = schmidt_state(0.9)
         with pytest.raises(ValueError):
@@ -370,6 +415,28 @@ class TestDilution:
             dilute_pure_state(psi, 0, 1)
         with pytest.raises(ValueError):
             dilute_pure_state(psi, 1, -1)
+
+
+def _sorted_spectrum(mu, count):
+    """All r^count Schmidt weights of psi^(x)count, one per index tuple."""
+    acc = np.array([1.0])
+    for _ in range(count):
+        acc = np.outer(acc, mu).ravel()
+    return np.sort(acc)[::-1]
+
+
+@pytest.mark.parametrize("dims,max_count,seed", [
+    ((2, 2), 22, 0), ((2, 2), 22, 5), ((2, 3), 22, 1),
+    ((3, 3), 13, 0), ((3, 3), 13, 5)])
+def test_pattern_walk_matches_the_sorted_spectrum(dims, max_count, seed):
+    # F^2, not F: the square root magnifies rounding by 1 / (2F)
+    psi = sample_pure_state(dims, RandomSource(seed))
+    mu = np.linalg.svd(psi.vector.reshape(dims), full_matrices=False)[1] ** 2
+    for count in range(1, max_count + 1):
+        spectrum = _sorted_spectrum(mu, count)
+        for budget in range(2 * count + 1):
+            expect = 1.0 - spectrum[min(spectrum.size, 2 ** budget):].sum()
+            assert abs(dilution_fidelity(psi, count, budget) ** 2 - expect) <= 1e-15
 
 
 class TestDilutionPlan:
