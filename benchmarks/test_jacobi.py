@@ -10,7 +10,12 @@ Layers, at dims (2, 2) and (4, 4):
   complex phase and minimizing it over the rotation angle, as one sweep does;
 - the bounded search alone, on that pair's objective built once;
 - one `_jacobi_refine` sweep (max_cycles=1) over every pair of a seeded
-  random start.
+  random start;
+- one raced `eof_optimize` call with three random starts, the later two
+  stopped once they cannot beat the best (dims (2, 2) only);
+- the regularize n = 2 step of four rank-2 states: `eof_optimize` on each
+  square, warm-started from the product of its single-copy ensemble, with
+  one random start raced against the warm start (dims (4, 4) only).
 
 The inputs mirror the benchmark workloads: a rank-3 two-qubit state with five
 rows (eof-qubit), and the square of a rank-2 two-qubit state, dims (4, 4),
@@ -24,9 +29,11 @@ from entcost.eof import (
     _jacobi_refine,
     _pair_objective,
     _row_blocks,
+    eof_optimize,
     minimize_scalar,
 )
 from entcost.qcore import RandomSource, sample_density_matrix, tensor_product
+from entcost.regcost import product_ensemble
 
 # (dims, rank of the state, rows), matching the eof-qubit and regularize-n2 items
 CASES = {(2, 2): (3, 5), (4, 4): (4, 9)}
@@ -76,5 +83,33 @@ def test_search_only(benchmark, dims):
 @pytest.mark.parametrize("dims", list(CASES), ids=str)
 def test_jacobi_sweep(benchmark, dims):
     W = _start(dims)
-    total, _, _ = benchmark(lambda: _jacobi_refine(W.copy(), *dims, 1e-6, 1))
+    total = benchmark(lambda: _jacobi_refine(W.copy(), *dims, 1e-6, 1))[0]
     assert 0.0 <= total
+
+
+def test_raced_eof_optimize(benchmark):
+    rho = sample_density_matrix((2, 2), 3, RandomSource(1))
+    res = benchmark(lambda: eof_optimize(rho, ensemble_size=5, restarts=3,
+                                         rng=RandomSource(2)))
+    assert len(res.value_history) == 3
+
+
+def test_regularize_n2_step(benchmark):
+    # the A_2 step of an entcost regularize item (--restarts 1,
+    # --ensemble-size 3, regularized_sequence's max_cycles of 60) on four
+    # rank-2 states; the random start of the first converges before the race
+    # can stop it, the other three are stopped
+    steps = []
+    for seed in range(1, 5):
+        rho = sample_density_matrix((2, 2), 2, RandomSource(seed))
+        one = eof_optimize(rho, ensemble_size=3, restarts=1,
+                           rng=RandomSource(2), max_cycles=60).ensemble
+        steps.append((tensor_product(rho, rho), product_ensemble(one, one)))
+
+    def run():
+        return [eof_optimize(square, ensemble_size=max(4, len(seed)),
+                             restarts=1, rng=RandomSource(3),
+                             seed_ensembles=[seed], max_cycles=60)
+                for square, seed in steps]
+    results = benchmark(run)
+    assert all(len(res.value_history) == 2 for res in results)

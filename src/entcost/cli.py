@@ -21,7 +21,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .eof import eof_optimize, eof_two_qubit_closed_form
+from .eof import DEFAULT_IMPROVEMENT_TOL, eof_optimize, eof_two_qubit_closed_form
 from .formation import formation_protocol
 from .metrics import divergence_sequence, metric_relation_check
 from .qcore import (
@@ -284,7 +284,10 @@ def build_parser():
     p = sub.add_parser("eof", help="optimize the entanglement of formation")
     p.add_argument("state", help="state or ensemble JSON file")
     p.add_argument("--ensemble-size", type=_POSITIVE_INT, default=None)
-    p.add_argument("--restarts", type=_POSITIVE_INT, default=4)
+    p.add_argument("--restarts", type=_POSITIVE_INT, default=4,
+                   help="random Haar-isometry starts; a start after the first "
+                        "is stopped once its projected limit cannot beat the "
+                        "best value by --tol")
     p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-6,
                    help="per-cycle improvement tolerance in ebits")
     common(p)
@@ -300,7 +303,10 @@ def build_parser():
     p.add_argument("state")
     p.add_argument("--n-max", type=_POSITIVE_INT, default=2)
     p.add_argument("--restarts", type=_COUNT, default=2,
-                   help="random restarts per n (at least one at n = 1)")
+                   help="random Haar-isometry starts per n (at least one at "
+                        "n = 1); a start after the first is stopped once its "
+                        "projected limit cannot beat the best value by "
+                        f"{DEFAULT_IMPROVEMENT_TOL:g}")
     p.add_argument("--ensemble-size", type=_POSITIVE_INT, default=None)
     p.add_argument("--csv", default=None, help="also write (n, rate) CSV here")
     common(p)

@@ -9,6 +9,8 @@ a seeded multi-start Jacobi sweep: cyclic two-row plane rotations (real and
 phased) with a bounded scalar line search on the objective, which each pair
 evaluates from three Gram blocks of its two rows.  The line search,
 `minimize_scalar`, is bounded Brent minimization (fminbound) on Python floats.
+The starts race: every start after the first is stopped once the limit its
+sweeps are heading for cannot beat the best value found so far.
 """
 
 from __future__ import annotations
@@ -74,12 +76,32 @@ def eof_two_qubit_closed_form(rho: QuantumState) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class StartRecord:
+    """Deterministic work counters of one optimizer start."""
+    kind: str                 # "warm" (a seed ensemble) or "random"
+    cycles: int               # Jacobi sweeps run
+    line_searches: int
+    accepted_rotations: int
+    value: float              # sum_i p_i E_i the start ended at
+    outcome: str              # "converged", "abandoned" or "cycle_cap"
+
+    def to_json_obj(self):
+        return dict(vars(self))
+
+
+@dataclass(frozen=True)
 class EofResult:
+    """Best value over the starts, its ensemble, and one record per start.
+
+    `converged` means no start hit the cycle cap: a start abandoned because
+    it could not beat the best value does not count as unconverged.
+    """
     value: float
     ensemble: Ensemble
     restarts_used: int
     converged: bool
     value_history: tuple   # best value reached by each start, in order
+    starts: tuple = ()     # StartRecord per start, in order
 
     def to_json_obj(self):
         from .serialize import ensemble_to_json_obj
@@ -89,6 +111,7 @@ class EofResult:
             "restarts_used": self.restarts_used,
             "converged": self.converged,
             "value_history": list(self.value_history),
+            "starts": [r.to_json_obj() for r in self.starts],
         }
 
 
@@ -269,14 +292,24 @@ def minimize_scalar(func, bounds, xatol, maxiter):
     return ScalarMinimum(xf, fx)
 
 
-def _jacobi_refine(W, dA, dB, improvement_tol, max_cycles):
-    """Minimize sum_i p_i E_i over plane rotations of the rows of W in place."""
+def _jacobi_refine(W, dA, dB, improvement_tol, max_cycles, incumbent=math.inf):
+    """Minimize sum_i p_i E_i over plane rotations of the rows of W in place.
+
+    Returns (total, W, outcome, (cycles, line searches, accepted rotations)).
+    The sweeps stop once one gains less than improvement_tol ("converged"),
+    or after max_cycles ("cycle_cap").  They converge linearly, so a gain g
+    after a larger gain g_prev projects the limit total - g q / (1 - q),
+    q = g / g_prev; once that cannot beat `incumbent` by improvement_tol the
+    start is stopped ("abandoned") with the rows and total it has reached.
+    """
     L = W.shape[0]
     contrib = _entropy_contrib(W, dA, dB)
-    converged = False
     total = float(contrib.sum())
     bounds = (-np.pi / 2.0, np.pi / 2.0)
-    for _ in range(max_cycles):
+    searches = accepted = cycles = 0
+    gain, outcome = math.inf, "cycle_cap"
+    while cycles < max_cycles:
+        cycles += 1
         start_total = total
         for a in range(L - 1):
             for b in range(a + 1, L):
@@ -290,16 +323,24 @@ def _jacobi_refine(W, dA, dB, improvement_tol, max_cycles):
                     cur = contrib[a] + contrib[b]
                     res = minimize_scalar(_pair_objective(Ma, Mb, phase),
                                           bounds, xatol=1e-5, maxiter=40)
+                    searches += 1
                     if res.fun < cur - 1e-13:
+                        accepted += 1
                         c, s = math.cos(res.x), math.sin(res.x)
                         W[a] = c * wa + s * phase * wb
                         W[b] = -s * np.conj(phase) * wa + c * wb
                         contrib[[a, b]] = _entropy_contrib(W[[a, b]], dA, dB)
         total = float(contrib.sum())
-        if start_total - total < improvement_tol:
-            converged = True
+        prev, gain = gain, start_total - total
+        if gain < improvement_tol:
+            outcome = "converged"
             break
-    return total, W, converged
+        if 0.0 <= gain < prev < math.inf:
+            q = gain / prev
+            if total - gain * q / (1.0 - q) > incumbent - improvement_tol:
+                outcome = "abandoned"
+                break
+    return total, W, outcome, (cycles, searches, accepted)
 
 
 def _rows_from_ensemble(ensemble, L, d):
@@ -326,8 +367,11 @@ def eof_optimize(rho: QuantumState, ensemble_size=None, restarts=4,
 
     The returned value is always an upper bound on E_f: the achieving ensemble
     is stored and reproduces rho exactly.  `seed_ensembles` are used as warm
-    starts alongside `restarts` random isometry starts.  The default ensemble
-    size is rank(rho)^2 capped at (dA dB)^2.
+    starts, run first, alongside `restarts` random isometry starts.  The first
+    start runs until it converges or hits max_cycles; every later one is
+    abandoned once its projected limit cannot beat the best value so far by
+    improvement_tol (see `_jacobi_refine`), keeping the value it reached.
+    The default ensemble size is rank(rho)^2 capped at (dA dB)^2.
     """
     if rng is None:
         rng = RandomSource(0)
@@ -349,30 +393,30 @@ def eof_optimize(rho: QuantumState, ensemble_size=None, restarts=4,
 
     base = (vecs * np.sqrt(lam)).T    # r x d, rows sqrt(lam_j) e_j
 
-    starts = []
+    starts = []       # (kind, rows)
     for ens in seed_ensembles:
         if ens.dims != rho.dims:
             raise DimensionError("seed ensemble dims do not match the state")
         avg = ensemble_average(ens)
         if np.abs(avg.matrix - rho.matrix).max() > 1e-6:
             raise StateValidationError("seed ensemble does not realize the state")
-        starts.append(_rows_from_ensemble(ens, L, d))
+        starts.append(("warm", _rows_from_ensemble(ens, L, d)))
     for _ in range(int(restarts)):
         g = rng.gen
         x = g.standard_normal((L, r)) + 1j * g.standard_normal((L, r))
         q, _ = np.linalg.qr(x)
-        starts.append(q @ base)
+        starts.append(("random", q @ base))
     if not starts:
         raise ValueError("need at least one start (restarts >= 1 or a seed)")
 
     best_value = np.inf
     best_rows = None
-    all_converged = True
-    history = []
-    for W in starts:
-        value, W, conv = _jacobi_refine(W, dA, dB, improvement_tol, max_cycles)
-        history.append(value)
-        all_converged = all_converged and conv
+    records = []
+    for kind, W in starts:
+        # every start after the first races the best value found so far
+        value, W, outcome, work = _jacobi_refine(W, dA, dB, improvement_tol,
+                                                 max_cycles, best_value)
+        records.append(StartRecord(kind, *work, value, outcome))
         if value < best_value:
             best_value = value
             best_rows = W
@@ -380,7 +424,9 @@ def eof_optimize(rho: QuantumState, ensemble_size=None, restarts=4,
     # report the value the stored ensemble actually achieves
     value = float(np.dot(ensemble.weights,
                          [pure_entanglement(s) for s in ensemble.states]))
-    return EofResult(value, ensemble, len(starts), all_converged, tuple(history))
+    return EofResult(value, ensemble, len(starts),
+                     all(r.outcome != "cycle_cap" for r in records),
+                     tuple(r.value for r in records), tuple(records))
 
 
 # ---------------------------------------------------------------------------

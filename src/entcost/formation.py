@@ -391,16 +391,23 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     eps1 = max(0.0, 1.0 - tset.total_weight)
     p_t = 1.0 - eps1
 
-    # per-block dilution fidelities, shared across sequences of the same type
-    block_fidelity = functools.cache(lambda i, count: dilution_fidelity(
-        ensemble.states[i], count, plan.entries[i].singlets))
+    # per-block (diluted block, fidelity), shared across sequences of the
+    # same type; exact mode ranks each block once for both, and analytic
+    # mode needs only the fidelity
+    exact = rho.dim ** n <= DIMENSION_CAP
+    if exact:
+        dilute = functools.cache(lambda i, count: dilute_pure_state(
+            ensemble.states[i], count, plan.entries[i].singlets))
+    else:
+        dilute = functools.cache(lambda i, count: (None, dilution_fidelity(
+            ensemble.states[i], count, plan.entries[i].singlets)))
 
     eps2 = 0.0
     overlap_aggregate = 0.0
     for seq, ps in tset.sequences:
         o = 1.0
         for i in sorted(set(seq)):
-            f = block_fidelity(i, seq.count(i))
+            f = dilute(i, seq.count(i))[1]
             eps2 = max(eps2, 1.0 - f)
             o *= f
         overlap_aggregate += ps / p_t * o
@@ -413,7 +420,6 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
                             [e.entanglement for e in plan.entries]))
     slack = rate - mean_ent
 
-    exact = rho.dim ** n <= DIMENSION_CAP
     exact_bures = fid1 = fid2 = None
     fid1_holds = fid2_holds = None
     if exact:
@@ -427,8 +433,7 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
         f_n = f_n.reshape(rho.dim ** n, -1)
         unit = [(seq, ps / p_t) for seq, ps in tset.sequences]
         f_t = mixture_factor(ensemble.states, unit)
-        f_approx = mixture_factor(ensemble.states, unit, lambda i, c: dilute_pure_state(
-            ensemble.states[i], c, plan.entries[i].singlets)[0])
+        f_approx = mixture_factor(ensemble.states, unit, lambda i, c: dilute(i, c)[0])
         fid1 = fidelity_factors(f_n, f_t)
         fid2 = fidelity_factors(f_t, f_approx)
         exact_bures = bures_from_fidelity(fidelity_factors(f_n, f_approx))

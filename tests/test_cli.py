@@ -77,6 +77,23 @@ class TestEofCommand:
         assert abs(doc["result"]["value"]
                    - eof_two_qubit_closed_form(rho)) <= 1e-3
 
+    def test_report_records_each_start(self, mixed_file, tmp_path):
+        code, doc = run_to_json(
+            ["eof", mixed_file, "--ensemble-size", "5", "--restarts", "3"],
+            tmp_path)
+        assert code == EXIT_OK
+        res = doc["result"]
+        starts = res["starts"]
+        assert [s["kind"] for s in starts] == ["random"] * 3
+        assert [s["value"] for s in starts] == res["value_history"]
+        assert starts[0]["outcome"] != "abandoned"
+        assert all(s["outcome"] in ("converged", "abandoned", "cycle_cap")
+                   and s["cycles"] >= 1
+                   and 0 <= s["accepted_rotations"] <= s["line_searches"]
+                   for s in starts)
+        assert res["converged"] is all(s["outcome"] != "cycle_cap"
+                                       for s in starts)
+
     def test_ensemble_input_is_averaged(self, tmp_path):
         ens = Ensemble(np.array([0.5, 0.5]),
                        (basis_pure((2, 2), 0, 0), basis_pure((2, 2), 1, 1)))

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import entcost.eof
 from entcost.eof import (
     LOCC_KINDS,
     LoccChannel,
+    StartRecord,
+    _jacobi_refine,
     _pair_objective,
     _row_blocks,
     apply_locc,
@@ -174,6 +177,130 @@ class TestOptimizer:
         r2 = eof_optimize(rho, ensemble_size=4, restarts=2, rng=RandomSource(5))
         assert r1.value == r2.value
         assert r1.value_history == r2.value_history
+
+
+def _random_start(rho, rows, seed):
+    """Rows of a Haar-isometry start, as eof_optimize builds them."""
+    evals, evecs = np.linalg.eigh(rho.matrix)
+    keep = evals > 1e-12
+    base = (evecs[:, keep] * np.sqrt(evals[keep])).T
+    g = RandomSource(seed).gen
+    x = (g.standard_normal((rows, base.shape[0]))
+         + 1j * g.standard_normal((rows, base.shape[0])))
+    return np.linalg.qr(x)[0] @ base
+
+
+class TestRacedStarts:
+    """A start is stopped only once its projected limit cannot beat the
+    incumbent; the first start always runs to the end."""
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_start_stops_where_its_projected_limit_cannot_win(self, seed):
+        rho = sample_density_matrix((2, 2), 3, RandomSource(seed))
+        W = _random_start(rho, 5, 100 + seed)
+        free, _, outcome, (cycles, _, _) = _jacobi_refine(
+            W.copy(), 2, 2, 1e-6, 500)
+        assert outcome == "converged" and cycles >= 4
+        # the total after each sweep: a run capped at k sweeps repeats the
+        # first k sweeps of the free run
+        totals = [_jacobi_refine(W.copy(), 2, 2, 1e-6, k)[0]
+                  for k in range(cycles + 1)]
+        gains = [a - b for a, b in zip(totals, totals[1:])]
+        # the limit projected after sweep c >= 2 when its gain g is below
+        # the gain before, q their ratio: total - g q / (1 - q)
+        projected = {}
+        for c in range(2, cycles):
+            g, prev = gains[c - 1], gains[c - 2]
+            if 0.0 <= g < prev:
+                projected[c] = totals[c] - g * (g / prev) / (1 - g / prev)
+        # incumbents around the limit, and 5e-7 above each projection, where
+        # only the improvement_tol margin of 1e-6 stops the start
+        incumbents = [free + m for m in (-1e-3, -1e-5, 2e-6, 1e-5, 1e-3)]
+        incumbents += [p + 5e-7 for p in projected.values()]
+        for incumbent in incumbents:
+            expect = min((c for c, p in projected.items()
+                          if p > incumbent - 1e-6), default=cycles)
+            total, rows, outcome, (stopped, _, _) = _jacobi_refine(
+                W.copy(), 2, 2, 1e-6, 500, incumbent=incumbent)
+            assert stopped == expect, incumbent - free
+            assert outcome == ("converged" if expect == cycles else "abandoned")
+            # a stopped start keeps the rows and the value it reached
+            assert total == totals[stopped]
+            assert float(_entropy_rows(rows).sum()) == pytest.approx(total, abs=1e-12)
+        # an incumbent far below the limit stops the start early; one far
+        # above never does
+        assert _jacobi_refine(W.copy(), 2, 2, 1e-6, 500, free - 1e-3)[3][0] < cycles
+        assert _jacobi_refine(W.copy(), 2, 2, 1e-6, 500, free + 1e-3)[0] == free
+
+    def test_abandoned_start_can_still_win(self):
+        # found by a seed scan: the race stops the last start 5.7e-8 below
+        # the first start's converged value, and the stopped start wins
+        rng = RandomSource(19)
+        rho = sample_density_matrix((2, 2), 3, rng.split())
+        res = eof_optimize(rho, ensemble_size=5, restarts=3, rng=rng.split())
+        best = min(res.starts, key=lambda r: r.value)
+        assert best.outcome == "abandoned"
+        assert res.starts[0].value - best.value > 1e-8
+        assert res.value == pytest.approx(best.value, abs=1e-12)
+
+    def test_first_start_always_runs_to_the_end(self):
+        rng = RandomSource(113)
+        abandoned = 0
+        for i in range(12):
+            rho = sample_density_matrix((2, 2), 2 + i % 3, rng.split())
+            res = eof_optimize(rho, ensemble_size=5, restarts=3,
+                               rng=rng.split())
+            assert res.starts[0].outcome != "abandoned"
+            abandoned += sum(r.outcome == "abandoned" for r in res.starts)
+        assert abandoned > 0
+
+    def test_records_count_every_start(self, monkeypatch):
+        searches = []
+        search = entcost.eof.minimize_scalar
+        monkeypatch.setattr(entcost.eof, "minimize_scalar",
+                            lambda *a, **k: searches.append(1) or search(*a, **k))
+        rng = RandomSource(127)
+        rho = sample_density_matrix((2, 2), 2, rng.split())
+        evals, evecs = np.linalg.eigh(rho.matrix)
+        keep = evals > 1e-12
+        eigen = Ensemble(evals[keep] / evals[keep].sum(),
+                         tuple(PureState((2, 2), evecs[:, j])
+                               for j in np.flatnonzero(keep)))
+        res = eof_optimize(rho, ensemble_size=4, restarts=3,
+                           seed_ensembles=[eigen], rng=rng.split())
+        assert [r.kind for r in res.starts] == ["warm"] + ["random"] * 3
+        assert res.restarts_used == len(res.starts) == 4
+        assert res.value_history == tuple(r.value for r in res.starts)
+        assert sum(r.line_searches for r in res.starts) == len(searches)
+        for r in res.starts:
+            assert isinstance(r, StartRecord)
+            assert r.outcome in ("converged", "abandoned", "cycle_cap")
+            assert 0 <= r.accepted_rotations <= r.line_searches
+            assert r.line_searches <= r.cycles * 2 * 6
+        assert res.converged
+        assert res.to_json_obj()["starts"] == [
+            {"kind": r.kind, "cycles": r.cycles, "line_searches": r.line_searches,
+             "accepted_rotations": r.accepted_rotations, "value": r.value,
+             "outcome": r.outcome} for r in res.starts]
+
+    def test_only_the_cycle_cap_makes_a_run_unconverged(self):
+        rng = RandomSource(131)
+        rho = sample_density_matrix((2, 2), 3, rng.split())
+        opt = rng.split()
+        res = eof_optimize(rho, ensemble_size=5, restarts=4, rng=opt.replay())
+        assert "abandoned" in [r.outcome for r in res.starts]
+        assert "cycle_cap" not in [r.outcome for r in res.starts]
+        assert res.converged
+        capped = eof_optimize(rho, ensemble_size=5, restarts=4,
+                              rng=opt.replay(), max_cycles=1)
+        assert [r.outcome for r in capped.starts] == ["cycle_cap"] * 4
+        assert [r.cycles for r in capped.starts] == [1] * 4
+        assert not capped.converged
+
+
+def _entropy_rows(rows):
+    return np.array([pure_entanglement(PureState((2, 2), w / np.linalg.norm(w)))
+                     * float(np.vdot(w, w).real) for w in rows])
 
 
 def _seeded_pair_objective(dims, seed, phase, second_row_scale=1.0):

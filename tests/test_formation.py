@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import entcost.formation
 from entcost.eof import eof_optimize
 from entcost.formation import (
     _ranked_patterns,
@@ -538,6 +539,32 @@ class TestFormationProtocol:
         assert res.fid1_holds
         with pytest.raises(TypeError):
             formation_protocol(rho, ens, 3, 0.5, 0.25, normalization="sub")
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_each_dilution_is_ranked_once(monkeypatch, n):
+    # exact mode (n = 4) takes eps2 and the rho'_T blocks from one
+    # dilute_pure_state call per (member, count); analytic mode (n = 7)
+    # builds no block and ranks each (member, count) once for its fidelity
+    calls = {"dilute_pure_state": [], "dilution_fidelity": []}
+    for name, seen in calls.items():
+        original = getattr(entcost.formation, name)
+        monkeypatch.setattr(entcost.formation, name,
+                            lambda psi, c, b, seen=seen, original=original:
+                            seen.append((psi, c)) or original(psi, c, b))
+    ens = Ensemble(np.array([0.5, 0.3, 0.2]),
+                   tuple(sample_pure_state((2, 2), RandomSource(139 + j))
+                         for j in range(3)))
+    res = formation_protocol(ensemble_average(ens), ens, n, 0.5, 0.25)
+    blocks = {(i, seq.count(i)) for seq, _ in res.typical.sequences
+              for i in set(seq)}
+    exact, analytic = ((calls["dilute_pure_state"], calls["dilution_fidelity"])
+                       if n == 4 else
+                       (calls["dilution_fidelity"], calls["dilute_pure_state"]))
+    assert res.exact_mode is (n == 4)
+    assert len(exact) == len(blocks) and not analytic
+    members = {id(psi): i for i, psi in enumerate(ens.states)}
+    assert {(members[id(psi)], c) for psi, c in exact} == blocks
 
 
 def test_exact_mode_finishes_at_the_dimension_cap():
