@@ -9,6 +9,9 @@ Layers, at dims (2, 2) and (4, 4):
 - one pair line search: building the objective of rows 0 and 1 with the
   complex phase and minimizing it over the rotation angle, as one sweep does;
 - the bounded search alone, on that pair's objective built once;
+- one lockstep round at dims (4, 4): the first round-robin round of the
+  start's nine rows (four disjoint pairs), every pair's line search with the
+  complex phase run in lockstep, one `eigvalsh` call per step;
 - one `_jacobi_refine` sweep (max_cycles=1) over every pair of a seeded
   random start;
 - one raced `eof_optimize` call with three random starts, the later two
@@ -28,6 +31,8 @@ import pytest
 from entcost.eof import (
     _jacobi_refine,
     _pair_objective,
+    _round_searches,
+    _rounds,
     _row_blocks,
     eof_optimize,
     minimize_scalar,
@@ -78,6 +83,13 @@ def test_search_only(benchmark, dims):
     objective = _objective(_start(dims), dims)
     res = benchmark(_search, objective)
     assert np.isfinite(res.fun)
+
+
+def test_lockstep_round(benchmark):
+    W = _start((4, 4))
+    pairs = np.array(_rounds(len(W))[0])
+    results = benchmark(_round_searches, W, pairs, 4, 4, 1.0j)
+    assert len(results) == 4 and all(np.isfinite(r.fun) for r in results)
 
 
 @pytest.mark.parametrize("dims", list(CASES), ids=str)

@@ -5,12 +5,17 @@ E_f(rho) is the minimum of sum_i p_i E(psi_i) over pure-state decompositions
 of rho.  The optimizer parameterizes decompositions through the purification:
 every size-L ensemble arises from an L x r isometry applied to the rank-r
 eigen-ensemble, so every iterate is feasible by construction.  The search is
-a seeded multi-start Jacobi sweep: cyclic two-row plane rotations (real and
-phased) with a bounded scalar line search on the objective, which each pair
-evaluates from three Gram blocks of its two rows.  The line search,
-`minimize_scalar`, is bounded Brent minimization (fminbound) on Python floats.
-The starts race: every start after the first is stopped once the limit its
-sweeps are heading for cannot beat the best value found so far.
+a seeded multi-start Jacobi sweep: two-row plane rotations (real and phased)
+with a bounded scalar line search on the objective, which each pair
+evaluates from three Gram blocks of its two rows.  A sweep visits the pairs in
+round-robin rounds of disjoint pairs (the circle method; Brent & Luk, SIAM J.
+Sci. Stat. Comput. 6, 69 (1985)); rotations of disjoint pairs commute, so a
+round's line searches run in lockstep and share one eigensolver call per
+step.  The line search is bounded Brent minimization (fminbound) on Python
+floats, written once as a coroutine (`_brent`) that `minimize_scalar` and the
+lockstep rounds drive.  The starts race: every start after the first is
+stopped once the limit its sweeps are heading for cannot beat the best value
+found so far.
 """
 
 from __future__ import annotations
@@ -152,10 +157,19 @@ def _pauli(g):
 def _qubit_gram_entropy(t, x, y, z):
     """_spectrum_entropy of (t I + x X + y Y + z Z) / 2, on Python floats.
 
-    Its eigenvalues are (t -+ |(x, y, z)|) / 2; no eigensolver is called.
+    Its eigenvalues are lo, hi = (t -+ |(x, y, z)|) / 2; no eigensolver is
+    called.  The same operations in the same order as `_spectrum_entropy`
+    on (lo, hi), unrolled: once lo is dropped as noise, hi alone has
+    entropy 0.
     """
     r = math.sqrt(x * x + y * y + z * z)
-    return _spectrum_entropy(((t - r) / 2.0, (t + r) / 2.0))
+    lo, hi = (t - r) / 2.0, (t + r) / 2.0
+    if lo > 1e-18:
+        p = lo + hi
+        if p > 1e-15:
+            return (0.0 - lo * math.log2(lo) - hi * math.log2(hi)
+                    + p * math.log2(p))
+    return 0.0
 
 
 def _gram_entropy(g):
@@ -172,41 +186,81 @@ def _entropy_contrib(W, dA, dB):
     return np.reshape(_gram_entropy(g), W.shape[:-1])
 
 
-def _pair_objective(Ma, Mb, phase):
-    """theta -> entanglement of the rows with blocks Ma, Mb after the rotation
-    a -> c a + s phase b, b -> -s conj(phase) a + c b (c, s = cos, sin theta).
+def _pair_blocks(rows, dA, dB, phase):
+    """The three k x k Gram blocks of each row pair in the stack `rows`.
 
-    With P = Ma Ma^dag, Q = Mb Mb^dag and H = phase Mb Ma^dag + h.c., the
-    rotated rows have Gram matrices c^2 P + s^2 Q +- cs H, that is
-    (P + Q)/2 +- (cos 2theta (P - Q) + sin 2theta H)/2.  The three k x k blocks
-    are built once and serve every theta.  Shifting theta by pi/2 swaps the
-    two Gram matrices, so the objective has period pi/2.
+    `rows` has shape (n, 2, dA dB): rows a and b of n pairs.  Returns shape
+    (n, 3, k, k): (P + Q)/2, (P - Q)/2 and H/2, with P = Ma Ma^dag,
+    Q = Mb Mb^dag and H = phase Mb Ma^dag + h.c., all from one stacked
+    matmul of each pair's 2k x m block [Ma; Mb] with its adjoint.
     """
-    C = phase * (Mb @ Ma.conj().T)
-    P = Ma @ Ma.conj().T
-    Q = Mb @ Mb.conj().T
-    blocks = np.stack([P + Q, P - Q, C + C.conj().T]) / 2.0
-    if blocks.shape[-1] == 2:
-        (mt, dt, ht), (mx, dx, hx), (my, dy, hy), (mz, dz, hz) = _pauli(blocks)
+    M = _row_blocks(rows, dA, dB)
+    n, _, k, m = M.shape
+    R = M.reshape(n, 2 * k, m)
+    G = R @ np.swapaxes(R, -1, -2).conj()
+    P, Q, C = G[:, :k, :k], G[:, k:, k:], phase * G[:, k:, :k]
+    return np.stack([P + Q, P - Q, C + np.swapaxes(C, -1, -2).conj()],
+                    axis=1) / 2.0
 
-        def objective(theta):
-            c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
-            t, x = c * dt + s * ht, c * dx + s * hx
-            y, z = c * dy + s * hy, c * dz + s * hz
-            return (_qubit_gram_entropy(mt + t, mx + x, my + y, mz + z)
-                    + _qubit_gram_entropy(mt - t, mx - x, my - y, mz - z))
-        return objective
 
-    mean = blocks[0]
-    sign = np.array([1.0, -1.0])[:, None, None]
-    diff, herm = sign * blocks[1], sign * blocks[2]
+def _qubit_objective(components):
+    """theta -> objective of one k = 2 pair (see `_stacked_objective`), on
+    Python floats.
+
+    `components` holds the Pauli components (t, x, y, z) of the pair's three
+    blocks (`_pauli`), each a (mean, diff, herm) triple.
+    """
+    (mt, dt, ht), (mx, dx, hx), (my, dy, hy), (mz, dz, hz) = components
 
     def objective(theta):
-        g = diff * math.cos(2.0 * theta)
-        g += herm * math.sin(2.0 * theta)
-        g += mean
-        return sum(_gram_entropy(g))
+        c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
+        t, x = c * dt + s * ht, c * dx + s * hx
+        y, z = c * dy + s * hy, c * dz + s * hz
+        return (_qubit_gram_entropy(mt + t, mx + x, my + y, mz + z)
+                + _qubit_gram_entropy(mt - t, mx - x, my - y, mz - z))
     return objective
+
+
+def _stacked_objective(blocks):
+    """evaluate(lanes, thetas): the objective of each listed pair at its theta.
+
+    `blocks` is `_pair_blocks` output with k > 2; the rotation
+    a -> c a + s phase b, b -> -s conj(phase) a + c b (c, s = cos, sin theta)
+    gives the two rows Gram matrices c^2 P + s^2 Q +- cs H, that is
+    (P + Q)/2 +- (cos 2theta (P - Q) + sin 2theta H)/2.  Shifting theta by
+    pi/2 swaps them, so each objective has period pi/2.  The listed pairs'
+    Gram matrices are formed by one stacked matmul and one add, and
+    diagonalized by one `eigvalsh` call on the (lanes, 2, k, k) stack.
+    """
+    # as real numbers: row j of `terms` holds the +- (P - Q)/2 (j = 0) or
+    # +- H/2 (j = 1) parts of both Gram matrices, so (cos, sin) @ terms + mean
+    # forms them all in two operations
+    re = blocks.view(np.float64)
+    n, _, k, k2 = re.shape
+    sign = np.array([1.0, -1.0])[:, None, None]
+    mean = re[:, 0, None]
+    terms = np.stack([sign * re[:, 1, None], sign * re[:, 2, None]],
+                     axis=1).reshape(n, 2, -1)
+
+    def evaluate(lanes, thetas):
+        cs = np.array([(math.cos(2.0 * t), math.sin(2.0 * t)) for t in thetas])
+        sel = slice(None) if len(lanes) == n else lanes
+        g = (cs[:, None] @ terms[sel]).reshape(-1, 2, k, k2)
+        g += mean[sel]
+        spectra = np.linalg.eigvalsh(g.view(complex)).tolist()
+        return [sum(map(_spectrum_entropy, pair)) for pair in spectra]
+    return evaluate
+
+
+def _pair_objective(Ma, Mb, phase):
+    """theta -> entanglement of the rows with blocks Ma, Mb after the rotation
+    a -> c a + s phase b, b -> -s conj(phase) a + c b: the objective of one
+    pair, scored exactly as `_round_searches` scores it."""
+    blocks = _pair_blocks(np.stack([Ma, Mb]).reshape(1, 2, -1), *Ma.shape, phase)
+    if blocks.shape[-1] == 2:
+        return _qubit_objective(next(zip(*_pauli(blocks))))
+    evaluate = _stacked_objective(blocks)
+    return lambda theta: evaluate([0], [theta])[0]
 
 
 class ScalarMinimum(NamedTuple):
@@ -218,20 +272,21 @@ _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
 
 
-def minimize_scalar(func, bounds, xatol, maxiter):
-    """Bounded Brent minimization of func over the interval bounds (fminbound).
+def _brent(bounds, xatol, maxiter):
+    """Bounded Brent minimization over the interval bounds, as a coroutine.
 
-    A transcription of scipy 1.17's `_minimize_scalar_bounded` onto Python
-    floats: the same IEEE operations in the same order, so each search visits
-    the same points and returns the same x and fun as
-    `scipy.optimize.minimize_scalar(method="bounded")` with these options.
-    Stops once the bracket around x is within about xatol, or after maxiter
-    evaluations of func.
+    It yields each point x to evaluate and is sent func(x); it returns
+    (through StopIteration) the ScalarMinimum.  A transcription of scipy
+    1.17's `_minimize_scalar_bounded` onto Python floats: the same IEEE
+    operations in the same order, so each search visits the same points and
+    returns the same x and fun as `scipy.optimize.minimize_scalar(
+    method="bounded")` with these options.  Stops once the bracket around x
+    is within about xatol, or after maxiter evaluations.
     """
     a, b = bounds
     xf = nfc = fulc = a + _GOLDEN_MEAN * (b - a)
     rat = e = 0.0
-    fx = fnfc = ffulc = func(xf)
+    fx = fnfc = ffulc = yield xf
     num = 1
     xm = 0.5 * (a + b)
     tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
@@ -264,7 +319,7 @@ def minimize_scalar(func, bounds, xatol, maxiter):
         # scipy steps by sign(rat) + (rat == 0), which is +1 at rat = -0.0
         step = max(abs(rat), tol1)
         x = xf - step if rat < 0.0 else xf + step
-        fu = func(x)
+        fu = yield x
         num += 1
         if fu <= fx:
             if x >= xf:
@@ -292,50 +347,132 @@ def minimize_scalar(func, bounds, xatol, maxiter):
     return ScalarMinimum(xf, fx)
 
 
+def _search_lanes(evaluate, n, bounds, xatol, maxiter):
+    """n bounded Brent searches (`_brent`) run in lockstep.
+
+    Each step calls evaluate(lanes, xs) once for every search still running
+    (lane i at xs[j] for i = lanes[j]), which returns their values in order.
+    Returns the ScalarMinimum of each search.
+    """
+    searches = [_brent(bounds, xatol, maxiter) for _ in range(n)]
+    lanes, xs = list(range(n)), [next(s) for s in searches]
+    results = [None] * n
+    while lanes:
+        running, points = [], []
+        for i, f in zip(lanes, evaluate(lanes, xs)):
+            try:
+                points.append(searches[i].send(f))
+                running.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+        lanes, xs = running, points
+    return results
+
+
+def minimize_scalar(func, bounds, xatol, maxiter):
+    """Bounded Brent minimization of func over the interval bounds (fminbound).
+
+    Drives one `_brent` search: the same iterates, x and fun as
+    `scipy.optimize.minimize_scalar(method="bounded")` with these options.
+    """
+    search = _brent(bounds, xatol, maxiter)
+    x = next(search)
+    try:
+        while True:
+            x = search.send(func(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+_BOUNDS = (-math.pi / 2.0, math.pi / 2.0)
+
+
+def _rounds(L):
+    """Round-robin schedule of the pairs of L rows (circle method).
+
+    L - 1 rounds for even L, L for odd L: the pairs inside a round are
+    disjoint, and each of the L (L - 1) / 2 pairs comes up once.  Row 0 stays
+    put while the others turn one place per round; at odd L the row paired
+    with a dummy row L sits the round out.
+    """
+    n = L + L % 2
+    ring = list(range(n))
+    rounds = []
+    for _ in range(n - 1):
+        pairs = [tuple(sorted((ring[i], ring[n - 1 - i]))) for i in range(n // 2)]
+        rounds.append(tuple(p for p in pairs if p[1] < L))
+        ring = ring[:1] + ring[-1:] + ring[1:-1]
+    return tuple(r for r in rounds if r)
+
+
+def _round_searches(W, pairs, dA, dB, phase):
+    """Line search of every row pair (a, b) of W listed in `pairs` (m, 2).
+
+    The pairs are disjoint; above k = 2 their searches run in lockstep
+    (`_search_lanes`).  Returns one ScalarMinimum per pair, the same as
+    `minimize_scalar` on that pair's `_pair_objective`.
+    """
+    blocks = _pair_blocks(W[pairs], dA, dB, phase)
+    if blocks.shape[-1] == 2:
+        # qubit pairs share no eigensolver call, so each runs on its own
+        return [minimize_scalar(f, _BOUNDS, xatol=1e-5, maxiter=40)
+                for f in map(_qubit_objective, zip(*_pauli(blocks)))]
+    return _search_lanes(_stacked_objective(blocks), len(pairs), _BOUNDS,
+                         xatol=1e-5, maxiter=40)
+
+
 def _jacobi_refine(W, dA, dB, improvement_tol, max_cycles, incumbent=math.inf):
     """Minimize sum_i p_i E_i over plane rotations of the rows of W in place.
 
     Returns (total, W, outcome, (cycles, line searches, accepted rotations)).
+    A sweep runs the `_rounds` of the rows; in each round, for the real and
+    then the complex phase, every pair's line search runs in lockstep and
+    the accepted rotations, which touch disjoint rows, are applied at once.
     The sweeps stop once one gains less than improvement_tol ("converged"),
-    or after max_cycles ("cycle_cap").  They converge linearly, so a gain g
-    after a larger gain g_prev projects the limit total - g q / (1 - q),
-    q = g / g_prev; once that cannot beat `incumbent` by improvement_tol the
-    start is stopped ("abandoned") with the rows and total it has reached.
+    or after max_cycles ("cycle_cap").  They converge linearly, so from the
+    third sweep on, a gain g after a larger gain g_prev projects the limit
+    total - g q / (1 - q), q = g / g_prev; once that cannot beat `incumbent`
+    by improvement_tol the start is stopped ("abandoned") with the rows and
+    total it has reached.  (The first two gains do not shrink geometrically
+    yet, so a projection from them underestimates what is left.)
     """
-    L = W.shape[0]
     contrib = _entropy_contrib(W, dA, dB)
     total = float(contrib.sum())
-    bounds = (-np.pi / 2.0, np.pi / 2.0)
+    rounds = [np.array(pairs) for pairs in _rounds(W.shape[0])]
     searches = accepted = cycles = 0
     gain, outcome = math.inf, "cycle_cap"
     while cycles < max_cycles:
         cycles += 1
         start_total = total
-        for a in range(L - 1):
-            for b in range(a + 1, L):
-                # rotations only touch rows a and b, whose contributions are
-                # nonnegative; nothing to gain if both already vanish
-                if contrib[a] + contrib[b] < 1e-13:
+        for pairs in rounds:
+            # a rotation only touches its pair's rows, whose contributions
+            # are nonnegative; nothing to gain if both already vanish
+            pairs = pairs[contrib[pairs].sum(axis=1) >= 1e-13]
+            if not len(pairs):
+                continue
+            for phase in (1.0, 1.0j):
+                results = _round_searches(W, pairs, dA, dB, phase)
+                searches += len(results)
+                cur = (contrib[pairs].sum(axis=1) - 1e-13).tolist()
+                better = [r.fun < c for r, c in zip(results, cur)]
+                if not any(better):
                     continue
-                for phase in (1.0, 1.0j):
-                    wa, wb = pair = W[[a, b]]
-                    Ma, Mb = _row_blocks(pair, dA, dB)
-                    cur = contrib[a] + contrib[b]
-                    res = minimize_scalar(_pair_objective(Ma, Mb, phase),
-                                          bounds, xatol=1e-5, maxiter=40)
-                    searches += 1
-                    if res.fun < cur - 1e-13:
-                        accepted += 1
-                        c, s = math.cos(res.x), math.sin(res.x)
-                        W[a] = c * wa + s * phase * wb
-                        W[b] = -s * np.conj(phase) * wa + c * wb
-                        contrib[[a, b]] = _entropy_contrib(W[[a, b]], dA, dB)
+                accepted += sum(better)
+                moved = pairs if all(better) else pairs[better]
+                angles = [r.x for r, ok in zip(results, better) if ok]
+                # a -> c a + s phase b, b -> -s conj(phase) a + c b
+                rot = np.array([((c, s * phase), (-s * phase.conjugate(), c))
+                                for c, s in zip(map(math.cos, angles),
+                                                map(math.sin, angles))])
+                rows = rot @ W[moved]
+                W[moved] = rows
+                contrib[moved] = _entropy_contrib(rows, dA, dB)
         total = float(contrib.sum())
         prev, gain = gain, start_total - total
         if gain < improvement_tol:
             outcome = "converged"
             break
-        if 0.0 <= gain < prev < math.inf:
+        if cycles >= 3 and 0.0 <= gain < prev:
             q = gain / prev
             if total - gain * q / (1.0 - q) > incumbent - improvement_tol:
                 outcome = "abandoned"
@@ -386,7 +523,7 @@ def eof_optimize(rho: QuantumState, ensemble_size=None, restarts=4,
         psi = PureState(rho.dims, vecs[:, 0])
         value = pure_entanglement(psi)
         return EofResult(value, Ensemble(np.array([1.0]), (psi,)),
-                         0, True, (value,))
+                         0, True, ())
     L = int(ensemble_size) if ensemble_size is not None else min(r * r, d * d)
     if L < r:
         raise ValueError(f"ensemble size {L} below rank {r}: no such decomposition")

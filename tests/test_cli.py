@@ -94,6 +94,16 @@ class TestEofCommand:
         assert res["converged"] is all(s["outcome"] != "cycle_cap"
                                        for s in starts)
 
+    def test_pure_input_reports_no_start(self, singlet_file, tmp_path):
+        # the pure-state short cut runs no start, so it has no history either
+        code, doc = run_to_json(["eof", singlet_file], tmp_path)
+        assert code == EXIT_OK
+        res = doc["result"]
+        assert res["value"] == pytest.approx(1.0, abs=1e-12)
+        assert res["restarts_used"] == 0
+        assert res["starts"] == [] and res["value_history"] == []
+        assert res["converged"] is True
+
     def test_ensemble_input_is_averaged(self, tmp_path):
         ens = Ensemble(np.array([0.5, 0.5]),
                        (basis_pure((2, 2), 0, 0), basis_pure((2, 2), 1, 1)))
