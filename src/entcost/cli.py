@@ -21,7 +21,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .eof import DEFAULT_IMPROVEMENT_TOL, eof_optimize, eof_two_qubit_closed_form
+from .eof import DEFAULT_IMPROVEMENT_TOL, eof_optimize
 from .formation import formation_protocol
 from .metrics import divergence_sequence, metric_relation_check
 from .qcore import (
@@ -135,11 +135,17 @@ def _emit(text, path):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _envelope(seed, config, result):
+def _config(args):
+    """The parsed flags a report records: all but those saying where output goes."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("func", "seed", "output", "csv", "format")}
+
+
+def _envelope(seed, args, result):
     return dumps_canonical({
         "tool_version": __version__,
         "seed": seed,
-        "config": config,
+        "config": _config(args),
         "result": result,
     })
 
@@ -168,10 +174,7 @@ def _cmd_eof(args):
         res = eof_optimize(rho, ensemble_size=args.ensemble_size,
                            restarts=args.restarts, rng=RandomSource(seed),
                            improvement_tol=args.tol)
-    config = {"subcommand": "eof", "state": args.state,
-              "ensemble_size": args.ensemble_size, "restarts": args.restarts,
-              "tol": args.tol}
-    _emit(_envelope(seed, config, res.to_json_obj()), args.output)
+    _emit(_envelope(seed, args, res), args.output)
     return EXIT_OK
 
 
@@ -182,9 +185,7 @@ def _cmd_metrics(args):
     if rho.dims != sigma.dims:
         raise InputError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
     report = metric_relation_check(rho, sigma)
-    config = {"subcommand": "metrics", "state_a": args.state_a,
-              "state_b": args.state_b}
-    _emit(_envelope(seed, config, report.to_json_obj()), args.output)
+    _emit(_envelope(seed, args, report), args.output)
     return EXIT_OK if report.chain_holds else EXIT_VIOLATION
 
 
@@ -195,11 +196,8 @@ def _cmd_regularize(args):
         trace, bracket = cost_bracket(rho, args.n_max, rng=RandomSource(seed),
                                       restarts=args.restarts,
                                       ensemble_size=args.ensemble_size)
-    config = {"subcommand": "regularize", "state": args.state,
-              "n_max": args.n_max, "restarts": args.restarts,
-              "ensemble_size": args.ensemble_size}
-    result = {"trace": trace.to_json_obj(), "bracket": bracket.to_json_obj()}
-    _emit(_envelope(seed, config, result), args.output)
+    _emit(_envelope(seed, args, {"trace": trace, "bracket": bracket}),
+          args.output)
     if args.csv:
         rows = [(e.n, e.rate) for e in trace.entries]
         _emit(_csv(rows, ("n", "rate")), args.csv)
@@ -219,10 +217,7 @@ def _cmd_formation(args):
                                     rng=RandomSource(seed)).ensemble
         res = formation_protocol(rho, ensemble, args.n, args.delta1,
                                  args.delta2, window=args.window)
-    config = {"subcommand": "formation", "state": args.state, "n": args.n,
-              "delta1": args.delta1, "delta2": args.delta2,
-              "window": args.window, "restarts": args.restarts}
-    _emit(_envelope(seed, config, res.to_json_obj()), args.output)
+    _emit(_envelope(seed, args, res), args.output)
     if args.csv:
         # the sweep's last row is the run reported above
         runs = [formation_protocol(rho, ensemble, n, args.delta1, args.delta2,
@@ -241,10 +236,7 @@ def _cmd_verify(args):
     report, clean = run_verification(
         seed, pairs=args.pairs, channels=args.channels,
         perturbed=args.perturbed, quadruples=args.quadruples)
-    config = {"subcommand": "verify", "pairs": args.pairs,
-              "channels": args.channels, "perturbed": args.perturbed,
-              "quadruples": args.quadruples}
-    _emit(_envelope(seed, config, report), args.output)
+    _emit(_envelope(seed, args, report), args.output)
     return EXIT_OK if clean else EXIT_VIOLATION
 
 
@@ -256,10 +248,7 @@ def _cmd_demo_divergence(args):
     if args.format == "csv":
         _emit(_csv(rows, ("k", "fidelity", "bures")), args.output)
     else:
-        config = {"subcommand": "demo-divergence", "fidelity": args.fidelity,
-                  "k_max": args.k_max}
-        result = [{"k": k, "fidelity": f, "bures": d} for k, f, d in rows]
-        _emit(_envelope(seed, config, result), args.output)
+        _emit(_envelope(seed, args, rows), args.output)
     return EXIT_OK
 
 

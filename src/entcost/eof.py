@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .metrics import bures_distance
+from .metrics import bures_distance, sqrtm_psd
 from .qcore import (
     DimensionError,
     Ensemble,
@@ -64,8 +64,7 @@ def concurrence(rho: QuantumState) -> float:
     """
     if rho.dims != (2, 2):
         raise DimensionError(f"concurrence requires dims (2, 2), got {rho.dims}")
-    evals, evecs = np.linalg.eigh(rho.matrix)
-    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
+    root = sqrtm_psd(rho.matrix)
     lam = np.linalg.svd(root @ _YY @ root.T, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
@@ -90,9 +89,6 @@ class StartRecord:
     value: float              # sum_i p_i E_i the start ended at
     outcome: str              # "converged", "abandoned" or "cycle_cap"
 
-    def to_json_obj(self):
-        return dict(vars(self))
-
 
 @dataclass(frozen=True)
 class EofResult:
@@ -107,17 +103,6 @@ class EofResult:
     converged: bool
     value_history: tuple   # best value reached by each start, in order
     starts: tuple = ()     # StartRecord per start, in order
-
-    def to_json_obj(self):
-        from .serialize import ensemble_to_json_obj
-        return {
-            "value": self.value,
-            "ensemble": ensemble_to_json_obj(self.ensemble),
-            "restarts_used": self.restarts_used,
-            "converged": self.converged,
-            "value_history": list(self.value_history),
-            "starts": [r.to_json_obj() for r in self.starts],
-        }
 
 
 def _row_blocks(W, dA, dB):
@@ -582,10 +567,6 @@ class ContinuityCheck:
     observed_gap: float
     holds: bool
 
-    def to_json_obj(self):
-        return {"distance": self.distance, "bound": self.bound,
-                "observed_gap": self.observed_gap, "holds": self.holds}
-
 
 def continuity_bound(rho: QuantumState, rho2: QuantumState,
                      eof_rho: float, eof_rho2: float,
@@ -685,10 +666,6 @@ class MonotonicityReport:
     after: float
     tolerance: float
     holds: bool
-
-    def to_json_obj(self):
-        return {"before": self.before, "after": self.after,
-                "tolerance": self.tolerance, "holds": self.holds}
 
 
 def check_monotonicity(rho: QuantumState, channel: LoccChannel,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +38,7 @@ from .qcore import (
     purify,
     tensor_pure,
 )
+from .serialize import INTERNAL
 
 ENUMERATION_CAP = 10_000_000
 SPECTRUM_CAP = 1 << 22         # occupation patterns x count per dilution walk
@@ -45,7 +46,7 @@ SPECTRUM_CAP = 1 << 22         # occupation patterns x count per dilution walk
 WINDOW_KINDS = ("paper", "plain")
 
 # perfbench/tracing.py wraps these names when a traced run starts; nothing
-# calls them, and they go when its wrap list drops them (ROADMAP item 6).
+# calls them, and they go when its wrap list drops them (ROADMAP direction 5).
 truncated_state = fidelity_matrices = tensor_power = None
 
 
@@ -61,24 +62,12 @@ class TypicalSet:
     delta1: float
     k: int
     window: str
-    sequences: tuple               # ((s_0, ..., s_{n-1}), p_s)
+    num_sequences: int
+    sequences: tuple = field(metadata=INTERNAL)   # ((s_0, ..., s_{n-1}), p_s)
     total_weight: float            # p_T
     entropy: float                 # H(p) in bits
     weight_bounds: tuple           # guaranteed (min, max) admitted weight
     count_windows: tuple           # integer (lo_i, hi_i) per ensemble index
-
-    def to_json_obj(self):
-        return {
-            "n": self.n,
-            "delta1": self.delta1,
-            "k": self.k,
-            "window": self.window,
-            "num_sequences": len(self.sequences),
-            "total_weight": self.total_weight,
-            "entropy": self.entropy,
-            "weight_bounds": list(self.weight_bounds),
-            "count_windows": [list(w) for w in self.count_windows],
-        }
 
 
 def typical_count_windows(p, n, delta1, window="paper"):
@@ -142,8 +131,8 @@ def typical_set(p, n, delta1, window="paper") -> TypicalSet:
     bounds = (2.0 ** (-float(sum(hi * g for (_, hi), g in zip(windows, logs)))),
               min(1.0, 2.0 ** (-float(sum(lo * g for (lo, _), g
                                           in zip(windows, logs))))))
-    return TypicalSet(n, float(delta1), k, window, tuple(sequences),
-                      float(total), entropy, bounds, windows)
+    return TypicalSet(n, float(delta1), k, window, len(sequences),
+                      tuple(sequences), float(total), entropy, bounds, windows)
 
 
 def mixture_factor(states, sequences, block=None):
@@ -298,17 +287,6 @@ class DilutionPlan:
     delta1: float
     delta2: float
 
-    def to_json_obj(self):
-        return {
-            "entries": [{"index": e.index, "count": e.count,
-                         "entanglement": e.entanglement,
-                         "delta2": e.delta2, "singlets": e.singlets}
-                        for e in self.entries],
-            "total_singlets": self.total_singlets,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-        }
-
 
 def dilution_plan(ensemble: Ensemble, tset: TypicalSet, delta2: float) -> DilutionPlan:
     """Singlet budget per ensemble member, charged at the worst typical count."""
@@ -342,29 +320,9 @@ class FormationResult:
     fid2_fidelity: float | None          # F(rho_T, rho'_T), both unit-trace
     fid2_holds: bool | None
     plan: DilutionPlan
-    typical: TypicalSet
-    overlap_aggregate: float    # sum_s (p_s / p_T) |<psi_s|psi'_s>|, not serialized
-
-    def to_json_obj(self):
-        return {
-            "n": self.n,
-            "m": self.m,
-            "rate": self.rate,
-            "mean_entanglement": self.mean_entanglement,
-            "slack": self.slack,
-            "eps1": self.eps1,
-            "eps2": self.eps2,
-            "eps3": self.eps3,
-            "bures_bound": self.bures_bound,
-            "exact_mode": self.exact_mode,
-            "exact_bures": self.exact_bures,
-            "fid1_fidelity": self.fid1_fidelity,
-            "fid1_holds": self.fid1_holds,
-            "fid2_fidelity": self.fid2_fidelity,
-            "fid2_holds": self.fid2_holds,
-            "plan": self.plan.to_json_obj(),
-            "typical_set": self.typical.to_json_obj(),
-        }
+    typical_set: TypicalSet
+    # sum_s (p_s / p_T) |<psi_s|psi'_s>|
+    overlap_aggregate: float = field(metadata=INTERNAL)
 
 
 def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
@@ -447,7 +405,7 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
         exact_bures=None if exact_bures is None else float(exact_bures),
         fid1_fidelity=None if fid1 is None else float(fid1),
         fid1_holds=fid1_holds, fid2_fidelity=None if fid2 is None else float(fid2),
-        fid2_holds=fid2_holds, plan=plan, typical=tset,
+        fid2_holds=fid2_holds, plan=plan, typical_set=tset,
         overlap_aggregate=float(overlap_aggregate))
 
 

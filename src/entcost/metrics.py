@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,16 +108,6 @@ class DistanceReport:
     chain_upper: float   # sqrt(1 - F^2)
     chain_holds: bool
 
-    def to_json_obj(self):
-        return {
-            "fidelity": self.fidelity,
-            "bures": self.bures,
-            "trace": self.trace,
-            "chain_lower": self.chain_lower,
-            "chain_upper": self.chain_upper,
-            "chain_holds": self.chain_holds,
-        }
-
 
 def metric_relation_check(rho, sigma) -> DistanceReport:
     """Check 1 - F <= d <= sqrt(1 - F^2) alongside all three quantities."""
@@ -135,9 +126,15 @@ def metric_relation_check(rho, sigma) -> DistanceReport:
     )
 
 
+class Divergence(NamedTuple):
+    k: int
+    fidelity: float      # F^k
+    bures: float         # 2 sqrt(1 - F^k)
+
+
 def divergence_sequence(f1, k_max):
-    """(k, F^k, 2 sqrt(1 - F^k)) for k = 1..k_max from a per-copy fidelity F."""
-    return [(k, f1 ** k, bures_from_fidelity(f1 ** k))
+    """Divergence rows for k = 1..k_max from a per-copy fidelity F."""
+    return [Divergence(k, f1 ** k, bures_from_fidelity(f1 ** k))
             for k in range(1, k_max + 1)]
 
 

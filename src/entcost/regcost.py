@@ -10,7 +10,8 @@ report carries a caveat saying only finite-n certificates are produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .qcore import (
     tensor_product,
     tensor_pure,
 )
+from .serialize import INTERNAL
 
 LIMIT_CAVEAT = ("finite-n certificate only: the n -> infinity limit is not "
                 "computable and these entries bound it from above, not estimate it")
@@ -36,23 +38,21 @@ class TraceEntry:
     warm_started: bool
 
 
+class Gap(NamedTuple):
+    n: int
+    m: int
+    gap: float           # n*A_n + m*A_m - (n+m)*A_{n+m}
+
+
 @dataclass(frozen=True)
 class RegularizationTrace:
     entries: tuple                 # TraceEntry per n = 1..n_max
-    subadditivity_checks: tuple    # (n, m, n*A_n + m*A_m - (n+m)*A_{n+m})
-    ensembles: tuple               # best ensemble per n (internal, not serialized)
+    subadditivity_checks: tuple    # Gap per n <= m with n + m <= n_max
+    ensembles: tuple = field(metadata=INTERNAL)   # best ensemble per n
+    caveat: str = field(default=LIMIT_CAVEAT, init=False)
 
     def rate(self, n: int) -> float:
         return self.entries[n - 1].rate
-
-    def to_json_obj(self):
-        return {
-            "entries": [{"n": e.n, "rate": e.rate, "warm_started": e.warm_started}
-                        for e in self.entries],
-            "subadditivity_checks": [
-                {"n": n, "m": m, "gap": g} for n, m, g in self.subadditivity_checks],
-            "caveat": LIMIT_CAVEAT,
-        }
 
 
 def product_ensemble(e1: Ensemble, e2: Ensemble) -> Ensemble:
@@ -113,7 +113,7 @@ def regularized_sequence(rho: QuantumState, n_max: int, *,
                 a_n = n * entries[n - 1].rate
                 a_m = m * entries[m - 1].rate
                 a_nm = (n + m) * entries[n + m - 1].rate
-                checks.append((n, m, float(a_n + a_m - a_nm)))
+                checks.append(Gap(n, m, float(a_n + a_m - a_nm)))
     return RegularizationTrace(tuple(entries), tuple(checks), tuple(ensembles))
 
 
@@ -121,18 +121,9 @@ def regularized_sequence(rho: QuantumState, n_max: int, *,
 class FeketeReport:
     linear_bound_holds: bool       # a_n <= c n for all entries
     c: float
-    triples: tuple                 # (n, m, a_n + a_m - a_{n+m})
+    triples: tuple                 # the trace's Gap entries
     subadditive_within_tol: bool
     tolerance: float
-
-    def to_json_obj(self):
-        return {
-            "linear_bound_holds": self.linear_bound_holds,
-            "c": self.c,
-            "triples": [{"n": n, "m": m, "gap": g} for n, m, g in self.triples],
-            "subadditive_within_tol": self.subadditive_within_tol,
-            "tolerance": self.tolerance,
-        }
 
 
 def fekete_check(trace: RegularizationTrace, c: float, tol: float = 1e-3) -> FeketeReport:
@@ -150,10 +141,6 @@ class AdditivityReport:
     eof_joint: float        # E_f(rho (x) sigma)
     gap: float              # sum - joint
     candidate: bool         # gap beyond 1e-2: flagged, never asserted as truth
-
-    def to_json_obj(self):
-        return {"eof_sum": self.eof_sum, "eof_joint": self.eof_joint,
-                "gap": self.gap, "candidate": self.candidate}
 
 
 def additivity_probe(rho: QuantumState, sigma: QuantumState, *,
@@ -188,11 +175,7 @@ class CostBracket:
     upper_on_regularized: float    # min over computed A_n
     achievable_rate: float         # A_1 = E_f(rho): protocol-achievable cost
     n_max: int
-
-    def to_json_obj(self):
-        return {"upper_on_regularized": self.upper_on_regularized,
-                "achievable_rate": self.achievable_rate,
-                "n_max": self.n_max, "caveat": LIMIT_CAVEAT}
+    caveat: str = field(default=LIMIT_CAVEAT, init=False)
 
 
 def cost_bracket(rho: QuantumState, n_max: int, *,

@@ -2,13 +2,15 @@
 
 Density matrices: {"dims": [dA, dB], "matrix": [[[re, im], ...], ...]} with
 row-major rows.  Pure states: {"dims": [dA, dB], "vector": [[re, im], ...]}.
-Ensembles: {"weights": [...], "states": [pure-state objects]}.  Reports are
-emitted with floats at 17 significant digits and sorted keys so identical
-runs produce byte-identical files.
+Ensembles: {"weights": [...], "states": [pure-state objects]}.  Each is its
+dataclass's fields, written like any report: floats at 17 significant digits
+and sorted keys, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 
@@ -16,35 +18,13 @@ import numpy as np
 
 from .qcore import Ensemble, PureState, QuantumState, StateValidationError
 
-
-def _complex_to_pair(z):
-    return [float(np.real(z)), float(np.imag(z))]
+# field(metadata=INTERNAL) keeps a dataclass field out of its JSON form
+INTERNAL = {"internal": True}
 
 
 def _pair_to_complex(pair):
     re, im = pair
     return complex(float(re), float(im))
-
-
-def state_to_json_obj(state: QuantumState):
-    return {
-        "dims": list(state.dims),
-        "matrix": [[_complex_to_pair(z) for z in row] for row in state.matrix],
-    }
-
-
-def pure_to_json_obj(psi: PureState):
-    return {
-        "dims": list(psi.dims),
-        "vector": [_complex_to_pair(z) for z in psi.vector],
-    }
-
-
-def ensemble_to_json_obj(ensemble: Ensemble):
-    return {
-        "weights": [float(w) for w in ensemble.weights],
-        "states": [pure_to_json_obj(s) for s in ensemble.states],
-    }
 
 
 def object_from_json_obj(obj):
@@ -58,7 +38,10 @@ def object_from_json_obj(obj):
         return Ensemble(np.asarray(obj["weights"], dtype=float), states)
     if "dims" not in obj:
         raise StateValidationError("missing 'dims' field")
-    dims = tuple(int(d) for d in obj["dims"])
+    dims = tuple(obj["dims"])
+    # bools are ints to Python, and int() would truncate 2.5 or parse "2"
+    if not all(type(d) is int for d in dims):
+        raise StateValidationError(f"'dims' must be JSON integers, got {obj['dims']!r}")
     if "vector" in obj:
         vec = np.array([_pair_to_complex(p) for p in obj["vector"]])
         return PureState(dims, vec)
@@ -77,15 +60,7 @@ def load_state(path):
 
 def save_object(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(obj, QuantumState):
-            payload = state_to_json_obj(obj)
-        elif isinstance(obj, PureState):
-            payload = pure_to_json_obj(obj)
-        elif isinstance(obj, Ensemble):
-            payload = ensemble_to_json_obj(obj)
-        else:
-            payload = obj
-        fh.write(dumps_canonical(payload))
+        fh.write(dumps_canonical(obj))
         fh.write("\n")
 
 
@@ -102,10 +77,26 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+@functools.cache
+def _fields(cls):
+    """Field names a dataclass or NamedTuple type writes, else None (cached)."""
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls)
+                     if not f.metadata.get("internal"))
+    if issubclass(cls, tuple) and hasattr(cls, "_fields"):
+        return cls._fields
+    return None
+
+
 def dumps_canonical(obj, indent=0) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    Dataclasses (less INTERNAL fields) and NamedTuples become objects of
+    their fields, complex numbers [re, im] pairs.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    # primitives first: reports are mostly floats
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -116,6 +107,11 @@ def dumps_canonical(obj, indent=0) -> str:
         return _format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    names = _fields(type(obj))
+    if names is not None:
+        obj = {name: getattr(obj, name) for name in names}
+    elif isinstance(obj, (complex, np.complexfloating)):
+        obj = [obj.real, obj.imag]
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = [dumps_canonical(x, indent + 1) for x in obj]
         if not items:

@@ -150,6 +150,20 @@ class TestInputErrors:
         assert main(["eof", singlet_file,
                      "--output", str(tmp_path / "x.json")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("dims", [[2, 2.5], [2.9, 2.2], ["2", "2"],
+                                      [True, 4]])
+    def test_non_integer_dims_are_an_input_error(self, tmp_path, dims):
+        # int() would read these as (2, 2), or [true, 4] as (1, 4)
+        from entcost.qcore import StateValidationError
+        from entcost.serialize import load_state
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps({"dims": dims, "matrix": [
+            [[0.25 if i == j else 0.0, 0.0] for j in range(4)]
+            for i in range(4)]}))
+        with pytest.raises(StateValidationError, match="dims"):
+            load_state(path)
+        assert main(["eof", str(path)]) == EXIT_INPUT
+
     def test_nan_entry_is_an_input_error(self, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"dims": [2, 2], "vector": '

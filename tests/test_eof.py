@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -42,6 +43,7 @@ from entcost.qcore import (
     singlet,
     tensor_pure,
 )
+from entcost.serialize import dumps_canonical
 
 
 def bell_phi_plus():
@@ -299,7 +301,7 @@ class TestRacedStarts:
             assert 0 <= r.accepted_rotations <= r.line_searches
             assert r.line_searches <= r.cycles * 2 * 6
         assert res.converged
-        assert res.to_json_obj()["starts"] == [
+        assert json.loads(dumps_canonical(res))["starts"] == [
             {"kind": r.kind, "cycles": r.cycles, "line_searches": r.line_searches,
              "accepted_rotations": r.accepted_rotations, "value": r.value,
              "outcome": r.outcome} for r in res.starts]

@@ -216,7 +216,7 @@ def dense_reference(rho, ens, res):
     exact = lambda i, c: pure_power(ens.states[i], c)
     diluted = lambda i, c: dilute_pure_state(
         ens.states[i], c, res.plan.entries[i].singlets)[0]
-    for seq, ps in res.typical.sequences:
+    for seq, ps in res.typical_set.sequences:
         v = _sequence_vector(exact, seq, rho.dims)
         w = _sequence_vector(diluted, seq, rho.dims)
         rho_t += ps * np.outer(v, v.conj())
@@ -276,7 +276,7 @@ def test_factored_fidelities_match_dense_reference_with_more_members_than_dimens
     ens = eof_optimize(rho, rng=RandomSource(5)).ensemble
     assert len(ens) == 9
     res = assert_matches_dense_reference(ens, 3, 0.25)
-    assert len(res.typical.sequences) == 504
+    assert len(res.typical_set.sequences) == 504
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -556,7 +556,7 @@ def test_each_dilution_is_ranked_once(monkeypatch, n):
                    tuple(sample_pure_state((2, 2), RandomSource(139 + j))
                          for j in range(3)))
     res = formation_protocol(ensemble_average(ens), ens, n, 0.5, 0.25)
-    blocks = {(i, seq.count(i)) for seq, _ in res.typical.sequences
+    blocks = {(i, seq.count(i)) for seq, _ in res.typical_set.sequences
               for i in set(seq)}
     exact, analytic = ((calls["dilute_pure_state"], calls["dilution_fidelity"])
                        if n == 4 else
@@ -596,7 +596,7 @@ class TestVerifyFidBounds:
         p_t = 1.0 - res.eps1
         assert p_t < 1.0
         expect = 0.0
-        for seq, ps in res.typical.sequences:
+        for seq, ps in res.typical_set.sequences:
             o = 1.0
             for i in set(seq):
                 target = pure_power(ens.states[i], seq.count(i))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from entcost.qcore import (
     sample_unitary,
     singlet,
 )
+from entcost.serialize import dumps_canonical
 from entcost.verify import run_verification
 
 MIXED = QuantumState((2, 1), np.eye(2) / 2)
@@ -150,7 +153,7 @@ class TestMetricChain:
         assert rep.chain_upper == pytest.approx(
             np.sqrt(1.0 - rep.fidelity ** 2), abs=1e-15)
         assert rep.chain_holds
-        obj = rep.to_json_obj()
+        obj = json.loads(dumps_canonical(rep))
         assert set(obj) == {"fidelity", "bures", "trace", "chain_lower",
                             "chain_upper", "chain_holds"}
 

@@ -3,16 +3,21 @@
 `perfbench/tracing.py` replaces each (module, attribute) in its WRAPPED list
 by a recording wrapper, reading the original with a plain `getattr`.  A name
 renamed or deleted in the package would crash every traced run, so each one
-must still resolve.  This test only reads perfbench.
+must still resolve.  The tracer's observers also read attributes of the
+results they see, which only a traced run exercises, so the harness
+self-test runs here too.  These tests only read perfbench.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _wrapped():
@@ -26,3 +31,10 @@ def _wrapped():
 def test_wrapped_name_resolves(module, attr, span):
     assert hasattr(importlib.import_module(module), attr), (
         f"{module}.{attr} (span {span}) is missing")
+
+
+def test_harness_selftest_passes():
+    done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from entcost.regcost import (
     product_ensemble,
     regularized_sequence,
 )
+from entcost.serialize import dumps_canonical
 
 
 def partially_entangled():
@@ -82,7 +85,7 @@ class TestRegularizedSequence:
     def test_json_carries_the_caveat(self):
         trace = regularized_sequence(singlet().to_state(), 1,
                                      rng=RandomSource(0), restarts=1)
-        obj = trace.to_json_obj()
+        obj = json.loads(dumps_canonical(trace))
         assert obj["caveat"] == LIMIT_CAVEAT
         assert obj["entries"][0]["n"] == 1
 
@@ -139,7 +142,7 @@ class TestCostBracket:
                                       rng=RandomSource(0), restarts=1)
         assert bracket.upper_on_regularized == pytest.approx(1.0, abs=1e-9)
         assert bracket.achievable_rate == pytest.approx(1.0, abs=1e-9)
-        assert bracket.to_json_obj()["caveat"] == LIMIT_CAVEAT
+        assert json.loads(dumps_canonical(bracket))["caveat"] == LIMIT_CAVEAT
 
     def test_upper_never_exceeds_achievable(self):
         rng = RandomSource(23)

@@ -16,12 +16,9 @@ from entcost.qcore import (
 )
 from entcost.serialize import (
     dumps_canonical,
-    ensemble_to_json_obj,
     load_state,
     object_from_json_obj,
-    pure_to_json_obj,
     save_object,
-    state_to_json_obj,
 )
 
 
@@ -56,22 +53,22 @@ class TestRoundTrips:
 
     def test_in_memory_objects_round_trip(self):
         rho = sample_density_matrix((2, 2), 2, RandomSource(3))
-        again = object_from_json_obj(state_to_json_obj(rho))
+        again = object_from_json_obj(json.loads(dumps_canonical(rho)))
         assert np.abs(again.matrix - rho.matrix).max() < 1e-15
         psi = singlet()
         assert np.abs(object_from_json_obj(
-            pure_to_json_obj(psi)).vector - psi.vector).max() < 1e-15
+            json.loads(dumps_canonical(psi))).vector - psi.vector).max() < 1e-15
 
 
 class TestObjectParsing:
     def test_detects_kind_by_fields(self):
         assert isinstance(object_from_json_obj(
-            {"dims": [2, 2], "matrix": state_to_json_obj(
-                singlet().to_state())["matrix"]}), QuantumState)
+            {"dims": [2, 2], "matrix": json.loads(dumps_canonical(
+                singlet().to_state()))["matrix"]}), QuantumState)
         assert isinstance(object_from_json_obj(
-            pure_to_json_obj(singlet())), PureState)
+            json.loads(dumps_canonical(singlet()))), PureState)
         ens = Ensemble(np.array([1.0]), (singlet(),))
-        assert isinstance(object_from_json_obj(ensemble_to_json_obj(ens)),
+        assert isinstance(object_from_json_obj(json.loads(dumps_canonical(ens))),
                           Ensemble)
 
     def test_rejects_malformed_objects(self):
@@ -84,8 +81,8 @@ class TestObjectParsing:
         with pytest.raises(StateValidationError):
             # ensemble states must be pure-state objects, not density matrices
             object_from_json_obj({"weights": [1.0],
-                                  "states": [state_to_json_obj(
-                                      singlet().to_state())]})
+                                  "states": [json.loads(dumps_canonical(
+                                      singlet().to_state()))]})
 
     def test_load_enforces_state_invariants(self, tmp_path):
         path = tmp_path / "bad.json"
