@@ -274,11 +274,13 @@ def build_parser():
     p.add_argument("state", help="state or ensemble JSON file")
     p.add_argument("--ensemble-size", type=_POSITIVE_INT, default=None)
     p.add_argument("--restarts", type=_POSITIVE_INT, default=4,
-                   help="random Haar-isometry starts; a start after the first "
-                        "is stopped once its projected limit cannot beat the "
-                        "best value by --tol")
-    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=1e-6,
-                   help="per-cycle improvement tolerance in ebits")
+                   help="random Haar-isometry starts, each refined to the end; "
+                        "the lowest value wins")
+    p.add_argument("--tol", type=_POSITIVE_FLOAT,
+                   default=DEFAULT_IMPROVEMENT_TOL,
+                   help="per-iteration improvement tolerance in ebits: a start "
+                        "stops after five iterations in a row that each gain "
+                        "less")
     common(p)
     p.set_defaults(func=_cmd_eof)
 
@@ -293,9 +295,8 @@ def build_parser():
     p.add_argument("--n-max", type=_POSITIVE_INT, default=2)
     p.add_argument("--restarts", type=_COUNT, default=2,
                    help="random Haar-isometry starts per n (at least one at "
-                        "n = 1); a start after the first is stopped once its "
-                        "projected limit cannot beat the best value by "
-                        f"{DEFAULT_IMPROVEMENT_TOL:g}")
+                        "n = 1), each refined to the end; the lowest value, "
+                        "warm start included, wins")
     p.add_argument("--ensemble-size", type=_POSITIVE_INT, default=None)
     p.add_argument("--csv", default=None, help="also write (n, rate) CSV here")
     common(p)

@@ -22,9 +22,16 @@ from .qcore import Ensemble, PureState, QuantumState, StateValidationError
 INTERNAL = {"internal": True}
 
 
+def _number(x):
+    # bools are ints to Python, and float() would parse "0.5"
+    if type(x) not in (int, float):
+        raise StateValidationError(f"expected a JSON number, got {x!r}")
+    return float(x)
+
+
 def _pair_to_complex(pair):
     re, im = pair
-    return complex(float(re), float(im))
+    return complex(_number(re), _number(im))
 
 
 def object_from_json_obj(obj):
@@ -35,11 +42,11 @@ def object_from_json_obj(obj):
         states = tuple(object_from_json_obj(s) for s in obj["states"])
         if not all(isinstance(s, PureState) for s in states):
             raise StateValidationError("ensemble states must be pure-state objects")
-        return Ensemble(np.asarray(obj["weights"], dtype=float), states)
+        return Ensemble(np.array([_number(w) for w in obj["weights"]]), states)
     if "dims" not in obj:
         raise StateValidationError("missing 'dims' field")
     dims = tuple(obj["dims"])
-    # bools are ints to Python, and int() would truncate 2.5 or parse "2"
+    # int() would truncate 2.5, parse "2" or read true as 1
     if not all(type(d) is int for d in dims):
         raise StateValidationError(f"'dims' must be JSON integers, got {obj['dims']!r}")
     if "vector" in obj:

@@ -145,7 +145,7 @@ def test_criterion_7_regularization_with_warm_starts():
     for i in range(10):
         rho = sample_density_matrix((2, 2), 1 + i % 4, rng.split())
         trace = regularized_sequence(rho, 2, rng=rng.split(), restarts=1,
-                                     ensemble_size=5, max_cycles=40)
+                                     ensemble_size=5)
         a1, a2 = trace.rate(1), trace.rate(2)
         if a2 > a1 + 1e-9:
             ok = False

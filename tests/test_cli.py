@@ -86,12 +86,10 @@ class TestEofCommand:
         starts = res["starts"]
         assert [s["kind"] for s in starts] == ["random"] * 3
         assert [s["value"] for s in starts] == res["value_history"]
-        assert starts[0]["outcome"] != "abandoned"
-        assert all(s["outcome"] in ("converged", "abandoned", "cycle_cap")
-                   and s["cycles"] >= 1
-                   and 0 <= s["accepted_rotations"] <= s["line_searches"]
+        assert all(s["outcome"] in ("converged", "iteration_cap")
+                   and 1 <= s["iterations"] < s["evaluations"]
                    for s in starts)
-        assert res["converged"] is all(s["outcome"] != "cycle_cap"
+        assert res["converged"] is all(s["outcome"] != "iteration_cap"
                                        for s in starts)
 
     def test_pure_input_reports_no_start(self, singlet_file, tmp_path):
@@ -162,6 +160,15 @@ class TestInputErrors:
             for i in range(4)]}))
         with pytest.raises(StateValidationError, match="dims"):
             load_state(path)
+        assert main(["eof", str(path)]) == EXIT_INPUT
+
+    def test_string_weight_is_an_input_error(self, tmp_path):
+        # float() would read "0.5" as 0.5
+        path = tmp_path / "weights.json"
+        bell = {"dims": [2, 2], "vector": [[0.7071067811865476, 0.0], [0.0, 0.0],
+                                           [0.0, 0.0], [0.7071067811865476, 0.0]]}
+        path.write_text(json.dumps({"weights": ["0.5", "0.5"],
+                                    "states": [bell, bell]}))
         assert main(["eof", str(path)]) == EXIT_INPUT
 
     def test_nan_entry_is_an_input_error(self, tmp_path):

@@ -13,12 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entcost.eof import (
-    _entropy_contrib,
-    _pair_objective,
-    _row_blocks,
+    _inner,
+    _objective,
+    _tangent,
     eof_optimize,
     eof_two_qubit_closed_form,
-    minimize_scalar,
 )
 from entcost.formation import dilute_pure_state, dilution_fidelity
 from entcost.qcore import (
@@ -29,6 +28,7 @@ from entcost.qcore import (
     StateValidationError,
     basis_pure,
     ensemble_average,
+    pure_entanglement,
     pure_power,
     sample_unitary,
 )
@@ -101,62 +101,53 @@ def test_optimizer_ensemble_and_value_on_degenerate_spectra(lam, seed):
 
 
 # ---------------------------------------------------------------------------
-# The Gram-block pair objective
+# The optimizer's objective and its gradient
 # ---------------------------------------------------------------------------
 
-def _rotated_rows_value(wa, wb, phase, theta, dA, dB):
-    c, s = math.cos(theta), math.sin(theta)
-    return float(_entropy_contrib(c * wa + s * phase * wb, dA, dB)
-                 + _entropy_contrib(-s * np.conj(phase) * wa + c * wb, dA, dB))
+OBJECTIVE_DIMS = st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 4)])
 
 
-@PROPERTY
-@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 4)]), seed=SEEDS,
-       phase=st.sampled_from([1.0, 1.0j]),
-       theta=st.floats(-math.pi / 2, math.pi / 2),
-       split=st.floats(0.0, 1.0), product_row=st.booleans())
-def test_pair_objective_matches_rotated_rows(dims, seed, phase, theta, split,
-                                             product_row):
+def _two_rows(dims, seed, split, product_row):
+    """Two subnormalized rows whose weights sum to one, as in the optimizer."""
     dA, dB = dims
     g = np.random.default_rng(seed)
     wa, wb = g.standard_normal((2, dA * dB)) + 1j * g.standard_normal((2, dA * dB))
     if product_row:
-        # an unentangled row: its reduced spectrum has exact zeros
+        # an unentangled row: its Gram matrix has exact zeros
         wa = np.kron(wa[:dA], wb[:dB])
-    # subnormalized rows whose weights sum to one, as in the optimizer
     wa *= math.sqrt(split) / np.linalg.norm(wa)
     wb *= math.sqrt(1.0 - split) / np.linalg.norm(wb)
-    objective = _pair_objective(*_row_blocks(np.stack([wa, wb]), dA, dB), phase)
-    reference = _rotated_rows_value(wa, wb, phase, theta, dA, dB)
-    assert objective(theta) == pytest.approx(reference, abs=1e-12)
-    assert objective(theta + math.pi / 2) == pytest.approx(objective(theta),
-                                                           abs=1e-12)
+    return np.stack([wa, wb]), g
 
-
-# ---------------------------------------------------------------------------
-# The bounded Brent line search
-# ---------------------------------------------------------------------------
 
 @PROPERTY
-@given(seed=SEEDS, lo=st.floats(-5.0, 5.0), width=st.floats(1e-3, 10.0),
-       xatol=st.sampled_from([1e-8, 1e-5, 1e-3]), maxiter=st.integers(1, 60))
-def test_line_search_matches_scipy_on_smooth_functions(seed, lo, width, xatol,
-                                                       maxiter):
-    scipy_optimize = pytest.importorskip("scipy.optimize")
-    # a random trigonometric polynomial plus a quadratic
-    c = np.random.default_rng(seed).standard_normal(8).tolist()
+@given(dims=OBJECTIVE_DIMS, seed=SEEDS, split=st.floats(0.0, 1.0),
+       product_row=st.booleans())
+def test_objective_matches_explicit_rows(dims, seed, split, product_row):
+    B, _ = _two_rows(dims, seed, split, product_row)
+    # the rows W = U B with U = I, an isometry
+    value, _ = _objective(np.eye(2, dtype=complex), B, *dims)
+    reference = sum(float(np.vdot(w, w).real)
+                    * pure_entanglement(PureState(dims, w / np.linalg.norm(w)))
+                    for w in B if np.linalg.norm(w) > 0.0)
+    assert value == pytest.approx(reference, abs=1e-12)
 
-    def func(t):
-        return (c[0] * math.sin(c[1] * t + c[2]) + c[3] * math.cos(3.0 * t)
-                + c[4] * math.sin(c[5] * 5.0 * t) + c[6] * t * t + c[7] * t)
 
-    bounds = (lo, lo + width)
-    res = minimize_scalar(func, bounds, xatol=xatol, maxiter=maxiter)
-    ref = scipy_optimize.minimize_scalar(
-        func, bounds=bounds, method="bounded",
-        options={"xatol": xatol, "maxiter": maxiter})
-    assert res.x == ref.x and res.fun == ref.fun
-    assert bounds[0] <= res.x <= bounds[1]
+@PROPERTY
+@given(dims=OBJECTIVE_DIMS, seed=SEEDS, split=st.floats(0.01, 0.99),
+       product_row=st.booleans())
+def test_objective_gradient_matches_central_difference(dims, seed, split,
+                                                       product_row):
+    # rows of weight at least 0.01, so a step of 1e-5 stays small beside both;
+    # at a product row the central difference cancels the h^2 log h^2 part
+    B, g = _two_rows(dims, seed, split, product_row)
+    U = np.eye(2, dtype=complex)
+    _, grad = _objective(U, B, *dims)
+    X = _tangent(U, g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2)))
+    h = 1e-5
+    central = (_objective(U + h * X, B, *dims)[0]
+               - _objective(U - h * X, B, *dims)[0]) / (2.0 * h)
+    assert _inner(grad, X) == pytest.approx(central, rel=1e-6, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,16 @@ class TestRegularizedSequence:
         assert trace.rate(2) == pytest.approx(h, abs=1e-9)
 
     def test_warm_start_pins_rate_two_below_rate_one(self):
-        rng = RandomSource(5)
-        for i in range(3):
+        # the 26 rank-2 states, CLI seeds and --ensemble-size 3 of the
+        # regularize-n2 benchmark corpus at seed 1, warm start alone at n = 2:
+        # the seed rows pass through W B^+ and a retraction, so A_2 <= A_1
+        # holds up to rounding, within the benchmark's bound of 1e-9
+        rng = RandomSource(1)
+        cli_seeds = rng.split().gen.integers(0, 2 ** 31, size=26).tolist()
+        for i, seed in enumerate(cli_seeds):
             rho = sample_density_matrix((2, 2), 2, rng.split())
-            trace = regularized_sequence(rho, 2, rng=rng.split(), restarts=0,
-                                         ensemble_size=4, max_cycles=40)
+            trace = regularized_sequence(rho, 2, rng=RandomSource(seed),
+                                         restarts=0, ensemble_size=3)
             a1, a2 = trace.rate(1), trace.rate(2)
             assert a2 <= a1 + 1e-9, (i, a1, a2)
             assert abs(a1 - eof_two_qubit_closed_form(rho)) <= 1e-3
@@ -110,7 +115,7 @@ class TestFekete:
         rng = RandomSource(15)
         rho = sample_density_matrix((2, 2), 2, rng.split())
         trace = regularized_sequence(rho, 2, rng=rng.split(), restarts=0,
-                                     ensemble_size=4, max_cycles=40)
+                                     ensemble_size=4)
         rep = fekete_check(trace, c=1.0)
         assert rep.subadditive_within_tol
         assert all(g >= -1e-3 for _, _, g in rep.triples)
@@ -121,16 +126,14 @@ class TestAdditivityProbe:
         rng = RandomSource(19)
         rho = sample_density_matrix((2, 2), 2, rng.split())
         sigma = basis_pure((2, 2), 0, 0).to_state()
-        rep = additivity_probe(rho, sigma, rng=rng.split(), restarts=1,
-                               max_cycles=40)
+        rep = additivity_probe(rho, sigma, rng=rng.split(), restarts=1)
         assert rep.eof_joint <= rep.eof_sum + 1e-9
         assert abs(rep.gap) <= 1e-3
         assert not rep.candidate
 
     def test_singlet_pair_is_additive(self):
         rho = singlet().to_state()
-        rep = additivity_probe(rho, rho, rng=RandomSource(0), restarts=1,
-                               max_cycles=40)
+        rep = additivity_probe(rho, rho, rng=RandomSource(0), restarts=1)
         assert rep.eof_sum == pytest.approx(2.0, abs=1e-9)
         assert rep.eof_joint <= 2.0 + 1e-9
         assert not rep.candidate
@@ -148,6 +151,6 @@ class TestCostBracket:
         rng = RandomSource(23)
         rho = sample_density_matrix((2, 2), 2, rng.split())
         trace, bracket = cost_bracket(rho, 2, rng=rng.split(), restarts=0,
-                                      ensemble_size=4, max_cycles=40)
+                                      ensemble_size=4)
         assert bracket.upper_on_regularized <= bracket.achievable_rate + 1e-12
         assert bracket.upper_on_regularized == min(e.rate for e in trace.entries)

@@ -23,8 +23,7 @@ from entcost.serialize import save_object
 
 ENVELOPE = {"tool_version", "seed", "config", "result"}
 STATE = {"dims", "vector"}
-START = {"kind", "cycles", "line_searches", "accepted_rotations", "value",
-         "outcome"}
+START = {"kind", "iterations", "evaluations", "value", "outcome"}
 FORMATION = {"n", "m", "rate", "mean_entanglement", "slack", "eps1", "eps2",
              "eps3", "bures_bound", "exact_mode", "exact_bures",
              "fid1_fidelity", "fid1_holds", "fid2_fidelity", "fid2_holds",

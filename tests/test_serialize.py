@@ -60,6 +60,10 @@ class TestRoundTrips:
             json.loads(dumps_canonical(psi))).vector - psi.vector).max() < 1e-15
 
 
+_BELL = {"dims": [2, 2], "vector": [[0.7071067811865476, 0.0], [0.0, 0.0],
+                                    [0.0, 0.0], [0.7071067811865476, 0.0]]}
+
+
 class TestObjectParsing:
     def test_detects_kind_by_fields(self):
         assert isinstance(object_from_json_obj(
@@ -83,6 +87,19 @@ class TestObjectParsing:
             object_from_json_obj({"weights": [1.0],
                                   "states": [json.loads(dumps_canonical(
                                       singlet().to_state()))]})
+
+    @pytest.mark.parametrize("obj", [
+        {"weights": ["0.5", "0.5"], "states": [_BELL, _BELL]},
+        {"weights": [True], "states": [_BELL]},
+        {"dims": [2, 2], "vector": [["1", 0], [0, 0], [0, 0], [0, 0]]},
+        {"dims": [2, 2], "vector": [[True, 0], [0, 0], [0, 0], [0, 0]]},
+        {"dims": [1, 1], "matrix": [[["1", "0"]]]},
+    ], ids=["string-weights", "bool-weight", "string-entry", "bool-entry",
+            "string-matrix-entry"])
+    def test_only_json_numbers_are_numbers(self, obj):
+        # float() would read each of these as a number
+        with pytest.raises(StateValidationError, match="JSON number"):
+            object_from_json_obj(obj)
 
     def test_load_enforces_state_invariants(self, tmp_path):
         path = tmp_path / "bad.json"
