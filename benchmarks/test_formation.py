@@ -10,23 +10,47 @@ Layers:
   r^c spectrum array allowed at r = 2) and at 1000, a walk over the 1001
   occupation patterns of a two-qubit power;
 - `dilute_pure_state` at counts 1-5;
-- `typical_set` over k^n = 2^16 sequences (k = 2, n = 16).
+- `typical_set` over k^n = 2^16 sequences (k = 2, n = 16);
+- the exact-mode factor build, `support_factors`: the single-copy basis,
+  the per-composition products and gathers, and the block QR of R_t and
+  R_y (kept-term selection included);
+- each fidelity of the chain from those factors, as `formation_protocol`
+  forms it: fid1 = ||R_t Lam||_1, fid2 = ||R_t R_y^dag||_1, and
+  exact_bures from ||R_y Lam||_1.
 
 The dilution input is one seeded member of the formation-exact corpus, diluted
 at the budget `ceil(count * E)` that `--delta2 0` charges, so the dilution is
-lossy and its cut falls inside the spectrum.
+lossy and its cut falls inside the spectrum.  The factor and fidelity layers
+run on a seeded (0.5, 0.3, 0.2) ensemble at n = 4, as the formation-exact
+corpus does (rank 3, 81 rows, 56 typical sequences), and on the 16-member
+`eof_optimize` ensemble of a full-rank two-qubit state at n = 3 (64 rows,
+3360 typical sequences, so R_t and R_y are QR-compressed).
 """
 
+import functools
 import math
 
+import numpy as np
 import pytest
 
+from entcost.eof import eof_optimize
 from entcost.formation import (
+    _kept_terms,
     dilute_pure_state,
     dilution_fidelity,
+    dilution_plan,
+    support_factors,
     typical_set,
 )
-from entcost.qcore import RandomSource, pure_entanglement, sample_pure_state
+from entcost.metrics import bures_from_fidelity, nuclear_norm
+from entcost.qcore import (
+    Ensemble,
+    RandomSource,
+    ensemble_average,
+    pure_entanglement,
+    sample_density_matrix,
+    sample_pure_state,
+)
 
 PSI = sample_pure_state((2, 2), RandomSource(41).split())
 
@@ -51,3 +75,54 @@ def test_dilute_pure_state(benchmark, count):
 def test_typical_set(benchmark):
     tset = benchmark(typical_set, [0.7, 0.3], 16, 0.5)
     assert 0 < len(tset.sequences) < 2 ** 16
+
+
+def _ensemble(case):
+    if case == "ens3-n4":
+        rng = RandomSource(41)
+        states = tuple(sample_pure_state((2, 2), rng.split()) for _ in range(3))
+        return Ensemble(np.array([0.5, 0.3, 0.2]), states), 4
+    rho = sample_density_matrix((2, 2), 4, RandomSource(11))
+    return eof_optimize(rho, rng=RandomSource(11)).ensemble, 3
+
+
+@functools.cache
+def _protocol_inputs(case):
+    """rho, ensemble, typical set, kept-term selection and unit-trace factors,
+    with delta1 = 0.5 and delta2 = 0.25 as the formation-exact items."""
+    ens, n = _ensemble(case)
+    rho = ensemble_average(ens)
+    tset = typical_set(ens.weights, n, 0.5)
+    plan = dilution_plan(ens, tset, 0.25)
+    kept = lambda i, c: _kept_terms(ens.states[i], c, plan.entries[i].singlets)
+    lam_n, r_t, r_y = support_factors(rho, ens, tset.sequences, kept)
+    scale = 1.0 / np.sqrt(tset.total_weight)
+    return rho, ens, tset, kept, lam_n, r_t * scale, r_y * scale
+
+
+CASES = ["ens3-n4", "sixteen-n3"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_factor_build(benchmark, case):
+    rho, ens, tset, kept, *_ = _protocol_inputs(case)
+    lam_n, r_t, r_y = benchmark(support_factors, rho, ens, tset.sequences, kept)
+    assert r_t.shape[1] == r_y.shape[1] == lam_n.size
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_fid1(benchmark, case):
+    *_, lam_n, r_t, _ = _protocol_inputs(case)
+    assert 0.0 < benchmark(lambda: nuclear_norm(r_t * lam_n)) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_fid2(benchmark, case):
+    *_, r_t, r_y = _protocol_inputs(case)
+    assert 0.0 < benchmark(lambda: nuclear_norm(r_t @ r_y.conj().T)) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_exact_bures(benchmark, case):
+    *_, lam_n, _, r_y = _protocol_inputs(case)
+    assert 0.0 <= benchmark(lambda: bures_from_fidelity(nuclear_norm(r_y * lam_n))) < 2.0

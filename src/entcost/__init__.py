@@ -64,7 +64,6 @@ from .formation import (
     dilution_fidelity,
     dilution_plan,
     formation_protocol,
-    mixture_factor,
     typical_set,
     verify_fid_bounds,
 )

@@ -12,6 +12,7 @@ default seed; an explicit --seed flag wins over both.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -138,7 +139,7 @@ def _emit(text, path):
 def _config(args):
     """The parsed flags a report records: all but those saying where output goes."""
     return {k: v for k, v in vars(args).items()
-            if k not in ("func", "seed", "output", "csv", "format")}
+            if k not in ("seed", "output", "csv", "format")}
 
 
 def _envelope(seed, args, result):
@@ -282,13 +283,11 @@ def build_parser():
                         "stops after five iterations in a row that each gain "
                         "less")
     common(p)
-    p.set_defaults(func=_cmd_eof)
 
     p = sub.add_parser("metrics", help="fidelity, Bures and trace distance report")
     p.add_argument("state_a")
     p.add_argument("state_b")
     common(p)
-    p.set_defaults(func=_cmd_metrics)
 
     p = sub.add_parser("regularize", help="finite-n regularization trace")
     p.add_argument("state")
@@ -300,7 +299,6 @@ def build_parser():
     p.add_argument("--ensemble-size", type=_POSITIVE_INT, default=None)
     p.add_argument("--csv", default=None, help="also write (n, rate) CSV here")
     common(p)
-    p.set_defaults(func=_cmd_regularize)
 
     p = sub.add_parser("formation", help="simulate the typical-set formation protocol")
     p.add_argument("state", help="state or ensemble JSON file")
@@ -312,7 +310,6 @@ def build_parser():
                    help="optimizer restarts when only a density matrix is given")
     p.add_argument("--csv", default=None, help="also write a sweep over n here")
     common(p)
-    p.set_defaults(func=_cmd_formation)
 
     p = sub.add_parser("verify", help="run the property fuzzing suite")
     p.add_argument("--pairs", type=_COUNT, default=1000,
@@ -324,7 +321,6 @@ def build_parser():
     p.add_argument("--quadruples", type=_COUNT, default=100,
                    help="multiplicativity tensor quadruples")
     common(p)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("demo-divergence",
                        help="tensor-power Bures divergence of a fixed per-copy fidelity")
@@ -332,16 +328,23 @@ def build_parser():
     p.add_argument("--k-max", type=_POSITIVE_INT, default=200)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     common(p)
-    p.set_defaults(func=_cmd_demo_divergence)
 
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first `main` call and kept for the process:
+    building it costs milliseconds, mostly argparse's message lookups."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a handler replaced at run time is the one run
+    handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

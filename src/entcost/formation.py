@@ -10,9 +10,15 @@ At desk scale everything is computed exactly, so the fidelity chain
     F(rho_T, rho'_T)  >= (1 - eps2)^k = 1 - eps3
     D(rho^(x)n, rho'_T) <= 2 sqrt(1 - sqrt(1 - eps1)) + 2 sqrt(eps3)
 
-is verifiable number by number rather than asymptotically.  Every mixture is
-held as a factor whose columns are sqrt(p_s) v_s, and every fidelity is the
-nuclear norm of B^dag A for two such factors, so no d^n x d^n matrix is built.
+is verifiable number by number rather than asymptotically.  Exact mode works
+in support coordinates: a single-copy basis E (r columns) spans supp(rho) and
+the members, and every mixture is held on span(E)^(x)n, r^n rows in place of
+(dA dB)^n.  There rho^(x)n has the diagonal factor sqrt(lam)^(x)n, and rho_T
+and rho'_T have triangular factors R_t, R_y of the columns sqrt(p_s) v_s, each
+v_s gathered from a product built once per composition of s.  Every fidelity
+is the nuclear norm of a product of two factors, so neither a d^n x d^n
+matrix nor a T x T one for T > r^n typical sequences is built.  The
+fidelities agree with dense matrices to 1e-12 (tests/test_formation.py).
 """
 
 from __future__ import annotations
@@ -25,18 +31,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import bures_from_fidelity, fidelity_factors
+from .metrics import bures_from_fidelity, nuclear_norm
 from .qcore import (
     DIMENSION_CAP,
+    RANK_TOL,
     Ensemble,
     PureState,
     QuantumState,
     StateValidationError,
     ensemble_average,
     pure_entanglement,
-    pure_power,
-    purify,
-    tensor_pure,
 )
 from .serialize import INTERNAL
 
@@ -46,8 +50,9 @@ SPECTRUM_CAP = 1 << 22         # occupation patterns x count per dilution walk
 WINDOW_KINDS = ("paper", "plain")
 
 # perfbench/tracing.py wraps these names when a traced run starts; nothing
-# calls them, and they go when its wrap list drops them (ROADMAP direction 5).
+# calls them, and they go when its wrap list drops them (ROADMAP direction 1).
 truncated_state = fidelity_matrices = tensor_power = None
+tensor_pure = pure_power = None
 
 
 # ---------------------------------------------------------------------------
@@ -135,52 +140,92 @@ def typical_set(p, n, delta1, window="paper") -> TypicalSet:
                       tuple(sequences), float(total), entropy, bounds, windows)
 
 
-def mixture_factor(states, sequences, block=None):
-    """Factor of sum_s w_s |v_s><v_s|: one column sqrt(w_s) v_s per sequence.
+# ---------------------------------------------------------------------------
+# Support coordinates
+# ---------------------------------------------------------------------------
 
-    `sequences` holds (s, w_s) pairs, s a sequence of member indices.  The
-    vector v_s is the product over members i of block(i, c_i), the c_i-copy
-    block of member i, with its copies placed on the positions where i occurs
-    in s; v_s lives on (dA^n, dB^n) with copies in sequence order.  The default
-    block is the undiluted power psi_i^(x)c_i.  Each block and each product of
-    blocks is built once per composition (c_0, ..., c_{k-1}).
+SUPPORT_TOL = 1e-13    # largest member part left outside the single-copy basis
 
-    With more sequences than the dimension d = (dA dB)^n, the rows are
-    compressed by QR as they come in (rows = Q R gives the same mixture from
-    R), so the factor has at most d columns and memory stays O(d^2).
+
+def support_basis(rho: QuantumState, states):
+    """Single-copy basis E (d x r, orthonormal columns) and sqrt(lam) in it.
+
+    E spans supp(rho), the eigenvectors whose eigenvalues exceed RANK_TOL,
+    and, with sqrt(lam) = 0, the directions of the members' part outside it
+    whose singular values exceed SUPPORT_TOL.  So rho^(x)n = F F^dag for
+    F = E^(x)n Lam with Lam = sqrt(lam)^(x)n, and every member leaves at most
+    SUPPORT_TOL of its norm outside span(E).
     """
-    block = functools.cache(block or (lambda i, c: pure_power(states[i], c)))
-    dA, dB = states[0].dims
-    n = len(sequences[0][0])
-    d = (dA * dB) ** n
-    if d > DIMENSION_CAP:
-        raise ValueError(f"total dimension {d} exceeds the cap {DIMENSION_CAP}")
-    products = {}
-    rows = np.empty((min(len(sequences), 2 * d), d), dtype=complex)
-    filled = 0
-    for seq, w in sequences:
-        if filled == len(rows):
-            rows[:d] = np.linalg.qr(rows, mode="r")
-            filled = d
-        counts = tuple(seq.count(i) for i in range(len(states)))
-        if sum(counts) != n:
-            raise StateValidationError(
-                "sequence indexes a member the ensemble does not have")
-        if counts not in products:
-            vec = None
-            for i, c in enumerate(counts):
-                if c:
-                    vec = block(i, c) if vec is None else tensor_pure(vec, block(i, c))
-            products[counts] = vec.vector.reshape((dA,) * n + (dB,) * n)
-        # the product holds member 0's copies first, then member 1's, ...
-        order = sorted(range(n), key=lambda pos: seq[pos])
-        inv = [int(j) for j in np.argsort(order)]
-        rows[filled] = np.sqrt(w) * products[counts].transpose(
-            inv + [n + j for j in inv]).reshape(-1)
-        filled += 1
-    if filled > d:
-        return np.linalg.qr(rows[:filled], mode="r").T
-    return rows.T
+    evals, evecs = np.linalg.eigh(rho.matrix)
+    inside = evals > RANK_TOL
+    lam = evals[inside] / evals[inside].sum()
+    null = evecs[:, ~inside]
+    members = np.stack([psi.vector for psi in states], axis=1)
+    u, s, _ = np.linalg.svd(null.conj().T @ members, full_matrices=False)
+    extra = null @ u[:, s > SUPPORT_TOL]
+    return (np.hstack([evecs[:, inside], extra]),
+            np.concatenate([np.sqrt(lam), np.zeros(extra.shape[1])]))
+
+
+class _RowStack:
+    """Rows whose R factor is wanted, compressed by QR (rows = Q R gives the
+    same R^T conj(R) from R) whenever they fill twice the row width, so the
+    buffer never holds more than 2 width^2 entries."""
+
+    def __init__(self, total, width):
+        self.rows = np.empty((min(total, 2 * width), width), dtype=complex)
+        self.width, self.filled = width, 0
+
+    def add(self, block):
+        while len(block):
+            if self.filled == len(self.rows):
+                self.rows[:self.width] = np.linalg.qr(self.rows, mode="r")
+                self.filled = self.width
+            take = block[:len(self.rows) - self.filled]
+            self.rows[self.filled:self.filled + len(take)] = take
+            self.filled += len(take)
+            block = block[len(take):]
+
+    def r(self):
+        rows = self.rows[:self.filled]
+        return np.linalg.qr(rows, mode="r") if self.filled > self.width else rows
+
+
+def composition_factor(block, k, dim, sequences):
+    """R with R^T conj(R) = sum_s w_s |v_s><v_s|, at most dim^n rows.
+
+    `sequences` holds (s, w_s) pairs, s a length-n sequence of indices into
+    k members.  The vector v_s, on dim coordinates per copy, is the product
+    over members i of block(i, c_i), the c_i-copy block of member i (a vector
+    of length dim^c_i), with its copies placed on the positions where i
+    occurs in s.  The product is built once per composition (c_0, ...,
+    c_{k-1}); each sequence's v_s is gathered from it by permuting digits.
+    """
+    block = functools.cache(block)
+    seqs = np.array([s for s, _ in sequences])
+    roots = np.sqrt([w for _, w in sequences])
+    if seqs.min() < 0 or seqs.max() >= k:
+        raise StateValidationError(
+            "sequence indexes a member the ensemble does not have")
+    n = seqs.shape[1]
+    # a product holds member 0's copies first, then member 1's, ...: its
+    # slot m is copy order[m] of s, so copy j of s is its slot inv[j], and
+    # the sorted sequence names the composition
+    order = np.argsort(seqs, axis=1, kind="stable")
+    inv = np.argsort(order, axis=1)
+    comps, group = np.unique(np.take_along_axis(seqs, order, axis=1), axis=0,
+                             return_inverse=True)
+    group = group.ravel()
+    strides = dim ** np.arange(n - 1, -1, -1)
+    digits = np.indices((dim,) * n).reshape(n, -1)
+    stack = _RowStack(len(seqs), dim ** n)
+    ends = np.cumsum(np.bincount(group))[:-1]
+    for comp, members in zip(comps.tolist(),
+                             np.split(np.argsort(group, kind="stable"), ends)):
+        product = functools.reduce(np.kron, [block(i, comp.count(i))
+                                             for i in sorted(set(comp))])
+        stack.add(product[strides[inv[members]] @ digits] * roots[members, None])
+    return stack.r()
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +286,16 @@ def dilution_fidelity(psi: PureState, count: int, singlet_budget: int) -> float:
     return _truncation(_ranked_patterns(_schmidt(psi)[1], count), singlet_budget)[1]
 
 
-def dilute_pure_state(psi: PureState, count: int, singlet_budget: int):
-    """Schmidt-truncated approximation of psi^(x)count on (dA^count, dB^count),
-    with its fidelity (its overlap with psi^(x)count).
+def _kept_terms(psi: PureState, count: int, singlet_budget: int):
+    """The Schmidt terms of psi^(x)count that `singlet_budget` singlets keep.
 
-    Each term of psi^(x)count is a Kronecker product of psi's own Schmidt
-    vectors, one per index tuple, weighed by its occupation pattern (the
-    sorted tuple): permuted tuples tie exactly, and ties keep index order.
-    Weights, keep count and fidelity come from `dilution_fidelity`'s walk.
+    Returns (u, vh, terms, amplitudes, fidelity): psi's Schmidt vectors, one
+    row of Schmidt indices per kept term, the kept terms' amplitudes scaled
+    to unit norm, and the fidelity.  Each term is weighed by its occupation
+    pattern (the sorted tuple), so permuted tuples tie exactly; a stable
+    sort keeps ties in index order.  Keep count and fidelity come from
+    `dilution_fidelity`'s walk.
     """
-    if psi.dim ** count > DIMENSION_CAP:
-        raise ValueError("total dimension exceeds the cap")
     u, mu, vh = _schmidt(psi)
     ranked = _ranked_patterns(mu, count)
     keep, fidelity = _truncation(ranked, singlet_budget)
@@ -259,12 +303,63 @@ def dilute_pure_state(psi: PureState, count: int, singlet_budget: int):
     terms = list(itertools.product(range(mu.size), repeat=count))
     w = np.array([weight[tuple(sorted(t))] for t in terms])
     kept = np.argsort(-w, kind="stable")[:keep]
-    left, right = np.sqrt(w[kept])[None, :], np.ones((keep, 1))
-    for j in np.array(terms)[kept].T:      # copy by copy, in Kronecker order
-        left = (left[:, None, :] * u[:, j]).reshape(-1, keep)
-        right = (right[:, :, None] * vh[j][:, None, :]).reshape(keep, -1)
+    amplitudes = np.sqrt(w[kept])
+    amplitudes /= np.linalg.norm(amplitudes)
+    return u, vh, np.array(terms)[kept], amplitudes, fidelity
+
+
+def _kron_columns(x, terms, amplitudes):
+    """One column amplitude_t (x)_m x[:, t_m] per row t of `terms`, the
+    copies in Kronecker order."""
+    cols = amplitudes[None, :]
+    for j in terms.T:
+        cols = (cols[:, None, :] * x[:, j]).reshape(-1, len(amplitudes))
+    return cols
+
+
+def dilute_pure_state(psi: PureState, count: int, singlet_budget: int):
+    """Schmidt-truncated approximation of psi^(x)count on (dA^count, dB^count),
+    with its fidelity (its overlap with psi^(x)count).
+
+    Each kept term of `_kept_terms` is a Kronecker product of psi's own
+    Schmidt vectors, u's on the A side and vh's on the B side.
+    """
+    if psi.dim ** count > DIMENSION_CAP:
+        raise ValueError("total dimension exceeds the cap")
+    u, vh, terms, amplitudes, fidelity = _kept_terms(psi, count, singlet_budget)
+    left = _kron_columns(u, terms, amplitudes)
+    right = _kron_columns(vh.T, terms, np.ones(len(terms))).T
     vec = (left @ right).reshape(-1)
-    return PureState((left.shape[0], right.shape[1]), vec / np.linalg.norm(vec)), fidelity
+    return PureState((left.shape[0], right.shape[1]), vec), fidelity
+
+
+def support_factors(rho: QuantumState, ensemble: Ensemble, sequences, kept):
+    """(lam_n, R_t, R_y): the factors of rho^(x)n, rho_T and rho'_T in
+    coordinates of span(E)^(x)n, E from `support_basis`.
+
+    rho^(x)n is diag(lam_n)^2, lam_n = sqrt(lam)^(x)n.  R_t and R_y are the
+    `composition_factor`s of the (s, p_s) `sequences` with undiluted blocks
+    (E^dag psi_i)^(x)c and diluted blocks sum_t a_t (x)_m E^dag (u_{t_m} (x)
+    vh_{t_m}) from kept(i, c), a `_kept_terms` result.  Every fidelity of
+    the protocol pairs rho'_T or a factor in span(E)^(x)n with a factor in
+    span(E)^(x)n, so the coordinates lose nothing but the members' parts
+    outside span(E): at most sqrt(n) SUPPORT_TOL on fid2, none on the others.
+    """
+    basis, sqrt_lam = support_basis(rho, ensemble.states)
+    dim, to_basis = basis.shape[1], basis.conj().T
+    coords = to_basis @ np.stack([psi.vector for psi in ensemble.states], axis=1)
+
+    def diluted(i, count):
+        u, vh, terms, amplitudes, _ = kept(i, count)
+        # column j: the coordinates of u_j (x) vh_j
+        pairs = to_basis @ (u[:, None, :] * vh.T[None]).reshape(rho.dim, -1)
+        return _kron_columns(pairs, terms, amplitudes).sum(axis=1)
+
+    k, n = len(ensemble), len(sequences[0][0])
+    r_t = composition_factor(lambda i, count: functools.reduce(
+        np.kron, [coords[:, i]] * count), k, dim, sequences)
+    r_y = composition_factor(diluted, k, dim, sequences)
+    return functools.reduce(np.kron, [sqrt_lam] * n), r_t, r_y
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +427,8 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
 
     Exact fidelities (and therefore the exact Bures distance and the bounds
     fid1/fid2) are computed whenever (dA dB)^n <= DIMENSION_CAP, from
-    factors of rho^(x)n, rho_T and rho'_T; above the cap only the analytic
-    bounds from p_T and the dilution fidelities are emitted.
+    `support_factors` of rho^(x)n, rho_T and rho'_T; above the cap only the
+    analytic bounds from p_T and the dilution fidelities are emitted.
 
     exact_bures and the 2 sqrt(eps3) term of bures_bound share the rounding
     floor of `bures_from_fidelity`; a lossless dilution gives eps2 = eps3 = 0
@@ -349,23 +444,24 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     eps1 = max(0.0, 1.0 - tset.total_weight)
     p_t = 1.0 - eps1
 
-    # per-block (diluted block, fidelity), shared across sequences of the
-    # same type; exact mode ranks each block once for both, and analytic
-    # mode needs only the fidelity
+    # per-block dilution, shared across sequences of the same type; exact
+    # mode selects each block's kept terms once, for its fidelity and for
+    # rho'_T, and analytic mode needs only the fidelity
     exact = rho.dim ** n <= DIMENSION_CAP
     if exact:
-        dilute = functools.cache(lambda i, count: dilute_pure_state(
+        kept = functools.cache(lambda i, count: _kept_terms(
             ensemble.states[i], count, plan.entries[i].singlets))
+        fidelity = lambda i, count: kept(i, count)[-1]
     else:
-        dilute = functools.cache(lambda i, count: (None, dilution_fidelity(
-            ensemble.states[i], count, plan.entries[i].singlets)))
+        fidelity = functools.cache(lambda i, count: dilution_fidelity(
+            ensemble.states[i], count, plan.entries[i].singlets))
 
     eps2 = 0.0
     overlap_aggregate = 0.0
     for seq, ps in tset.sequences:
         o = 1.0
         for i in sorted(set(seq)):
-            f = dilute(i, seq.count(i))[1]
+            f = fidelity(i, seq.count(i))
             eps2 = max(eps2, 1.0 - f)
             o *= f
         overlap_aggregate += ps / p_t * o
@@ -381,20 +477,12 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     exact_bures = fid1 = fid2 = None
     fid1_holds = fid2_holds = None
     if exact:
-        # rho^(x)n is the reduced state of purify(rho)^(x)n, whose slots
-        # (A1 B1 A2 B2 ... An Bn, R1 ... Rn) regroup to (A1 ... An B1 ... Bn)
-        # by rows; rho_T and rho'_T at unit trace from the typical sequences,
-        # undiluted and diluted
-        dA, dB = rho.dims
-        f_n = pure_power(purify(rho), n).vector.reshape((dA, dB) * n + (-1,))
-        f_n = f_n.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2), 2 * n])
-        f_n = f_n.reshape(rho.dim ** n, -1)
-        unit = [(seq, ps / p_t) for seq, ps in tset.sequences]
-        f_t = mixture_factor(ensemble.states, unit)
-        f_approx = mixture_factor(ensemble.states, unit, lambda i, c: dilute(i, c)[0])
-        fid1 = fidelity_factors(f_n, f_t)
-        fid2 = fidelity_factors(f_t, f_approx)
-        exact_bures = bures_from_fidelity(fidelity_factors(f_n, f_approx))
+        # unit trace: 1 / sqrt(p_T) scales the factors of the weights p_s
+        lam_n, r_t, r_y = support_factors(rho, ensemble, tset.sequences, kept)
+        r_t, r_y = r_t / np.sqrt(p_t), r_y / np.sqrt(p_t)
+        fid1 = nuclear_norm(r_t * lam_n)
+        fid2 = nuclear_norm(r_t @ r_y.conj().T)
+        exact_bures = bures_from_fidelity(nuclear_norm(r_y * lam_n))
         fid1_holds = bool(fid1 >= np.sqrt(p_t) - 1e-9)
         fid2_holds = bool(fid2 >= (1.0 - eps3) - 1e-9)
 

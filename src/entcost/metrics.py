@@ -42,6 +42,11 @@ def sqrtm_psd(matrix) -> np.ndarray:
     return (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
 
 
+def nuclear_norm(m) -> float:
+    """Sum of the singular values of m."""
+    return float(np.linalg.svd(m, compute_uv=False).sum())
+
+
 def fidelity_factors(fa, fb) -> float:
     """Uhlmann fidelity of a = A A^dag and b = B B^dag from the factors alone.
 
@@ -49,7 +54,7 @@ def fidelity_factors(fa, fb) -> float:
     sqrt(a) b sqrt(a), so the fidelity is the nuclear norm of B^dag A.  Any
     factorization works: the columns need not be orthogonal or independent.
     """
-    return float(np.linalg.svd(fb.conj().T @ fa, compute_uv=False).sum())
+    return nuclear_norm(fb.conj().T @ fa)
 
 
 def fidelity_matrices(a, b) -> float:

@@ -488,6 +488,43 @@ class TestNumericFlags:
         assert main(["eof", singlet_file]) == EXIT_INTERNAL
 
 
+def test_one_parser_serves_many_calls(singlet_file, mixed_file, tmp_path,
+                                      capsys):
+    # main builds its parser on the first call and keeps it; each call must
+    # report and exit as it does through a freshly built parser
+    ens_file = tmp_path / "ens.json"
+    save_object(ens_file, Ensemble(np.array([0.5, 0.5]),
+                                   (singlet(), basis_pure((2, 2), 0, 0))))
+    calls = [
+        ["eof", singlet_file, "--seed", "5"],
+        ["eof", singlet_file],
+        ["metrics", singlet_file, mixed_file],
+        ["formation", str(ens_file), "--n", "2", "--window", "plain"],
+        ["formation", str(ens_file), "--n", "0"],
+        ["demo-divergence", "--k-max", "3", "--format", "json", "--seed", "2"],
+        ["demo-divergence", "--k-max", "3"],
+        ["eof", singlet_file, "--restarts", "2", "--seed", "1"],
+    ]
+
+    def run(argv, out):
+        try:
+            code = main(argv + ["--output", str(out)])
+        except SystemExit as exc:       # argparse exits on usage errors
+            code = exc.code
+        return code, out.read_bytes() if out.exists() else None
+
+    kept = [run(argv, tmp_path / f"kept-{j}") for j, argv in enumerate(calls)]
+    fresh = []
+    for j, argv in enumerate(calls):
+        cli._parser.cache_clear()
+        fresh.append(run(argv, tmp_path / f"fresh-{j}"))
+    assert kept == fresh
+    assert [code for code, _ in kept] == [0, 0, 0, 0, EXIT_INPUT, 0, 0, 0]
+    assert json.loads(kept[0][1])["seed"] == 5
+    assert json.loads(kept[1][1])["seed"] == 0
+    assert json.loads(kept[3][1])["config"]["window"] == "plain"
+
+
 def test_violation_exit_code_is_distinct():
     assert {EXIT_OK, EXIT_VIOLATION, EXIT_INPUT, EXIT_INTERNAL} == {0, 1, 2, 3}
 

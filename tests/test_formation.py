@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -8,12 +9,14 @@ import pytest
 import entcost.formation
 from entcost.eof import eof_optimize
 from entcost.formation import (
+    SUPPORT_TOL,
     _ranked_patterns,
+    composition_factor,
     dilute_pure_state,
     dilution_fidelity,
     dilution_plan,
     formation_protocol,
-    mixture_factor,
+    support_basis,
     typical_count_windows,
     typical_set,
     verify_fid_bounds,
@@ -138,50 +141,75 @@ class TestTypicalSet:
             typical_set([0.1] * 10, 8, 0.5)   # 10^8 sequences, over the cap
 
 
+def undiluted_blocks(ens, basis):
+    """block(i, c) = (E^dag psi_i)^(x)c, as formation_protocol builds rho_T."""
+    coords = basis.conj().T @ np.stack([psi.vector for psi in ens.states], axis=1)
+    return lambda i, c: functools.reduce(np.kron, [coords[:, i]] * c)
+
+
 class TestTruncatedState:
-    """rho_T, built as a factor by mixture_factor."""
+    """rho_T, built as an R factor in support coordinates by composition_factor."""
 
     def test_full_window_reproduces_tensor_power(self):
+        # in coordinates of span(E)^(x)n, rho^(x)n is diag(lam)^(x)n
         ens = half_half_ensemble()
         rho = ensemble_average(ens)
         tset = typical_set(ens.weights, 3, 2.0)
         assert tset.total_weight == pytest.approx(1.0, abs=1e-12)
-        f = mixture_factor(ens.states, tset.sequences)
-        expect = tensor_power(rho, 3).matrix
-        assert np.abs(f @ f.conj().T - expect).max() < 1e-12
+        basis, sqrt_lam = support_basis(rho, ens.states)
+        assert basis.shape == (4, 2)
+        assert np.abs((basis * sqrt_lam ** 2) @ basis.conj().T
+                      - rho.matrix).max() < 1e-12
+        r = composition_factor(undiluted_blocks(ens, basis), 2, 2, tset.sequences)
+        lam_n = functools.reduce(np.kron, [sqrt_lam ** 2] * 3)
+        assert np.abs(r.T @ r.conj() - np.diag(lam_n)).max() < 1e-12
+        # back on (A1 B1 A2 B2 A3 B3), regrouped as tensor_power's (A1 A2 A3 B1 B2 B3)
+        full = functools.reduce(np.kron, [basis] * 3) @ r.T
+        mix = (full @ full.conj().T).reshape((2,) * 12)
+        mix = mix.transpose(0, 2, 4, 1, 3, 5, 6, 8, 10, 7, 9, 11).reshape(64, 64)
+        assert np.abs(mix - tensor_power(rho, 3).matrix).max() < 1e-12
 
     def test_subnormalized_trace_is_total_weight(self):
         ens = half_half_ensemble()
         tset = typical_set(ens.weights, 4, 0.5)
-        f = mixture_factor(ens.states, tset.sequences)
-        assert f.shape == (256, len(tset.sequences))
-        assert (np.abs(f) ** 2).sum() == pytest.approx(tset.total_weight,
+        basis, _ = support_basis(ensemble_average(ens), ens.states)
+        r = composition_factor(undiluted_blocks(ens, basis), 2, 2, tset.sequences)
+        assert r.shape == (len(tset.sequences), 16)
+        assert (np.abs(r) ** 2).sum() == pytest.approx(tset.total_weight,
                                                        abs=1e-12)
 
     def test_singleton_set_gives_pure_power(self):
+        # identity coordinates hold the copies as (A1 B1 A2 B2 A3 B3);
+        # pure_power regroups them to (A1 A2 A3 B1 B2 B3)
         psi = schmidt_state(0.9)
-        f = mixture_factor((psi,), [((0, 0, 0), 1.0)])
-        expect = pure_power(psi, 3).density_matrix()
-        assert np.abs(f @ f.conj().T - expect).max() < 1e-12
+        ens = Ensemble(np.array([1.0]), (psi,))
+        r = composition_factor(undiluted_blocks(ens, np.eye(4)), 1, 4,
+                               [((0, 0, 0), 1.0)])
+        assert r.shape == (1, 64)
+        regrouped = r[0].reshape((2, 2) * 3).transpose(0, 2, 4, 1, 3, 5)
+        assert np.abs(regrouped.reshape(-1) - pure_power(psi, 3).vector).max() < 1e-15
 
     def test_more_sequences_than_dimension_give_a_square_factor(self):
-        # nine members on 2x2: 81 sequences at n = 2, against dimension 16
+        # nine members on 2x2: 81 sequences at n = 2, against r^n = 16 rows,
+        # compressed by QR three times over
         rng = RandomSource(3)
         ens = Ensemble(np.full(9, 1 / 9),
                        tuple(sample_pure_state((2, 2), rng.split())
                              for _ in range(9)))
         tset = typical_set(ens.weights, 2, 2.0, "plain")
         assert len(tset.sequences) == 81
-        f = mixture_factor(ens.states, tset.sequences)
-        assert f.shape == (16, 16)
-        expect = tensor_power(ensemble_average(ens), 2).matrix
-        assert np.abs(f @ f.conj().T - expect).max() < 1e-12
+        basis, sqrt_lam = support_basis(ensemble_average(ens), ens.states)
+        r = composition_factor(undiluted_blocks(ens, basis), 9, 4, tset.sequences)
+        assert r.shape == (16, 16)
+        lam_n = np.kron(sqrt_lam ** 2, sqrt_lam ** 2)
+        assert np.abs(r.T @ r.conj() - np.diag(lam_n)).max() < 1e-12
 
     def test_mismatched_ensemble_rejected(self):
         ens = half_half_ensemble()
         tset = typical_set([0.5, 0.3, 0.2], 3, 0.5)
         with pytest.raises(StateValidationError):
-            mixture_factor(ens.states, tset.sequences)
+            composition_factor(undiluted_blocks(ens, np.eye(4)), 2, 4,
+                               tset.sequences)
 
 
 def _sequence_vector(blocks, seq, dims):
@@ -277,6 +305,37 @@ def test_factored_fidelities_match_dense_reference_with_more_members_than_dimens
     assert len(ens) == 9
     res = assert_matches_dense_reference(ens, 3, 0.25)
     assert len(res.typical_set.sequences) == 504
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_factored_fidelities_match_dense_reference_when_members_leave_the_support(n):
+    # the ensemble realizes rho only to about 1e-8: one member has a part of
+    # norm 5e-8 outside supp(rho), while the diluted blocks lie mostly
+    # outside it.  The single-copy basis takes that direction in, so each
+    # member leaves at most SUPPORT_TOL outside it; projecting onto
+    # supp(rho)^(x)n alone would move fid2 by about 1e-8
+    rng = RandomSource(23)
+    states = [sample_pure_state((2, 2), rng.split()) for _ in range(2)]
+    ens = Ensemble(np.array([0.5, 0.5]), tuple(states))
+    rho = ensemble_average(ens)
+    q, _ = np.linalg.qr(np.stack([psi.vector for psi in states]
+                                 + [sample_pure_state((2, 2), rng.split()).vector],
+                                 axis=1))
+    v = states[0].vector + 5e-8 * q[:, 2]
+    ens = Ensemble(ens.weights, (PureState((2, 2), v / np.linalg.norm(v)), states[1]))
+    assert 1e-9 < np.abs(ensemble_average(ens).matrix - rho.matrix).max() < 1e-7
+    basis, sqrt_lam = support_basis(rho, ens.states)
+    assert basis.shape[1] == 3 and sqrt_lam[2] == 0.0
+    for psi in ens.states:
+        outside = psi.vector - basis @ (basis.conj().T @ psi.vector)
+        assert np.linalg.norm(outside) <= SUPPORT_TOL
+    res = formation_protocol(rho, ens, n, 0.5, 0.0)
+    assert res.exact_mode and res.eps2 > 0.0
+    fid1, _, fid2, fid_bures = dense_reference(rho, ens, res)
+    assert res.fid1_fidelity == pytest.approx(fid1, abs=1e-12)
+    assert res.fid2_fidelity == pytest.approx(fid2, abs=1e-12)
+    assert 1.0 - (res.exact_bures / 2.0) ** 2 == pytest.approx(fid_bures,
+                                                               abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -543,10 +602,10 @@ class TestFormationProtocol:
 
 @pytest.mark.parametrize("n", [4, 7])
 def test_each_dilution_is_ranked_once(monkeypatch, n):
-    # exact mode (n = 4) takes eps2 and the rho'_T blocks from one
-    # dilute_pure_state call per (member, count); analytic mode (n = 7)
-    # builds no block and ranks each (member, count) once for its fidelity
-    calls = {"dilute_pure_state": [], "dilution_fidelity": []}
+    # exact mode (n = 4) takes eps2 and the rho'_T blocks from one kept-term
+    # selection per (member, count); analytic mode (n = 7) builds no block
+    # and ranks each (member, count) once for its fidelity
+    calls = {"_kept_terms": [], "dilution_fidelity": []}
     for name, seen in calls.items():
         original = getattr(entcost.formation, name)
         monkeypatch.setattr(entcost.formation, name,
@@ -558,9 +617,9 @@ def test_each_dilution_is_ranked_once(monkeypatch, n):
     res = formation_protocol(ensemble_average(ens), ens, n, 0.5, 0.25)
     blocks = {(i, seq.count(i)) for seq, _ in res.typical_set.sequences
               for i in set(seq)}
-    exact, analytic = ((calls["dilute_pure_state"], calls["dilution_fidelity"])
+    exact, analytic = ((calls["_kept_terms"], calls["dilution_fidelity"])
                        if n == 4 else
-                       (calls["dilution_fidelity"], calls["dilute_pure_state"]))
+                       (calls["dilution_fidelity"], calls["_kept_terms"]))
     assert res.exact_mode is (n == 4)
     assert len(exact) == len(blocks) and not analytic
     members = {id(psi): i for i, psi in enumerate(ens.states)}
