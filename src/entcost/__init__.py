@@ -65,7 +65,6 @@ from .formation import (
     dilution_plan,
     formation_protocol,
     typical_set,
-    verify_fid_bounds,
 )
 from .serialize import load_state, save_object
 from .verify import run_verification

@@ -228,7 +228,7 @@ def _cmd_formation(args):
                 for r in runs + [res]]
         _emit(_csv(rows, ("n", "m", "rate", "eps1", "eps3", "bures_bound",
                           "exact_bures")), args.csv)
-    ok = res.fid1_holds is not False and res.fid2_holds is not False
+    ok = False not in (res.fid1_holds, res.fid2_holds, res.triangle_holds)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 

@@ -10,7 +10,8 @@ At desk scale everything is computed exactly, so the fidelity chain
     F(rho_T, rho'_T)  >= (1 - eps2)^k = 1 - eps3
     D(rho^(x)n, rho'_T) <= 2 sqrt(1 - sqrt(1 - eps1)) + 2 sqrt(eps3)
 
-is verifiable number by number rather than asymptotically.  Exact mode works
+is verifiable number by number rather than asymptotically, and
+`formation_protocol` judges each of the three links once.  Exact mode works
 in support coordinates: a single-copy basis E (r columns) spans supp(rho) and
 the members, and every mixture is held on span(E)^(x)n, r^n rows in place of
 (dA dB)^n.  There rho^(x)n has the diagonal factor sqrt(lam)^(x)n, and rho_T
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .metrics import bures_from_fidelity, nuclear_norm
+from .metrics import BURES_TOL, bures_from_fidelity, nuclear_norm
 from .qcore import (
     DIMENSION_CAP,
     RANK_TOL,
@@ -414,10 +415,9 @@ class FormationResult:
     fid1_holds: bool | None
     fid2_fidelity: float | None          # F(rho_T, rho'_T), both unit-trace
     fid2_holds: bool | None
+    triangle_holds: bool | None          # exact_bures <= D(fid1) + D(fid2)
     plan: DilutionPlan
     typical_set: TypicalSet
-    # sum_s (p_s / p_T) |<psi_s|psi'_s>|
-    overlap_aggregate: float = field(metadata=INTERNAL)
 
 
 def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
@@ -425,10 +425,14 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
                        window="paper") -> FormationResult:
     """Run the typical-set formation protocol for rho^(x)n and account its cost.
 
-    Exact fidelities (and therefore the exact Bures distance and the bounds
-    fid1/fid2) are computed whenever (dA dB)^n <= DIMENSION_CAP, from
-    `support_factors` of rho^(x)n, rho_T and rho'_T; above the cap only the
-    analytic bounds from p_T and the dilution fidelities are emitted.
+    eps2 is the worst dilution infidelity over the (member, count) blocks
+    that occur in some typical sequence, read off the count windows.
+    Whenever (dA dB)^n <= DIMENSION_CAP, exact mode judges the whole
+    fidelity chain on fidelities from `support_factors` of rho^(x)n, rho_T
+    and rho'_T: fid1_holds, fid2_holds, and triangle_holds, the Bures
+    triangle through rho_T up to BURES_TOL of rounding.  Above the cap only
+    the analytic bounds from p_T and the dilution fidelities are emitted and
+    the three flags are None.
 
     exact_bures and the 2 sqrt(eps3) term of bures_bound share the rounding
     floor of `bures_from_fidelity`; a lossless dilution gives eps2 = eps3 = 0
@@ -444,9 +448,9 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     eps1 = max(0.0, 1.0 - tset.total_weight)
     p_t = 1.0 - eps1
 
-    # per-block dilution, shared across sequences of the same type; exact
-    # mode selects each block's kept terms once, for its fidelity and for
-    # rho'_T, and analytic mode needs only the fidelity
+    # per-block dilution of each (member, count): exact mode selects a
+    # block's kept terms once, for its fidelity and for rho'_T, and analytic
+    # mode needs only the fidelity
     exact = rho.dim ** n <= DIMENSION_CAP
     if exact:
         kept = functools.cache(lambda i, count: _kept_terms(
@@ -456,15 +460,13 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
         fidelity = functools.cache(lambda i, count: dilution_fidelity(
             ensemble.states[i], count, plan.entries[i].singlets))
 
-    eps2 = 0.0
-    overlap_aggregate = 0.0
-    for seq, ps in tset.sequences:
-        o = 1.0
-        for i in sorted(set(seq)):
-            f = fidelity(i, seq.count(i))
-            eps2 = max(eps2, 1.0 - f)
-            o *= f
-        overlap_aggregate += ps / p_t * o
+    # member i holds c >= 1 copies in some typical sequence exactly when c
+    # fits its window and the other members' windows can make up n - c
+    los, his = map(sum, zip(*tset.count_windows))
+    eps2 = max((1.0 - fidelity(i, c)
+                for i, (lo, hi) in enumerate(tset.count_windows)
+                for c in range(max(lo, 1), hi + 1)
+                if los - lo <= n - c <= his - hi), default=0.0)
     eps3 = 1.0 - (1.0 - eps2) ** k
     bound = bures_from_fidelity(np.sqrt(max(0.0, 1.0 - eps1))) + 2.0 * np.sqrt(eps3)
 
@@ -475,7 +477,7 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     slack = rate - mean_ent
 
     exact_bures = fid1 = fid2 = None
-    fid1_holds = fid2_holds = None
+    fid1_holds = fid2_holds = triangle_holds = None
     if exact:
         # unit trace: 1 / sqrt(p_T) scales the factors of the weights p_s
         lam_n, r_t, r_y = support_factors(rho, ensemble, tset.sequences, kept)
@@ -485,6 +487,8 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
         exact_bures = bures_from_fidelity(nuclear_norm(r_y * lam_n))
         fid1_holds = bool(fid1 >= np.sqrt(p_t) - 1e-9)
         fid2_holds = bool(fid2 >= (1.0 - eps3) - 1e-9)
+        triangle_holds = bool(exact_bures <= bures_from_fidelity(fid1)
+                              + bures_from_fidelity(fid2) + BURES_TOL)
 
     return FormationResult(
         n=n, m=m, rate=float(rate), mean_entanglement=mean_ent,
@@ -493,34 +497,6 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
         exact_bures=None if exact_bures is None else float(exact_bures),
         fid1_fidelity=None if fid1 is None else float(fid1),
         fid1_holds=fid1_holds, fid2_fidelity=None if fid2 is None else float(fid2),
-        fid2_holds=fid2_holds, plan=plan, typical_set=tset,
-        overlap_aggregate=float(overlap_aggregate))
+        fid2_holds=fid2_holds, triangle_holds=triangle_holds, plan=plan,
+        typical_set=tset)
 
-
-def verify_fid_bounds(result: FormationResult) -> dict:
-    """Re-check the fidelity chain of an exact-mode run on its own fidelities.
-
-    Reports the protocol's F(rho^(x)n, rho_T) >= sqrt(1 - eps1) check, checks
-    the aggregate per-sequence overlap against 1 - eps3, and the Bures
-    triangle inequality through rho_T.
-    """
-    if not result.exact_mode:
-        raise ValueError("exact-mode fidelities are required")
-    aggregate = result.overlap_aggregate
-    fid2_ok = aggregate >= (1.0 - result.eps3) - 1e-9
-
-    d_left = result.exact_bures
-    d_a = bures_from_fidelity(result.fid1_fidelity)
-    d_b = bures_from_fidelity(result.fid2_fidelity)
-    triangle_ok = d_left <= d_a + d_b + 1e-8
-
-    return {
-        "fid1_fidelity": result.fid1_fidelity,
-        "fid1_holds": result.fid1_holds,
-        "overlap_aggregate": aggregate,
-        "fid2_holds": bool(fid2_ok),
-        "bures_left": float(d_left),
-        "bures_via_truncation": float(d_a + d_b),
-        "triangle_holds": bool(triangle_ok),
-        "all_hold": bool(result.fid1_holds and fid2_ok and triangle_ok),
-    }

@@ -85,9 +85,16 @@ def uhlmann_fidelity(rho, sigma) -> float:
 
 
 def bures_from_fidelity(f) -> float:
-    """D = 2 sqrt(1 - F), 1 - F clipped at zero.  Near F = 1 one ulp of F
-    moves D by about 2e-8, so D below about 3e-8 is rounding noise."""
+    """D = 2 sqrt(1 - F), 1 - F clipped at zero.  F rounded j float steps
+    below 1 (2^-53 each) gives D = 2.1e-8 sqrt(j); exact fidelities of 1
+    have come out six steps low, D = 5.2e-8, so D below BURES_TOL is noise."""
     return 2.0 * np.sqrt(max(0.0, 1.0 - f))
+
+
+# D of a fidelity 16 eps = 3.6e-15 below 1, about 1.2e-7.  Since
+# 2 sqrt(x + e) <= 2 sqrt(x) + 2 sqrt(e), it covers that much rounding in
+# any fidelity a Bures distance is formed from, not only near F = 1.
+BURES_TOL = bures_from_fidelity(1.0 - 16 * np.finfo(float).eps)
 
 
 def bures_distance(rho, sigma) -> float:

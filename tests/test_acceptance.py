@@ -15,7 +15,6 @@ from entcost.eof import eof_optimize, eof_two_qubit_closed_form
 from entcost.formation import (
     dilution_fidelity,
     formation_protocol,
-    verify_fid_bounds,
 )
 from entcost.metrics import tensor_power_divergence
 from entcost.qcore import (
@@ -121,7 +120,6 @@ def test_criterion_6_formation_protocol_at_n_4():
                    (PureState((2, 2), v), basis_pure((2, 2), 0, 0)))
     rho = ensemble_average(ens)
     res = formation_protocol(rho, ens, 4, 0.5, 0.25)
-    checks = verify_fid_bounds(res)
     lo, hi = res.typical_set.weight_bounds
     weights_ok = all(lo - 1e-15 <= ps <= hi + 1e-15
                      for _, ps in res.typical_set.sequences)
@@ -131,7 +129,8 @@ def test_criterion_6_formation_protocol_at_n_4():
     elapsed = time.perf_counter() - t0
     report("criterion 6: exact n=4 formation run (dimension 256) verifies "
            "the fidelity chain and typicality bounds",
-           res.exact_mode and checks["all_hold"] and weights_ok and slack_ok
+           res.exact_mode and res.fid1_holds and res.fid2_holds
+           and res.triangle_holds and weights_ok and slack_ok
            and bound_ok and elapsed <= 120.0,
            f"exact Bures {res.exact_bures:.6f} <= bound {res.bures_bound:.6f}, "
            f"{elapsed:.1f}s")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -247,6 +248,17 @@ class TestFormationCommand:
         assert res["rate"] == pytest.approx(1.0)
         assert res["fid1_holds"] and res["fid2_holds"]
         assert res["typical_set"]["num_sequences"] == 14
+
+    @pytest.mark.parametrize("flag", ["fid1_holds", "fid2_holds",
+                                      "triangle_holds"])
+    def test_a_broken_link_of_the_chain_exits_1(self, flag, mixed_file,
+                                               monkeypatch, tmp_path):
+        protocol = cli.formation_protocol
+        monkeypatch.setattr(cli, "formation_protocol", lambda *a, **kw:
+                            dataclasses.replace(protocol(*a, **kw), **{flag: False}))
+        code, doc = run_to_json(["formation", mixed_file, "--n", "2"], tmp_path)
+        assert code == EXIT_VIOLATION
+        assert doc["result"][flag] is False
 
     def test_density_input_optimizes_first(self, mixed_file, tmp_path):
         code, doc = run_to_json(

@@ -3,7 +3,8 @@
 `perfbench/tracing.py` replaces each (module, attribute) in its WRAPPED list
 by a recording wrapper, reading the original with a plain `getattr`.  A name
 renamed or deleted in the package would crash every traced run, so each one
-must still resolve.  The tracer's observers also read attributes of the
+must still resolve, and a `None` placeholder kept for it must still be
+wrapped.  The tracer's observers also read attributes of the
 results they see, which only a traced run exercises, so the harness
 self-test runs here too.  These tests only read perfbench.
 """
@@ -31,6 +32,17 @@ def _wrapped():
 def test_wrapped_name_resolves(module, attr, span):
     assert hasattr(importlib.import_module(module), attr), (
         f"{module}.{attr} (span {span}) is missing")
+
+
+@pytest.mark.parametrize("module", ["entcost.eof", "entcost.formation"])
+def test_placeholders_are_still_wrapped(module):
+    # a module-level None stands in for a name only the tracer still wraps;
+    # once WRAPPED drops the name, the placeholder goes too
+    names = vars(importlib.import_module(module))
+    placeholders = {name for name, value in names.items()
+                    if value is None and not name.startswith("__")}
+    wrapped = {attr for mod, attr, _ in _wrapped() if mod == module}
+    assert placeholders <= wrapped, f"unwrapped placeholders: {placeholders - wrapped}"
 
 
 def test_harness_selftest_passes():

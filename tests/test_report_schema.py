@@ -27,7 +27,7 @@ START = {"kind", "iterations", "evaluations", "value", "outcome"}
 FORMATION = {"n", "m", "rate", "mean_entanglement", "slack", "eps1", "eps2",
              "eps3", "bures_bound", "exact_mode", "exact_bures",
              "fid1_fidelity", "fid1_holds", "fid2_fidelity", "fid2_holds",
-             "plan", "typical_set"}
+             "triangle_holds", "plan", "typical_set"}
 PLAN = {"entries", "total_singlets", "delta1", "delta2"}
 PLAN_ENTRY = {"index", "count", "entanglement", "delta2", "singlets"}
 TYPICAL_SET = {"n", "delta1", "k", "window", "num_sequences", "total_weight",
@@ -119,6 +119,7 @@ def test_formation_exact(tmp_path, ensemble_file):
     assert set(config) == FORMATION_CONFIG
     _check_formation(result)
     assert result["exact_mode"] is True
+    assert result["triangle_holds"] is True
 
 
 def test_formation_analytic(tmp_path, ensemble_file):
@@ -127,7 +128,7 @@ def test_formation_analytic(tmp_path, ensemble_file):
     _check_formation(result)
     assert result["exact_mode"] is False
     for key in ("exact_bures", "fid1_fidelity", "fid1_holds", "fid2_fidelity",
-                "fid2_holds"):
+                "fid2_holds", "triangle_holds"):
         assert result[key] is None
 
 
