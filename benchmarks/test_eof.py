@@ -12,11 +12,16 @@ Layers, at dims (2, 2) and (4, 4):
 - one start, refined until it stops;
 - one `eof_optimize` call: three random starts at (2, 2) (an eof-qubit
   item), and at (4, 4) the A_2 step of a regularize-n2 item, warm-started
-  from the square of the single-copy ensemble with one random start.
+  from the Kronecker square of the single-copy isometry with one random start;
+- one step of the regularization trace at n = 3 and n = 4: the warm start
+  alone on the Kronecker rows, as `regularized_sequence(..., restarts=0)`
+  runs it.
 
 The inputs mirror the benchmark workloads: a rank-3 two-qubit state with five
 rows (eof-qubit), and the square of a rank-2 two-qubit state, dims (4, 4),
-rank 4, with nine rows (the A_2 step of regularize-n2).
+rank 4, with nine rows (the A_2 step of regularize-n2).  The trace steps
+take the rank-2 state of ROADMAP direction 7 with the default four rows per
+copy: (8, 8) with 64 rows of rank 8, and (16, 16) with 256 rows of rank 16.
 """
 
 import numpy as np
@@ -24,14 +29,15 @@ import pytest
 
 import entcost.eof
 from entcost.eof import (
+    _eigen_rows,
+    _minimize_rows,
     _objective,
     _refine,
     _retract,
     _tangent,
     eof_optimize,
 )
-from entcost.qcore import RandomSource, sample_density_matrix, tensor_product
-from entcost.regcost import product_ensemble
+from entcost.qcore import RandomSource, sample_density_matrix, tensor_product, tensor_rows
 
 # dims -> (rank of the state, rows), matching the eof-qubit and regularize-n2 items
 CASES = {(2, 2): (3, 5), (4, 4): (4, 9)}
@@ -93,12 +99,30 @@ def test_eof_optimize(benchmark, dims):
                                              rng=RandomSource(2)))
         assert len(res.starts) == 3
         return
-    one = sample_density_matrix((2, 2), 2, RandomSource(1))
-    ens = eof_optimize(one, ensemble_size=3, restarts=1,
-                       rng=RandomSource(2)).ensemble
-    seed = product_ensemble(ens, ens)
-    square = _state(dims)
-    res = benchmark(lambda: eof_optimize(square, ensemble_size=max(4, len(seed)),
-                                         restarts=1, rng=RandomSource(3),
-                                         seed_ensembles=[seed]))
+    one = _eigen_rows(sample_density_matrix((2, 2), 2, RandomSource(1)))
+    _, U1 = _minimize_rows(one, (2, 2), 3, 1, RandomSource(2))
+    square, dims2 = tensor_rows(one, (2, 2), one, (2, 2))
+    res, _ = benchmark(lambda: _minimize_rows(square, dims2, None, 1, RandomSource(3),
+                                              warm=np.kron(U1, U1)))
     assert [r.kind for r in res.starts] == ["warm", "random"]
+
+
+def _trace_step(n):
+    """(B_n, dims, warm) of step n of the trace at restarts=0."""
+    B1 = _eigen_rows(sample_density_matrix((2, 2), 2, RandomSource(1)))
+    _, U1 = _minimize_rows(B1, (2, 2), None, 1, RandomSource(2))
+    B, dims, U = B1, (2, 2), U1
+    for m in range(2, n + 1):
+        B, dims = tensor_rows(B, dims, B1, (2, 2))
+        warm = np.kron(U, U1)
+        if m < n:
+            U = _minimize_rows(B, dims, None, 0, RandomSource(3), warm=warm)[1]
+    return B, dims, warm
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_trace_step(benchmark, n):
+    B, dims, warm = _trace_step(n)
+    res, _ = benchmark(lambda: _minimize_rows(B, dims, None, 0, RandomSource(3),
+                                              warm=warm))
+    assert [r.kind for r in res.starts] == ["warm"] and len(warm) == 4 ** n

@@ -47,13 +47,10 @@ from .eof import (
     sample_locc,
 )
 from .regcost import (
-    AdditivityReport,
     CostBracket,
     RegularizationTrace,
-    additivity_probe,
     cost_bracket,
     fekete_check,
-    product_ensemble,
     regularized_sequence,
 )
 from .formation import (

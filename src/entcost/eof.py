@@ -28,7 +28,6 @@ from .qcore import (
     RANK_TOL,
     StateValidationError,
     binary_entropy,
-    ensemble_average,
     pure_entanglement,
     sample_pure_state,
     sample_unitary,
@@ -40,10 +39,11 @@ MAX_ITERATIONS = 500          # conjugate-gradient iterations per start
 _STALLS = 5                   # iterations in a row gaining < improvement_tol
 _ARMIJO = 1e-4                # sufficient-decrease fraction of the slope
 _BACKTRACKS = 30              # step halvings before a search gives up
+_EPS = np.finfo(float).eps
 
-# perfbench/tracing.py wraps this name when a traced run starts; nothing
-# calls it, and it goes when its wrap list drops it (ROADMAP direction 1).
-minimize_scalar = None
+# perfbench/tracing.py wraps these names when a traced run starts; nothing
+# calls them, and they go when its wrap list drops them (ROADMAP direction 1).
+minimize_scalar = ensemble_average = None
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y).real
@@ -81,7 +81,7 @@ def eof_two_qubit_closed_form(rho: QuantumState) -> float:
 @dataclass(frozen=True)
 class StartRecord:
     """Deterministic work counters of one optimizer start."""
-    kind: str                 # "warm" (a seed ensemble) or "random"
+    kind: str                 # "warm" (a given isometry) or "random"
     iterations: int           # conjugate-gradient iterations run
     evaluations: int          # `_objective` calls, value and gradient each
     value: float              # sum_i p_i E_i the start ended at
@@ -168,7 +168,8 @@ def _refine(U, B, dA, dB, improvement_tol):
     step of length t retracts U + t D (`_retract`).  The line search is
     Armijo backtracking: the first trial step is followed by one trial at
     the minimizer of the parabola through f(0), f'(0) and that trial, and the
-    better of the two is kept, or halved until it decreases enough.  The
+    better of the two is kept, or halved until it decreases enough or until
+    the decrease asked for is below the rounding of the value.  The
     start stops ("converged") after `_STALLS` iterations in a row that each
     gain less than improvement_tol, or once no decrease is found; otherwise
     after MAX_ITERATIONS ("iteration_cap").
@@ -200,7 +201,9 @@ def _refine(U, B, dA, dB, improvement_tol):
         if curve > 0.0:
             best = min(best, trial(-slope / (2.0 * curve)), key=lambda b: b[1])
         for _ in range(_BACKTRACKS):
-            if best[1] <= value + _ARMIJO * best[0] * slope:
+            target = _ARMIJO * best[0] * slope
+            # a decrease below the rounding of value cannot be seen
+            if best[1] <= value + target or -target <= _EPS * abs(value):
                 break
             best = trial(best[0] / 2.0)
         if not best[1] <= value + _ARMIJO * best[0] * slope:
@@ -242,13 +245,6 @@ def _rounds(L):
     return tuple(r for r in rounds if r)
 
 
-def _rows_from_ensemble(ensemble, L, d):
-    rows = np.zeros((max(L, len(ensemble)), d), dtype=complex)
-    for i, (p, s) in enumerate(zip(ensemble.weights, ensemble.states)):
-        rows[i] = np.sqrt(p) * s.vector
-    return rows
-
-
 def _ensemble_from_rows(W, dims):
     p = np.array([float(np.vdot(w, w).real) for w in W])
     keep = p > 1e-12
@@ -258,69 +254,79 @@ def _ensemble_from_rows(W, dims):
     return Ensemble(p / p.sum(), states)
 
 
+def _eigen_rows(rho: QuantumState) -> np.ndarray:
+    """B, r x d: the rows sqrt(lam_j) e_j of rho's eigen-ensemble, lam_j > RANK_TOL.
+
+    At rank 1 the row is e_1 itself: lam_1 differs from 1 only by rounding.
+    """
+    evals, evecs = np.linalg.eigh(rho.matrix)
+    keep = evals > RANK_TOL
+    scale = np.sqrt(evals[keep]) if keep.sum() > 1 else 1.0
+    return (evecs[:, keep] * scale).T
+
+
 def eof_optimize(rho: QuantumState, ensemble_size=None, restarts=4,
-                 rng: RandomSource | None = None, seed_ensembles=(),
+                 rng: RandomSource | None = None,
                  improvement_tol=DEFAULT_IMPROVEMENT_TOL) -> EofResult:
     """Minimize sum_i p_i E(psi_i) over size-L pure-state decompositions of rho.
 
     The returned value is always an upper bound on E_f: the achieving ensemble
-    is stored and reproduces rho exactly.  `seed_ensembles` are used as warm
-    starts, run first, alongside `restarts` random isometry starts; each
-    start is refined on its own (`_refine`) and the lowest value wins.
+    is stored and reproduces rho exactly.  `restarts` random isometry starts
+    are each refined on their own (`_refine`) and the lowest value wins.
     The default ensemble size is rank(rho)^2 capped at (dA dB)^2.
     """
     if rng is None:
         rng = RandomSource(0)
-    dA, dB = rho.dims
-    d = dA * dB
-    evals, evecs = np.linalg.eigh(rho.matrix)
-    keep = evals > RANK_TOL
-    lam = evals[keep]
-    vecs = evecs[:, keep]
-    r = int(lam.size)
+    return _minimize_rows(_eigen_rows(rho), rho.dims, ensemble_size,
+                          restarts, rng, improvement_tol)[0]
+
+
+def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
+                   improvement_tol=DEFAULT_IMPROVEMENT_TOL, warm=None):
+    """`eof_optimize` on the state sum_j |b_j><b_j| of the r x d rows b_j of B.
+
+    `warm`, an L x r isometry, is refined first as the "warm" start and sets
+    L; the `restarts` random starts follow.  Returns the EofResult and the
+    isometry U of the winning start, whose rows U B are its ensemble's.  A
+    rank-1 state has the one decomposition W = B.
+    """
+    dA, dB = dims
+    r, d = B.shape
     if r == 1:
-        psi = PureState(rho.dims, vecs[:, 0])
-        value = pure_entanglement(psi)
-        return EofResult(value, Ensemble(np.array([1.0]), (psi,)),
-                         0, True, ())
-    L = int(ensemble_size) if ensemble_size is not None else min(r * r, d * d)
+        psi = PureState(dims, B[0])
+        return (EofResult(pure_entanglement(psi), Ensemble(np.array([1.0]), (psi,)),
+                          0, True, ()), np.ones((1, 1)))
+    if warm is not None:
+        L = len(warm)
+    else:
+        L = int(ensemble_size) if ensemble_size is not None else min(r * r, d * d)
     if L < r:
         raise ValueError(f"ensemble size {L} below rank {r}: no such decomposition")
 
-    base = (vecs * np.sqrt(lam)).T    # B, r x d: rows sqrt(lam_j) e_j
-    inverse = vecs.conj() / np.sqrt(lam)    # B B^+ = I
-
-    starts = []       # (kind, isometry U)
-    for ens in seed_ensembles:
-        if ens.dims != rho.dims:
-            raise DimensionError("seed ensemble dims do not match the state")
-        avg = ensemble_average(ens)
-        if np.abs(avg.matrix - rho.matrix).max() > 1e-6:
-            raise StateValidationError("seed ensemble does not realize the state")
-        starts.append(("warm", _retract(_rows_from_ensemble(ens, L, d) @ inverse)))
+    starts = [] if warm is None else [("warm", warm)]    # (kind, isometry U)
     for _ in range(int(restarts)):
         g = rng.gen
         x = g.standard_normal((L, r)) + 1j * g.standard_normal((L, r))
         starts.append(("random", np.linalg.qr(x)[0]))
     if not starts:
-        raise ValueError("need at least one start (restarts >= 1 or a seed)")
+        raise ValueError("need at least one start (restarts >= 1 or a warm start)")
 
     best_value = np.inf
-    best_rows = None
+    best_U = None
     records = []
     for kind, U in starts:
-        value, U, outcome, work = _refine(U, base, dA, dB, improvement_tol)
+        value, U, outcome, work = _refine(U, B, dA, dB, improvement_tol)
         records.append(StartRecord(kind, *work, value, outcome))
         if value < best_value:
             best_value = value
-            best_rows = U @ base
-    ensemble = _ensemble_from_rows(best_rows, rho.dims)
+            best_U = U
+    ensemble = _ensemble_from_rows(best_U @ B, dims)
     # report the value the stored ensemble actually achieves
     value = float(np.dot(ensemble.weights,
                          [pure_entanglement(s) for s in ensemble.states]))
-    return EofResult(value, ensemble, len(starts),
-                     all(r.outcome != "iteration_cap" for r in records),
-                     tuple(r.value for r in records), tuple(records))
+    return (EofResult(value, ensemble, len(starts),
+                      all(r.outcome != "iteration_cap" for r in records),
+                      tuple(r.value for r in records), tuple(records)), best_U)
 
 # ---------------------------------------------------------------------------
 # Continuity bound

@@ -57,21 +57,23 @@ def fidelity_factors(fa, fb) -> float:
     return nuclear_norm(fb.conj().T @ fa)
 
 
-def fidelity_matrices(a, b) -> float:
-    """Uhlmann fidelity of two PSD matrices (unit trace not required).
+def psd_factor(m) -> np.ndarray:
+    """F with F F^dag = m, from the eigendecomposition of m.
 
-    Both matrices are factored through their eigendecompositions and passed
-    to `fidelity_factors`.  Eigenvalues at most RANK_TOL times the largest are
-    zeroed first, so eigenvalue-level noise never reaches a square root; real
-    weight that small is dropped with it, which can move the fidelity by up
-    to about sqrt(RANK_TOL) per dropped eigenvalue.
+    Eigenvalues at most RANK_TOL times the largest are zeroed first, so
+    eigenvalue-level noise never reaches a square root; real weight that
+    small is dropped with it, which can move a fidelity by up to about
+    sqrt(RANK_TOL) per dropped eigenvalue.
     """
-    factors = []
-    for m in (a, b):
-        evals, evecs = np.linalg.eigh(m)
-        evals = np.where(evals > RANK_TOL * max(evals.max(), 0.0), evals, 0.0)
-        factors.append(evecs * np.sqrt(evals))
-    return fidelity_factors(*factors)
+    evals, evecs = np.linalg.eigh(m)
+    evals = np.where(evals > RANK_TOL * max(evals.max(), 0.0), evals, 0.0)
+    return evecs * np.sqrt(evals)
+
+
+def fidelity_matrices(a, b) -> float:
+    """Uhlmann fidelity of two PSD matrices (unit trace not required), from
+    their `psd_factor`s."""
+    return fidelity_factors(psd_factor(a), psd_factor(b))
 
 
 def uhlmann_fidelity(rho, sigma) -> float:

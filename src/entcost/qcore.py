@@ -240,12 +240,23 @@ def purify(rho: QuantumState) -> PureState:
 # Tensor products with bipartite regrouping (A factors stay together)
 # ---------------------------------------------------------------------------
 
+def tensor_rows(r1, dims1, r2, dims2):
+    """Kron of two stacks of bipartite rows, each regrouped to ((A1 A2), (B1 B2)).
+
+    Row i * len(r2) + j is row i of r1 times row j of r2, as in np.kron.
+    """
+    a1, b1 = _as_dims(dims1)
+    a2, b2 = _as_dims(dims2)
+    r1 = np.asarray(r1).reshape(-1, a1, b1)
+    r2 = np.asarray(r2).reshape(-1, a2, b2)
+    k = r1[:, None, :, None, :, None] * r2[None, :, None, :, None, :]
+    return (k.reshape(len(r1) * len(r2), a1 * a2 * b1 * b2),
+            (a1 * a2, b1 * b2))
+
+
 def tensor_pure(p1: PureState, p2: PureState) -> PureState:
-    a1, b1 = p1.dims
-    a2, b2 = p2.dims
-    v = np.kron(p1.vector, p2.vector).reshape(a1, b1, a2, b2)
-    v = v.transpose(0, 2, 1, 3).reshape(a1 * a2 * b1 * b2)
-    return PureState((a1 * a2, b1 * b2), v)
+    rows, dims = tensor_rows(p1.vector, p1.dims, p2.vector, p2.dims)
+    return PureState(dims, rows[0])
 
 
 def tensor_matrix(m1, dims1, m2, dims2):

@@ -8,6 +8,8 @@ from entcost.eof import (
     LOCC_KINDS,
     LoccChannel,
     StartRecord,
+    _eigen_rows,
+    _minimize_rows,
     _rounds,
     apply_locc,
     check_monotonicity,
@@ -34,6 +36,7 @@ from entcost.qcore import (
     sample_unitary,
     singlet,
     tensor_pure,
+    tensor_rows,
 )
 from entcost.serialize import dumps_canonical
 
@@ -136,6 +139,8 @@ class TestOptimizer:
         assert res.value == pytest.approx(recomputed, abs=1e-12)
 
     def test_seed_ensemble_never_hurts(self):
+        # the eigen-ensemble as a seed, padded to four rows: the warm
+        # isometry [I; 0]
         rng = RandomSource(61)
         rho = sample_density_matrix((2, 2), 2, rng.split())
         evals, evecs = np.linalg.eigh(rho.matrix)
@@ -145,21 +150,26 @@ class TestOptimizer:
                                for j in np.flatnonzero(keep)))
         seed_value = float(np.dot(eigen.weights,
                                   [pure_entanglement(s) for s in eigen.states]))
-        res = eof_optimize(rho, ensemble_size=4, restarts=0,
-                           seed_ensembles=[eigen], rng=rng.split())
+        B = _eigen_rows(rho)
+        res, _ = _minimize_rows(B, rho.dims, None, 0, rng.split(),
+                                warm=np.eye(4, len(B)))
+        assert [r.kind for r in res.starts] == ["warm"]
         assert res.value <= seed_value + 1e-9
 
-    def test_bad_seed_ensemble_rejected(self):
-        rng = RandomSource(67)
-        rho = sample_density_matrix((2, 2), 2, rng.split())
-        other = sample_density_matrix((2, 2), 2, rng.split())
-        evals, evecs = np.linalg.eigh(other.matrix)
-        keep = evals > 1e-12
-        wrong = Ensemble(evals[keep] / evals[keep].sum(),
-                         tuple(PureState((2, 2), evecs[:, j])
-                               for j in np.flatnonzero(keep)))
-        with pytest.raises(StateValidationError):
-            eof_optimize(rho, seed_ensembles=[wrong], rng=rng.split())
+    def test_stationary_warm_start_stops_within_a_few_evaluations(self):
+        # the Kronecker square of a converged single-copy isometry is
+        # stationary to rounding: once the decrease the line search asks for
+        # is below the rounding of the value it stops, instead of halving
+        # its step 30 times
+        rho = sample_density_matrix((2, 2), 2, RandomSource(1))
+        B = _eigen_rows(rho)
+        res1, U = _minimize_rows(B, rho.dims, None, 1, RandomSource(0))
+        B2, dims2 = tensor_rows(B, rho.dims, B, rho.dims)
+        res2, _ = _minimize_rows(B2, dims2, None, 0, RandomSource(0),
+                                 warm=np.kron(U, U))
+        (warm,) = res2.starts
+        assert warm.outcome == "converged" and warm.evaluations <= 10
+        assert res2.value == pytest.approx(2 * res1.value, abs=1e-12)
 
     def test_size_below_rank_rejected(self):
         rho = QuantumState((2, 2), np.eye(4) / 4)
@@ -190,13 +200,9 @@ class TestStartRecords:
                             lambda *a: calls.append(1) or objective(*a))
         rng = RandomSource(127)
         rho = sample_density_matrix((2, 2), 2, rng.split())
-        evals, evecs = np.linalg.eigh(rho.matrix)
-        keep = evals > 1e-12
-        eigen = Ensemble(evals[keep] / evals[keep].sum(),
-                         tuple(PureState((2, 2), evecs[:, j])
-                               for j in np.flatnonzero(keep)))
-        res = eof_optimize(rho, ensemble_size=4, restarts=3,
-                           seed_ensembles=[eigen], rng=rng.split())
+        B = _eigen_rows(rho)
+        res, _ = _minimize_rows(B, rho.dims, None, 3, rng.split(),
+                                warm=np.eye(4, len(B)))
         assert [r.kind for r in res.starts] == ["warm"] + ["random"] * 3
         assert res.restarts_used == len(res.starts) == 4
         assert res.value_history == tuple(r.value for r in res.starts)

@@ -23,8 +23,9 @@ from entcost.formation import (
 from entcost.metrics import (
     BURES_TOL,
     bures_from_fidelity,
-    fidelity_matrices,
+    fidelity_factors,
     nuclear_norm,
+    psd_factor,
 )
 from entcost.qcore import (
     Ensemble,
@@ -237,10 +238,16 @@ def _sequence_vector(blocks, seq, dims):
     return out
 
 
+def _nonzero_factor(m):
+    """The `psd_factor` of m behind fidelity_matrices, less its zero columns."""
+    f = psd_factor(m)
+    return f[:, np.any(f != 0.0, axis=0)]
+
+
 def dense_reference(rho, ens, res):
     """fid1, fid1_sub, fid2 and the fidelity behind exact_bures from dense
     matrices: tensor_power, outer products of sequence vectors, and the
-    floored fidelity_matrices."""
+    floored factors of fidelity_matrices, each matrix factored once."""
     rho_n = tensor_power(rho, res.n).matrix
     d = rho_n.shape[0]
     rho_t = np.zeros((d, d), dtype=complex)
@@ -254,11 +261,14 @@ def dense_reference(rho, ens, res):
         rho_t += ps * np.outer(v, v.conj())
         rho_approx += ps * np.outer(w, w.conj())
     p_t = np.trace(rho_t).real
-    rho_approx /= np.trace(rho_approx).real
-    return (fidelity_matrices(rho_n, rho_t / p_t),
-            fidelity_matrices(rho_n, rho_t),
-            fidelity_matrices(rho_t / p_t, rho_approx),
-            fidelity_matrices(rho_n, rho_approx))
+    f_n = _nonzero_factor(rho_n)
+    f_sub = _nonzero_factor(rho_t)          # rho_t = f_sub f_sub^dag
+    f_t = f_sub / np.sqrt(p_t)              # rho_t / p_t
+    f_approx = _nonzero_factor(rho_approx / np.trace(rho_approx).real)
+    return (fidelity_factors(f_n, f_t),
+            fidelity_factors(f_n, f_sub),
+            fidelity_factors(f_t, f_approx),
+            fidelity_factors(f_n, f_approx))
 
 
 def _seeded_ensembles():
@@ -699,3 +709,31 @@ def test_eps2_covers_exactly_the_blocks_of_typical_sequences(seed):
     assert res.eps2 == max(1.0 - dilution_fidelity(ens.states[i], c,
                                                    res.plan.entries[i].singlets)
                            for i, c in blocks)
+
+
+def _seeded_members(dims, k, seed):
+    """k seeded members on dims, with seeded Dirichlet weights."""
+    rng = RandomSource(1000 * k + seed)
+    return Ensemble(rng.gen.dirichlet(np.ones(k)),
+                    tuple(sample_pure_state(dims, rng.split()) for _ in range(k)))
+
+
+@pytest.mark.parametrize("dims, n_top", [((2, 3), 4), ((3, 3), 3)], ids=str)
+def test_exact_chain_holds_beyond_two_qubits(dims, n_top):
+    # 2-4 seeded members at two seeds, every n up to the exact-mode reach,
+    # lossless and lossy dilution: all three flags hold.  Where the bound is
+    # 0.0, exact_bures carries up to BURES_TOL of rounding
+    for k, seed, n, delta2 in itertools.product((2, 3, 4), (0, 1),
+                                               range(1, n_top + 1), (0.0, 0.25)):
+        ens = _seeded_members(dims, k, seed)
+        res = formation_protocol(ensemble_average(ens), ens, n, 0.5, delta2)
+        case = (k, seed, n, delta2)
+        assert res.exact_mode, case
+        assert res.fid1_holds and res.fid2_holds and res.triangle_holds, case
+        assert res.exact_bures <= res.bures_bound + BURES_TOL, case
+
+
+def test_factored_fidelities_match_dense_reference_beyond_two_qubits():
+    ens = _seeded_members((2, 3), 3, 0)
+    res = assert_matches_dense_reference(ens, 3, 0.25)
+    assert res.typical_set.sequences

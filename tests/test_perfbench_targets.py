@@ -34,7 +34,8 @@ def test_wrapped_name_resolves(module, attr, span):
         f"{module}.{attr} (span {span}) is missing")
 
 
-@pytest.mark.parametrize("module", ["entcost.eof", "entcost.formation"])
+@pytest.mark.parametrize("module", ["entcost.eof", "entcost.formation",
+                                    "entcost.regcost"])
 def test_placeholders_are_still_wrapped(module):
     # a module-level None stands in for a name only the tracer still wraps;
     # once WRAPPED drops the name, the placeholder goes too

@@ -3,25 +3,25 @@ import json
 import numpy as np
 import pytest
 
-from entcost.eof import eof_two_qubit_closed_form
+from entcost.eof import _eigen_rows, _minimize_rows, eof_two_qubit_closed_form
 from entcost.qcore import (
     Ensemble,
     PureState,
-    QuantumState,
     RandomSource,
     basis_pure,
     binary_entropy,
     ensemble_average,
     sample_density_matrix,
     singlet,
+    tensor_power,
     tensor_product,
+    tensor_pure,
+    tensor_rows,
 )
 from entcost.regcost import (
     LIMIT_CAVEAT,
-    additivity_probe,
     cost_bracket,
     fekete_check,
-    product_ensemble,
     regularized_sequence,
 )
 from entcost.serialize import dumps_canonical
@@ -33,15 +33,59 @@ def partially_entangled():
     return PureState((2, 2), v)
 
 
+def ensemble_rows(ens):
+    """Rows sqrt(p_i) psi_i of an ensemble."""
+    return np.stack([np.sqrt(p) * s.vector for p, s in zip(ens.weights, ens.states)])
+
+
+def row_mixture(rows):
+    """sum_i |w_i><w_i| over the rows w_i."""
+    return rows.T @ rows.conj()
+
+
 def test_product_ensemble_realizes_tensor_product():
+    # the product ensemble's rows are the tensor_rows of the two ensembles' rows
     e1 = Ensemble(np.array([0.6, 0.4]),
                   (basis_pure((2, 2), 0, 0), singlet()))
     e2 = Ensemble(np.array([1.0]), (partially_entangled(),))
-    prod = product_ensemble(e1, e2)
-    assert len(prod) == 2
-    avg = ensemble_average(prod)
+    rows, dims = tensor_rows(ensemble_rows(e1), e1.dims, ensemble_rows(e2), e2.dims)
+    assert rows.shape == (2, 16) and dims == (4, 4)
     expect = tensor_product(ensemble_average(e1), ensemble_average(e2))
-    assert np.abs(avg.matrix - expect.matrix).max() < 1e-12
+    assert np.abs(row_mixture(rows) - expect.matrix).max() < 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_kronecker_rows_realize_tensor_power(dims):
+    # B_n = B_(n-1) (x) B_1 holds the rows of rho^(x)n, the trace's input
+    rho = sample_density_matrix(dims, 3, RandomSource(7))
+    B1 = _eigen_rows(rho)
+    B, dims_n = B1, dims
+    for n in (1, 2, 3):
+        if n > 1:
+            B, dims_n = tensor_rows(B, dims_n, B1, dims)
+        assert B.shape == (3 ** n, (dims[0] * dims[1]) ** n)
+        assert dims_n == (dims[0] ** n, dims[1] ** n)
+        expect = tensor_power(rho, n).matrix
+        assert np.abs(row_mixture(B) - expect).max() < 1e-12
+
+
+def test_warm_rows_are_the_product_ensemble():
+    # (U (x) U1)(B (x) B1) = (U B) (x) (U1 B1): the warm start's rows are the
+    # tensor_pure products of the two ensembles' members, weights multiplied
+    rho = sample_density_matrix((2, 3), 2, RandomSource(11))
+    B1 = _eigen_rows(rho)
+    res1, U1 = _minimize_rows(B1, rho.dims, None, 1, RandomSource(0))
+    B2, dims2 = tensor_rows(B1, rho.dims, B1, rho.dims)
+    res2, U2 = _minimize_rows(B2, dims2, None, 0, RandomSource(0),
+                              warm=np.kron(U1, U1))
+    assert len(res1.ensemble) == len(U1) and len(res2.ensemble) == len(U2)
+    B3, dims3 = tensor_rows(B2, dims2, B1, rho.dims)
+    warm_rows = np.kron(U2, U1) @ B3
+    expect = [np.sqrt(p * q) * tensor_pure(s, t).vector
+              for p, s in zip(res2.ensemble.weights, res2.ensemble.states)
+              for q, t in zip(res1.ensemble.weights, res1.ensemble.states)]
+    assert dims3 == (8, 27)
+    assert np.abs(warm_rows - np.array(expect)).max() < 1e-12
 
 
 class TestRegularizedSequence:
@@ -62,8 +106,9 @@ class TestRegularizedSequence:
     def test_warm_start_pins_rate_two_below_rate_one(self):
         # the 26 rank-2 states, CLI seeds and --ensemble-size 3 of the
         # regularize-n2 benchmark corpus at seed 1, warm start alone at n = 2:
-        # the seed rows pass through W B^+ and a retraction, so A_2 <= A_1
-        # holds up to rounding, within the benchmark's bound of 1e-9
+        # the warm start is the Kronecker square of the single-copy isometry,
+        # so A_2 <= A_1 holds up to rounding, within the benchmark's bound of
+        # 1e-9
         rng = RandomSource(1)
         cli_seeds = rng.split().gen.integers(0, 2 ** 31, size=26).tolist()
         for i, seed in enumerate(cli_seeds):
@@ -77,6 +122,30 @@ class TestRegularizedSequence:
             (n, m, gap), = trace.subadditivity_checks
             assert (n, m) == (1, 1)
             assert gap == pytest.approx(a1 + a1 - 2 * a2, abs=1e-12)
+
+    def test_rates_to_n4_match_the_closed_form(self):
+        # the state of the ROADMAP's trace timings: every A_n equals E_f(rho),
+        # the product warm start is optimal and only rounding moves it
+        rho = sample_density_matrix((2, 2), 2, RandomSource(1))
+        trace = regularized_sequence(rho, 4, rng=RandomSource(0), restarts=0)
+        oracle = eof_two_qubit_closed_form(rho)
+        assert [e.n for e in trace.entries] == [1, 2, 3, 4]
+        for e in trace.entries:
+            assert abs(e.rate - oracle) <= 1e-9, (e.n, e.rate, oracle)
+
+    def test_trace_builds_no_tensor_power_matrix(self, monkeypatch):
+        # rho^(x)3 on (2, 2) is 64 x 64; the trace diagonalizes rho once and
+        # then only the rows' 8 x 8 reduced Gram matrices
+        sizes = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            kernel = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name,
+                lambda a, *args, kernel=kernel, **kw:
+                    sizes.append(np.shape(a)[-2:]) or kernel(a, *args, **kw))
+        rho = sample_density_matrix((2, 2), 2, RandomSource(1))
+        regularized_sequence(rho, 3, rng=RandomSource(0), restarts=1)
+        assert sizes and max(max(s) for s in sizes) <= 8, sorted(set(sizes))
 
     def test_dimension_cap_enforced(self):
         rho = sample_density_matrix((8, 8), 1, RandomSource(9))
@@ -119,24 +188,6 @@ class TestFekete:
         rep = fekete_check(trace, c=1.0)
         assert rep.subadditive_within_tol
         assert all(g >= -1e-3 for _, _, g in rep.triples)
-
-
-class TestAdditivityProbe:
-    def test_product_with_unentangled_state_has_no_gap(self):
-        rng = RandomSource(19)
-        rho = sample_density_matrix((2, 2), 2, rng.split())
-        sigma = basis_pure((2, 2), 0, 0).to_state()
-        rep = additivity_probe(rho, sigma, rng=rng.split(), restarts=1)
-        assert rep.eof_joint <= rep.eof_sum + 1e-9
-        assert abs(rep.gap) <= 1e-3
-        assert not rep.candidate
-
-    def test_singlet_pair_is_additive(self):
-        rho = singlet().to_state()
-        rep = additivity_probe(rho, rho, rng=RandomSource(0), restarts=1)
-        assert rep.eof_sum == pytest.approx(2.0, abs=1e-9)
-        assert rep.eof_joint <= 2.0 + 1e-9
-        assert not rep.candidate
 
 
 class TestCostBracket:
