@@ -10,6 +10,8 @@ Layers, at dims (2, 2) and (4, 4):
 - one line-search trial: the retraction of a step and the objective there;
 - one conjugate-gradient iteration (`MAX_ITERATIONS` set to 1);
 - one start, refined until it stops;
+- one joint refine of three random starts at (2, 2), side by side as one
+  block isometry, as `eof_optimize` refines an eof-qubit item's starts;
 - one `eof_optimize` call: three random starts at (2, 2) (an eof-qubit
   item), and at (4, 4) the A_2 step of a regularize-n2 item, warm-started
   from the Kronecker square of the single-copy isometry with one random start;
@@ -50,15 +52,19 @@ def _state(dims):
     return tensor_product(one, one)
 
 
-def _start(dims):
-    """(U, B) of a random isometry start, built as eof_optimize builds it."""
+def _start(dims, starts=1):
+    """(U, B) of `starts` random isometry starts side by side, built as
+    eof_optimize builds them."""
     rank, rows = CASES[dims]
     evals, evecs = np.linalg.eigh(_state(dims).matrix)
     keep = evals > 1e-12
     B = (evecs[:, keep] * np.sqrt(evals[keep])).T
     g = RandomSource(2).gen
-    x = g.standard_normal((rows, rank)) + 1j * g.standard_normal((rows, rank))
-    return np.linalg.qr(x)[0], B
+    blocks = []
+    for _ in range(starts):
+        x = g.standard_normal((rows, rank)) + 1j * g.standard_normal((rows, rank))
+        blocks.append(np.linalg.qr(x)[0])
+    return np.hstack(blocks), B
 
 
 @pytest.mark.parametrize("dims", list(CASES), ids=str)
@@ -71,8 +77,9 @@ def test_objective(benchmark, dims):
 @pytest.mark.parametrize("dims", list(CASES), ids=str)
 def test_line_search_trial(benchmark, dims):
     U, B = _start(dims)
-    step = -0.1 * _tangent(U, _objective(U, B, *dims)[1])
-    value, _ = benchmark(lambda: _objective(_retract(U + step), B, *dims))
+    # one start: no block mask
+    step = -0.1 * _tangent(U, _objective(U, B, *dims)[1], None)
+    value, _ = benchmark(lambda: _objective(_retract(U + step, None), B, *dims))
     assert np.isfinite(value)
 
 
@@ -88,6 +95,12 @@ def test_iteration(benchmark, monkeypatch, dims):
 def test_start(benchmark, dims):
     U, B = _start(dims)
     outcome = benchmark(_refine, U, B, *dims, 1e-6)[2]
+    assert outcome == "converged"
+
+
+def test_joint_starts(benchmark):
+    U, B = _start((2, 2), starts=3)
+    outcome = benchmark(_refine, U, B, 2, 2, 1e-6)[2]
     assert outcome == "converged"
 
 

@@ -275,13 +275,14 @@ def build_parser():
     p.add_argument("state", help="state or ensemble JSON file")
     p.add_argument("--ensemble-size", type=_POSITIVE_INT, default=None)
     p.add_argument("--restarts", type=_POSITIVE_INT, default=4,
-                   help="random Haar-isometry starts, each refined to the end; "
-                        "the lowest value wins")
+                   help="random Haar-isometry starts, refined together as one "
+                        "block isometry on small problems; the lowest value "
+                        "wins")
     p.add_argument("--tol", type=_POSITIVE_FLOAT,
                    default=DEFAULT_IMPROVEMENT_TOL,
-                   help="per-iteration improvement tolerance in ebits: a start "
-                        "stops after five iterations in a row that each gain "
-                        "less")
+                   help="per-iteration improvement tolerance in ebits: starts "
+                        "refined together stop together after five iterations "
+                        "in a row whose summed gain is below it")
     common(p)
 
     p = sub.add_parser("metrics", help="fidelity, Bures and trace distance report")
@@ -294,8 +295,9 @@ def build_parser():
     p.add_argument("--n-max", type=_POSITIVE_INT, default=2)
     p.add_argument("--restarts", type=_COUNT, default=2,
                    help="random Haar-isometry starts per n (at least one at "
-                        "n = 1), each refined to the end; the lowest value, "
-                        "warm start included, wins")
+                        "n = 1), refined together on small problems, the warm "
+                        "start alone; the lowest value, warm start included, "
+                        "wins")
     p.add_argument("--ensemble-size", type=_POSITIVE_INT, default=None)
     p.add_argument("--csv", default=None, help="also write (n, rate) CSV here")
     common(p)

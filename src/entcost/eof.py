@@ -5,11 +5,12 @@ E_f(rho) is the minimum of sum_i p_i E(psi_i) over pure-state decompositions
 of rho.  The optimizer parameterizes decompositions through the purification:
 every size-L ensemble has rows W = U B, with B the r x d factor whose rows are
 sqrt(lam_j) e_j (the rank-r eigen-ensemble) and U an L x r isometry, so every
-iterate is feasible by construction.  Each seeded start is refined by
-Riemannian conjugate gradient over the isometries (Audenaert, Verstraete &
-De Moor, PRA 64, 052304 (2001); Edelman, Arias & Smith, SIAM J. Matrix Anal.
-Appl. 20, 303 (1998)); one stacked `eigh` of the rows' reduced Gram matrices
-gives both the objective and its gradient.
+iterate is feasible by construction.  Starts are refined by Riemannian
+conjugate gradient over the isometries (Audenaert, Verstraete & De Moor, PRA
+64, 052304 (2001); Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 303
+(1998)); on small problems the seeded random starts are refined together,
+side by side as one block isometry, and a warm start is always refined alone.  One stacked `eigh` of the rows'
+reduced Gram matrices gives both the objective and its gradient.
 """
 
 from __future__ import annotations
@@ -35,11 +36,18 @@ from .qcore import (
 
 OPTIMIZER_TOL = 1e-3          # default slack when comparing optimizer outputs
 DEFAULT_IMPROVEMENT_TOL = 1e-6
-MAX_ITERATIONS = 500          # conjugate-gradient iterations per start
+MAX_ITERATIONS = 500          # conjugate-gradient iterations per refine
 _STALLS = 5                   # iterations in a row gaining < improvement_tol
 _ARMIJO = 1e-4                # sufficient-decrease fraction of the slope
 _BACKTRACKS = 30              # step halvings before a search gives up
 _EPS = np.finfo(float).eps
+
+# L r d of one start up to which the random starts share one refine.  Small
+# steps are bound by numpy call overhead, which one joint call pays once for
+# all starts; the joint refine runs every start until the slowest stalls,
+# which larger steps pay in arithmetic.  Two random starts took 0.67-0.89 of
+# their one-by-one time at L r d <= 1024 and 0.93-1.21 at 1620-32768
+JOINT_WORK = 1024
 
 # perfbench/tracing.py wraps these names when a traced run starts; nothing
 # calls them, and they go when its wrap list drops them (ROADMAP direction 1).
@@ -80,10 +88,15 @@ def eof_two_qubit_closed_form(rho: QuantumState) -> float:
 
 @dataclass(frozen=True)
 class StartRecord:
-    """Deterministic work counters of one optimizer start."""
+    """Deterministic work counters of one optimizer start.
+
+    Starts refined together (the random ones, up to JOINT_WORK) share their
+    group's `iterations`, `evaluations` and `outcome`; each evaluation of
+    the group evaluates every start in it once.
+    """
     kind: str                 # "warm" (a given isometry) or "random"
-    iterations: int           # conjugate-gradient iterations run
-    evaluations: int          # `_objective` calls, value and gradient each
+    iterations: int           # conjugate-gradient iterations of its group
+    evaluations: int          # evaluations of its group, value and gradient each
     value: float              # sum_i p_i E_i the start ended at
     outcome: str              # "converged" or "iteration_cap"
 
@@ -92,7 +105,9 @@ class StartRecord:
 class EofResult:
     """Best value over the starts, its ensemble, and one record per start.
 
-    `converged` means no start hit the iteration cap.
+    The random starts may be refined together (up to JOINT_WORK) and the
+    warm start alone, but each start keeps its own value and record.  `converged` means no start
+    hit the iteration cap.
     """
     value: float
     ensemble: Ensemble
@@ -115,6 +130,10 @@ def _row_blocks(W, dA, dB):
 def _objective(U, B, dA, dB):
     """sum_i p_i E(psi_i) over the rows of W = U B, and its gradient in U.
 
+    U may hold S isometries side by side, L x S r for B of r rows: W is
+    then U.reshape(-1, r) @ B, the rows of every U_s B, and the value is the
+    sum of the S values.
+
     Row i, as the block M_i of `_row_blocks`, has Gram matrix
     G_i = M_i M_i^dag, weight p_i = tr G_i and p_i E(psi_i) =
     p_i log2 p_i - tr G_i log2 G_i.  One stacked `eigh` of the G_i gives both
@@ -124,7 +143,7 @@ def _objective(U, B, dA, dB):
     The gradient g is Euclidean: the value changes by Re tr(g^dag X) along X.
     Eigenvalues at or below 1e-18 are noise.
     """
-    W = U @ B
+    W = U.reshape(-1, B.shape[0]) @ B
     M = _row_blocks(W, dA, dB)
     mu, V = np.linalg.eigh(M @ np.swapaxes(M, -1, -2).conj())
     mu = np.where(mu > 1e-18, mu, 0.0)
@@ -136,7 +155,7 @@ def _objective(U, B, dA, dB):
     grad = -2.0 * (V * shift[:, None, :]) @ (np.swapaxes(V, -1, -2).conj() @ M)
     if dA > dB:
         grad = np.swapaxes(grad, -1, -2)
-    return value, grad.reshape(W.shape) @ B.conj().T
+    return value, (grad.reshape(W.shape) @ B.conj().T).reshape(U.shape)
 
 
 def _inner(X, Y):
@@ -144,46 +163,63 @@ def _inner(X, Y):
     return float(np.vdot(X, Y).real)
 
 
-def _tangent(U, X):
-    """X projected on the tangent space of the isometries at U."""
+def _tangent(U, X, mask):
+    """X projected on the tangent space of the isometries at U.
+
+    U = [U_1 ... U_S] holds S isometries side by side, and `mask` is the
+    block-diagonal matrix of ones with one r x r block per U_s, so each
+    block of X is projected at its own U_s.  A single isometry takes None,
+    which skips the multiplication by all ones.
+    """
     H = U.conj().T @ X
+    if mask is not None:
+        H *= mask
     return X - U @ ((H + H.conj().T) / 2.0)
 
 
-def _retract(Y):
-    """The isometry Q of Y = Q R with R's diagonal real and positive.
+def _retract(Y, mask):
+    """The isometry Q of Y = Q R with R's diagonal real and positive, per block.
 
-    R is the adjoint of the Cholesky factor of Y^dag Y.  For Y = U + t D,
-    with D tangent at the isometry U, Y^dag Y = I + t^2 D^dag D, whose
+    R is the adjoint of the Cholesky factor of (Y^dag Y) * mask, which is
+    block diagonal, and so are its Cholesky factor and that factor's inverse:
+    each block Y_s gets its own QR retraction (`mask` as in `_tangent`).  For Y = U + t D, with D
+    tangent at the isometry U, Y_s^dag Y_s = I + t^2 D_s^dag D_s, whose
     eigenvalues are at least 1, so forming it loses no accuracy.
     """
-    return Y @ np.linalg.inv(np.linalg.cholesky(Y.conj().T @ Y)).conj().T
+    G = Y.conj().T @ Y
+    R = np.linalg.cholesky(G if mask is None else G * mask)
+    return Y @ np.linalg.inv(R).conj().T
 
 
 def _refine(U, B, dA, dB, improvement_tol):
     """Minimize `_objective` over isometries U by Riemannian conjugate gradient.
 
-    Returns (value, U, outcome, (iterations, evaluations)).  Directions are
+    U = [U_1 ... U_S] may hold several starts side by side (see `_objective`);
+    they are refined together as one problem on the product of their
+    isometry manifolds, with one line search on the summed value.  Returns
+    (value, U, outcome, (iterations, evaluations)).  Directions are
     Polak-Ribiere+, the previous one carried over by tangent projection; a
     step of length t retracts U + t D (`_retract`).  The line search is
     Armijo backtracking: the first trial step is followed by one trial at
     the minimizer of the parabola through f(0), f'(0) and that trial, and the
     better of the two is kept, or halved until it decreases enough or until
     the decrease asked for is below the rounding of the value.  The
-    start stops ("converged") after `_STALLS` iterations in a row that each
-    gain less than improvement_tol, or once no decrease is found; otherwise
-    after MAX_ITERATIONS ("iteration_cap").
+    starts stop together ("converged") after `_STALLS` iterations in a row
+    that each gain less than improvement_tol in the summed value, or once no
+    decrease is found; otherwise after MAX_ITERATIONS ("iteration_cap").
     """
+    S, r = U.shape[1] // len(B), len(B)
+    mask = np.kron(np.eye(S), np.ones((r, r))) if S > 1 else None
     value, g = _objective(U, B, dA, dB)
     evaluations = 1
 
     def trial(t):
         nonlocal evaluations
         evaluations += 1
-        U_t = _retract(U + t * direction)
+        U_t = _retract(U + t * direction, mask)
         return (t, *_objective(U_t, B, dA, dB), U_t)
 
-    grad = _tangent(U, g)
+    grad = _tangent(U, g, mask)
     direction = -grad
     step = 1.0
     stalls = iterations = 0
@@ -211,11 +247,11 @@ def _refine(U, B, dA, dB, improvement_tol):
             break
         iterations += 1
         step, new_value, g, U = best
-        new_grad = _tangent(U, g)
+        new_grad = _tangent(U, g, mask)
         # new_grad is tangent at U, so its inner product with grad equals
         # that with grad carried over to U
         beta = max(0.0, _inner(new_grad, new_grad - grad) / _inner(grad, grad))
-        direction = -new_grad + beta * _tangent(U, direction)
+        direction = -new_grad + beta * _tangent(U, direction, mask)
         stalls = stalls + 1 if value - new_value < improvement_tol else 0
         value, grad = new_value, new_grad
         step *= 2.0
@@ -223,26 +259,6 @@ def _refine(U, B, dA, dB, improvement_tol):
             outcome = "converged"
             break
     return value, U, outcome, (iterations, evaluations)
-
-
-def _rounds(L):
-    """Round-robin schedule of the pairs of L rows (circle method).
-
-    L - 1 rounds for even L, L for odd L: the pairs inside a round are
-    disjoint, and each of the L (L - 1) / 2 pairs comes up once.  Row 0 stays
-    put while the others turn one place per round; at odd L the row paired
-    with a dummy row L sits the round out.  Nothing calls it since `_refine`
-    replaced the Jacobi sweeps that ran in these rounds; ROADMAP direction 2
-    has its deletion.
-    """
-    n = L + L % 2
-    ring = list(range(n))
-    rounds = []
-    for _ in range(n - 1):
-        pairs = [tuple(sorted((ring[i], ring[n - 1 - i]))) for i in range(n // 2)]
-        rounds.append(tuple(p for p in pairs if p[1] < L))
-        ring = ring[:1] + ring[-1:] + ring[1:-1]
-    return tuple(r for r in rounds if r)
 
 
 def _ensemble_from_rows(W, dims):
@@ -272,7 +288,8 @@ def eof_optimize(rho: QuantumState, ensemble_size=None, restarts=4,
 
     The returned value is always an upper bound on E_f: the achieving ensemble
     is stored and reproduces rho exactly.  `restarts` random isometry starts
-    are each refined on their own (`_refine`) and the lowest value wins.
+    are refined (`_refine`), together as one block isometry up to
+    JOINT_WORK, and the lowest value among them wins.
     The default ensemble size is rank(rho)^2 capped at (dA dB)^2.
     """
     if rng is None:
@@ -285,8 +302,12 @@ def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
                    improvement_tol=DEFAULT_IMPROVEMENT_TOL, warm=None):
     """`eof_optimize` on the state sum_j |b_j><b_j| of the r x d rows b_j of B.
 
-    `warm`, an L x r isometry, is refined first as the "warm" start and sets
-    L; the `restarts` random starts follow.  Returns the EofResult and the
+    `warm`, an L x r isometry, is refined alone first as the "warm" start and
+    sets L; the `restarts` random starts follow.  Up to JOINT_WORK they are
+    refined together as the L x restarts r block isometry [U_1 ... U_S], and
+    each start's value is then one `_objective` call on its own block; these
+    calls together count as one more evaluation of the group.  Beyond it
+    each random start is a group of its own.  Returns the EofResult and the
     isometry U of the winning start, whose rows U B are its ensemble's.  A
     rank-1 state has the one decomposition W = B.
     """
@@ -303,28 +324,41 @@ def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
     if L < r:
         raise ValueError(f"ensemble size {L} below rank {r}: no such decomposition")
 
-    starts = [] if warm is None else [("warm", warm)]    # (kind, isometry U)
+    groups = [] if warm is None else [("warm", [warm])]  # (kind, isometries)
+    randoms = []
     for _ in range(int(restarts)):
         g = rng.gen
         x = g.standard_normal((L, r)) + 1j * g.standard_normal((L, r))
-        starts.append(("random", np.linalg.qr(x)[0]))
-    if not starts:
+        randoms.append(np.linalg.qr(x)[0])
+    if randoms and L * r * d <= JOINT_WORK:
+        groups.append(("random", randoms))
+    else:
+        groups += [("random", [U]) for U in randoms]
+    if not groups:
         raise ValueError("need at least one start (restarts >= 1 or a warm start)")
 
     best_value = np.inf
     best_U = None
     records = []
-    for kind, U in starts:
-        value, U, outcome, work = _refine(U, B, dA, dB, improvement_tol)
-        records.append(StartRecord(kind, *work, value, outcome))
-        if value < best_value:
-            best_value = value
-            best_U = U
+    for kind, blocks in groups:
+        value, U, outcome, (iterations, evaluations) = _refine(
+            np.hstack(blocks), B, dA, dB, improvement_tol)
+        blocks = np.split(U, len(blocks), axis=1)
+        if len(blocks) == 1:
+            values = [value]
+        else:
+            values = [_objective(U_s, B, dA, dB)[0] for U_s in blocks]
+            evaluations += 1
+        for value, U_s in zip(values, blocks):
+            records.append(StartRecord(kind, iterations, evaluations, value, outcome))
+            if value < best_value:
+                best_value = value
+                best_U = U_s
     ensemble = _ensemble_from_rows(best_U @ B, dims)
     # report the value the stored ensemble actually achieves
     value = float(np.dot(ensemble.weights,
                          [pure_entanglement(s) for s in ensemble.states]))
-    return (EofResult(value, ensemble, len(starts),
+    return (EofResult(value, ensemble, len(records),
                       all(r.outcome != "iteration_cap" for r in records),
                       tuple(r.value for r in records), tuple(records)), best_U)
 

@@ -10,7 +10,9 @@ from entcost.eof import (
     StartRecord,
     _eigen_rows,
     _minimize_rows,
-    _rounds,
+    _objective,
+    _retract,
+    _tangent,
     apply_locc,
     check_monotonicity,
     concurrence,
@@ -190,14 +192,24 @@ class TestOptimizer:
 
 
 class TestStartRecords:
-    """Every start is refined on its own, and each leaves one record."""
+    """The warm start is refined alone and, on small problems, the random
+    starts together, as one block isometry; each start leaves one record,
+    and an objective call evaluates every start whose block it holds once,
+    so the records' evaluations add up to the starts held, summed over the
+    calls."""
 
-    def test_records_count_every_start(self, monkeypatch):
-        # every objective call is one evaluation
+    @staticmethod
+    def count_starts_per_call(monkeypatch):
+        """The number of starts each objective call holds, U being L x S r."""
         calls = []
         objective = entcost.eof._objective
-        monkeypatch.setattr(entcost.eof, "_objective",
-                            lambda *a: calls.append(1) or objective(*a))
+        monkeypatch.setattr(
+            entcost.eof, "_objective",
+            lambda U, B, *a: calls.append(U.shape[1] // len(B)) or objective(U, B, *a))
+        return calls
+
+    def test_records_count_every_start(self, monkeypatch):
+        calls = self.count_starts_per_call(monkeypatch)
         rng = RandomSource(127)
         rho = sample_density_matrix((2, 2), 2, rng.split())
         B = _eigen_rows(rho)
@@ -206,7 +218,8 @@ class TestStartRecords:
         assert [r.kind for r in res.starts] == ["warm"] + ["random"] * 3
         assert res.restarts_used == len(res.starts) == 4
         assert res.value_history == tuple(r.value for r in res.starts)
-        assert sum(r.evaluations for r in res.starts) == len(calls)
+        assert sum(r.evaluations for r in res.starts) == sum(calls)
+        assert max(calls) == 3
         for r in res.starts:
             assert isinstance(r, StartRecord)
             assert r.outcome == "converged"
@@ -217,6 +230,16 @@ class TestStartRecords:
             {"kind": r.kind, "iterations": r.iterations,
              "evaluations": r.evaluations, "value": r.value,
              "outcome": r.outcome} for r in res.starts]
+
+    def test_starts_beyond_the_joint_work_are_refined_one_by_one(self, monkeypatch):
+        calls = self.count_starts_per_call(monkeypatch)
+        # full rank at (2, 3): L r d = 36 * 6 * 6
+        rho = sample_density_matrix((2, 3), 6, RandomSource(137))
+        assert 36 * 6 * 6 > entcost.eof.JOINT_WORK
+        res = eof_optimize(rho, restarts=2, rng=RandomSource(139))
+        assert [r.kind for r in res.starts] == ["random"] * 2
+        assert set(calls) == {1}
+        assert sum(r.evaluations for r in res.starts) == len(calls)
 
     def test_only_the_iteration_cap_makes_a_run_unconverged(self, monkeypatch):
         rng = RandomSource(131)
@@ -233,18 +256,40 @@ class TestStartRecords:
         assert not capped.converged
 
 
-class TestRoundRobin:
-    """The circle-method schedule of row pairs."""
+class TestBlockIsometry:
+    """Starts side by side, U = [U_1 U_2 U_3], give each block its own
+    objective, projection and retraction."""
 
-    @pytest.mark.parametrize("L", range(2, 27))
-    def test_every_pair_once_in_disjoint_rounds(self, L):
-        rounds = _rounds(L)
-        assert len(rounds) == (L - 1 if L % 2 == 0 else L)
-        pairs = [p for r in rounds for p in r]
-        assert sorted(pairs) == [(a, b) for a in range(L) for b in range(a + 1, L)]
-        for r in rounds:
-            rows = [i for p in r for i in p]
-            assert len(rows) == len(set(rows))
+    def test_three_blocks_match_the_blocks_one_by_one(self):
+        rho = sample_density_matrix((2, 3), 3, RandomSource(151))
+        B = _eigen_rows(rho)
+        L, r = 7, len(B)
+        g = np.random.default_rng(151)
+
+        def draw(cols):
+            return g.standard_normal((L, cols)) + 1j * g.standard_normal((L, cols))
+
+        blocks = [np.linalg.qr(draw(r))[0] for _ in range(3)]
+        U, X = np.hstack(blocks), draw(3 * r)
+        mask = np.kron(np.eye(3), np.ones((r, r)))
+        Xs = np.split(X, 3, axis=1)
+        D = _tangent(U, X, mask)
+        assert np.allclose(D, np.hstack([_tangent(U_s, X_s, None)
+                                         for U_s, X_s in zip(blocks, Xs)]),
+                           rtol=0.0, atol=1e-14)
+        Y = U + 0.3 * D
+        Q = _retract(Y, mask)
+        assert np.allclose(Q, np.hstack([_retract(Y_s, None)
+                                         for Y_s in np.split(Y, 3, axis=1)]),
+                           rtol=0.0, atol=1e-14)
+        # each block is an isometry; the blocks need not be orthogonal
+        assert np.allclose((Q.conj().T @ Q) * mask, np.eye(3 * r), rtol=0.0,
+                           atol=1e-14)
+        value, grad = _objective(U, B, *rho.dims)
+        parts = [_objective(U_s, B, *rho.dims) for U_s in blocks]
+        assert value == pytest.approx(sum(v for v, _ in parts), rel=0.0, abs=1e-14)
+        assert np.allclose(grad, np.hstack([g_s for _, g_s in parts]),
+                           rtol=0.0, atol=1e-14)
 
 
 class TestContinuity:

@@ -312,13 +312,13 @@ def test_factored_fidelities_match_dense_reference(ens, n, delta2):
 
 def test_factored_fidelities_match_dense_reference_with_more_members_than_dimension():
     # the CLI's density-matrix path: eof_optimize gives a rank-3 state nine
-    # members, more than the dimension 4, so 504 typical sequences at n = 3
+    # members, more than the dimension 4, so 528 typical sequences at n = 3
     # outnumber the dimension 64 and the factors are compressed
     rho = sample_density_matrix((2, 2), 3, RandomSource(5))
     ens = eof_optimize(rho, rng=RandomSource(5)).ensemble
     assert len(ens) == 9
     res = assert_matches_dense_reference(ens, 3, 0.25)
-    assert len(res.typical_set.sequences) == 504
+    assert len(res.typical_set.sequences) == 528
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -135,15 +135,19 @@ def test_objective_matches_explicit_rows(dims, seed, split, product_row):
 
 @PROPERTY
 @given(dims=OBJECTIVE_DIMS, seed=SEEDS, split=st.floats(0.01, 0.99),
-       product_row=st.booleans())
+       product_row=st.booleans(), blocks=st.sampled_from([1, 2]))
 def test_objective_gradient_matches_central_difference(dims, seed, split,
-                                                       product_row):
+                                                       product_row, blocks):
     # rows of weight at least 0.01, so a step of 1e-5 stays small beside both;
-    # at a product row the central difference cancels the h^2 log h^2 part
+    # at a product row the central difference cancels the h^2 log h^2 part.
+    # Two blocks hold two starts side by side, U = [I, Q] with Q the swap
+    # times random phases, whose rows are those of the first block permuted
     B, g = _two_rows(dims, seed, split, product_row)
-    U = np.eye(2, dtype=complex)
+    X = g.standard_normal((2, 2 * blocks)) + 1j * g.standard_normal((2, 2 * blocks))
+    swap = np.exp(2j * np.pi * g.random(2))[:, None] * np.eye(2)[::-1]
+    U = np.hstack([np.eye(2, dtype=complex), swap][:blocks])
     _, grad = _objective(U, B, *dims)
-    X = _tangent(U, g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2)))
+    X = _tangent(U, X, np.kron(np.eye(2), np.ones((2, 2))) if blocks == 2 else None)
     h = 1e-5
     central = (_objective(U + h * X, B, *dims)[0]
                - _objective(U - h * X, B, *dims)[0]) / (2.0 * h)
