@@ -261,6 +261,26 @@ def _refine(U, B, dA, dB, improvement_tol):
     return value, U, outcome, (iterations, evaluations)
 
 
+def _rounds(L):
+    """Round-robin schedule of the pairs of L rows (circle method).
+
+    L - 1 rounds for even L, L for odd L: the pairs inside a round are
+    disjoint, and each of the L (L - 1) / 2 pairs comes up once.  Row 0 stays
+    put while the others turn one place per round; at odd L the row paired
+    with a dummy row L sits the round out.  Nothing calls it since `_refine`
+    replaced the Jacobi sweeps that ran in these rounds; ROADMAP direction
+    9(a) has its deletion.
+    """
+    n = L + L % 2
+    ring = list(range(n))
+    rounds = []
+    for _ in range(n - 1):
+        pairs = [tuple(sorted((ring[i], ring[n - 1 - i]))) for i in range(n // 2)]
+        rounds.append(tuple(p for p in pairs if p[1] < L))
+        ring = ring[:1] + ring[-1:] + ring[1:-1]
+    return tuple(r for r in rounds if r)
+
+
 def _ensemble_from_rows(W, dims):
     p = np.array([float(np.vdot(w, w).real) for w in W])
     keep = p > 1e-12

@@ -12,6 +12,7 @@ from entcost.eof import (
     _minimize_rows,
     _objective,
     _retract,
+    _rounds,
     _tangent,
     apply_locc,
     check_monotonicity,
@@ -254,6 +255,20 @@ class TestStartRecords:
         assert [r.outcome for r in capped.starts] == ["iteration_cap"] * 4
         assert [r.iterations for r in capped.starts] == [1] * 4
         assert not capped.converged
+
+
+class TestRoundRobin:
+    """The circle-method schedule of row pairs."""
+
+    @pytest.mark.parametrize("L", range(2, 27))
+    def test_every_pair_once_in_disjoint_rounds(self, L):
+        rounds = _rounds(L)
+        assert len(rounds) == (L - 1 if L % 2 == 0 else L)
+        pairs = [p for r in rounds for p in r]
+        assert sorted(pairs) == [(a, b) for a in range(L) for b in range(a + 1, L)]
+        for r in rounds:
+            rows = [i for p in r for i in p]
+            assert len(rows) == len(set(rows))
 
 
 class TestBlockIsometry:
