@@ -1,4 +1,4 @@
-"""Per-layer timings of the conjugate-gradient E_f optimizer (pytest-benchmark).
+"""Per-layer timings of the L-BFGS E_f optimizer (pytest-benchmark).
 
 Outside the tier-1 suite: `testpaths` collects only `tests/`.  Run with
 
@@ -8,7 +8,7 @@ Outside the tier-1 suite: `testpaths` collects only `tests/`.  Run with
 Layers, at dims (2, 2) and (4, 4):
 - one `_objective` call, which gives the value and the gradient together;
 - one line-search trial: the retraction of a step and the objective there;
-- one conjugate-gradient iteration (`MAX_ITERATIONS` set to 1);
+- one L-BFGS iteration (`MAX_ITERATIONS` set to 1);
 - one start, refined until it stops;
 - one joint refine of three random starts at (2, 2), side by side as one
   block isometry, as `eof_optimize` refines an eof-qubit item's starts;
@@ -84,7 +84,7 @@ def test_line_search_trial(benchmark, dims):
 
 
 @pytest.mark.parametrize("dims", list(CASES), ids=str)
-def test_iteration(benchmark, monkeypatch, dims):
+def test_lbfgs_iteration(benchmark, monkeypatch, dims):
     U, B = _start(dims)
     monkeypatch.setattr(entcost.eof, "MAX_ITERATIONS", 1)
     _, _, outcome, (iterations, _) = benchmark(_refine, U, B, *dims, 1e-6)

@@ -15,7 +15,6 @@ from .qcore import (
     partial_trace,
     pure_entanglement,
     pure_power,
-    purify,
     sample_density_matrix,
     sample_pure_state,
     sample_unitary,

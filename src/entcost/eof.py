@@ -5,12 +5,12 @@ E_f(rho) is the minimum of sum_i p_i E(psi_i) over pure-state decompositions
 of rho.  The optimizer parameterizes decompositions through the purification:
 every size-L ensemble has rows W = U B, with B the r x d factor whose rows are
 sqrt(lam_j) e_j (the rank-r eigen-ensemble) and U an L x r isometry, so every
-iterate is feasible by construction.  Starts are refined by Riemannian
-conjugate gradient over the isometries (Audenaert, Verstraete & De Moor, PRA
-64, 052304 (2001); Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 303
-(1998)); on small problems the seeded random starts are refined together,
-side by side as one block isometry, and a warm start is always refined alone.  One stacked `eigh` of the rows'
-reduced Gram matrices gives both the objective and its gradient.
+iterate is feasible by construction.  Starts are refined by Riemannian L-BFGS
+over the isometries (Audenaert, Verstraete & De Moor, PRA 64, 052304 (2001);
+Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660 (2015)); on small problems
+the seeded random starts are refined together, side by side as one block
+isometry, and a warm start is always refined alone.  One stacked `eigh` of
+the rows' reduced Gram matrices gives both the objective and its gradient.
 """
 
 from __future__ import annotations
@@ -36,17 +36,16 @@ from .qcore import (
 
 OPTIMIZER_TOL = 1e-3          # default slack when comparing optimizer outputs
 DEFAULT_IMPROVEMENT_TOL = 1e-6
-MAX_ITERATIONS = 500          # conjugate-gradient iterations per refine
+MAX_ITERATIONS = 500          # L-BFGS iterations per refine
+_MEMORY = 3                   # step pairs the L-BFGS direction remembers
 _STALLS = 5                   # iterations in a row gaining < improvement_tol
 _ARMIJO = 1e-4                # sufficient-decrease fraction of the slope
 _BACKTRACKS = 30              # step halvings before a search gives up
 _EPS = np.finfo(float).eps
 
-# L r d of one start up to which the random starts share one refine.  Small
-# steps are bound by numpy call overhead, which one joint call pays once for
-# all starts; the joint refine runs every start until the slowest stalls,
-# which larger steps pay in arithmetic.  Two random starts took 0.67-0.89 of
-# their one-by-one time at L r d <= 1024 and 0.93-1.21 at 1620-32768
+# L r d of one start up to which the random starts share one refine, paying
+# numpy's call overhead once.  Two random starts took 0.55-1.05 of their
+# one-by-one time up to 1024 and 0.75-1.20 at 1620-32768 (BENCH_eof.json)
 JOINT_WORK = 1024
 
 # perfbench/tracing.py wraps these names when a traced run starts; nothing
@@ -95,7 +94,7 @@ class StartRecord:
     the group evaluates every start in it once.
     """
     kind: str                 # "warm" (a given isometry) or "random"
-    iterations: int           # conjugate-gradient iterations of its group
+    iterations: int           # L-BFGS iterations of its group
     evaluations: int          # evaluations of its group, value and gradient each
     value: float              # sum_i p_i E_i the start ended at
     outcome: str              # "converged" or "iteration_cap"
@@ -105,9 +104,8 @@ class StartRecord:
 class EofResult:
     """Best value over the starts, its ensemble, and one record per start.
 
-    The random starts may be refined together (up to JOINT_WORK) and the
-    warm start alone, but each start keeps its own value and record.  `converged` means no start
-    hit the iteration cap.
+    Each start keeps its own value and record, also when refined with others
+    (up to JOINT_WORK).  `converged` means no start hit the iteration cap.
     """
     value: float
     ensemble: Ensemble
@@ -191,22 +189,37 @@ def _retract(Y, mask):
     return Y @ np.linalg.inv(R).conj().T
 
 
+def _lbfgs_direction(U, grad, pairs, mask):
+    """-H grad, tangent at U, by the two-loop recursion over the pairs (s, y,
+    s.y) of steps and gradient changes, H_0 = s.y / y.y of the newest pair."""
+    if not pairs:
+        return -grad
+    q, alphas = grad, []
+    for s, y, sy in reversed(pairs):
+        alphas.append(_inner(s, q) / sy)
+        q = q - alphas[-1] * y
+    _, y, sy = pairs[-1]
+    q = q * (sy / _inner(y, y))
+    for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+        q = q + (alpha - _inner(y, q) / sy) * s
+    return -_tangent(U, q, mask)
+
+
 def _refine(U, B, dA, dB, improvement_tol):
-    """Minimize `_objective` over isometries U by Riemannian conjugate gradient.
+    """Minimize `_objective` over isometries U by Riemannian L-BFGS.
 
     U = [U_1 ... U_S] may hold several starts side by side (see `_objective`);
     they are refined together as one problem on the product of their
     isometry manifolds, with one line search on the summed value.  Returns
-    (value, U, outcome, (iterations, evaluations)).  Directions are
-    Polak-Ribiere+, the previous one carried over by tangent projection; a
-    step of length t retracts U + t D (`_retract`).  The line search is
-    Armijo backtracking: the first trial step is followed by one trial at
-    the minimizer of the parabola through f(0), f'(0) and that trial, and the
-    better of the two is kept, or halved until it decreases enough or until
-    the decrease asked for is below the rounding of the value.  The
-    starts stop together ("converged") after `_STALLS` iterations in a row
-    that each gain less than improvement_tol in the summed value, or once no
-    decrease is found; otherwise after MAX_ITERATIONS ("iteration_cap").
+    (value, U, outcome, (iterations, evaluations)).  Directions come from the
+    last _MEMORY steps, stored without transport; one that does not descend
+    clears them and falls back to -grad.  A step t retracts U + t D.  The
+    line search keeps t = 1 if it meets Armijo, else the better of it and the
+    parabola's minimizer through f(0), f'(0), f(1), halved until Armijo holds
+    or the decrease asked for is below rounding.  The starts stop together
+    ("converged") after `_STALLS` iterations in a row each gaining less than
+    improvement_tol, or once no decrease is found; else at MAX_ITERATIONS
+    ("iteration_cap").
     """
     S, r = U.shape[1] // len(B), len(B)
     mask = np.kron(np.eye(S), np.ones((r, r))) if S > 1 else None
@@ -220,21 +233,22 @@ def _refine(U, B, dA, dB, improvement_tol):
         return (t, *_objective(U_t, B, dA, dB), U_t)
 
     grad = _tangent(U, g, mask)
-    direction = -grad
-    step = 1.0
+    pairs = []
     stalls = iterations = 0
     outcome = "iteration_cap"
     while iterations < MAX_ITERATIONS:
+        direction = _lbfgs_direction(U, grad, pairs, mask)
         slope = _inner(grad, direction)
         if slope >= 0.0:
-            # not a descent direction: restart from the gradient
+            # not a descent direction: forget the pairs, take the gradient
+            pairs.clear()
             direction, slope = -grad, -_inner(grad, grad)
         if slope == 0.0:
             outcome = "converged"
             break
-        best = trial(step)
-        curve = (best[1] - value - slope * step) / (step * step)
-        if curve > 0.0:
+        best = trial(1.0)
+        curve = best[1] - value - slope
+        if best[1] > value + _ARMIJO * slope and curve > 0.0:
             best = min(best, trial(-slope / (2.0 * curve)), key=lambda b: b[1])
         for _ in range(_BACKTRACKS):
             target = _ARMIJO * best[0] * slope
@@ -246,15 +260,14 @@ def _refine(U, B, dA, dB, improvement_tol):
             outcome = "converged"
             break
         iterations += 1
-        step, new_value, g, U = best
+        t, new_value, g, U = best
         new_grad = _tangent(U, g, mask)
-        # new_grad is tangent at U, so its inner product with grad equals
-        # that with grad carried over to U
-        beta = max(0.0, _inner(new_grad, new_grad - grad) / _inner(grad, grad))
-        direction = -new_grad + beta * _tangent(U, direction, mask)
+        s, y = t * direction, new_grad - grad
+        sy = _inner(s, y)
+        if sy > 0.0:
+            pairs = (pairs + [(s, y, sy)])[-_MEMORY:]
         stalls = stalls + 1 if value - new_value < improvement_tol else 0
         value, grad = new_value, new_grad
-        step *= 2.0
         if stalls >= _STALLS:
             outcome = "converged"
             break
@@ -309,7 +322,7 @@ def eof_optimize(rho: QuantumState, ensemble_size=None, restarts=4,
     The returned value is always an upper bound on E_f: the achieving ensemble
     is stored and reproduces rho exactly.  `restarts` random isometry starts
     are refined (`_refine`), together as one block isometry up to
-    JOINT_WORK, and the lowest value among them wins.
+    JOINT_WORK; the lowest value wins, by more than 4 eps over earlier ones.
     The default ensemble size is rank(rho)^2 capped at (dA dB)^2.
     """
     if rng is None:
@@ -357,8 +370,7 @@ def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
     if not groups:
         raise ValueError("need at least one start (restarts >= 1 or a warm start)")
 
-    best_value = np.inf
-    best_U = None
+    best_value = best_U = None
     records = []
     for kind, blocks in groups:
         value, U, outcome, (iterations, evaluations) = _refine(
@@ -371,7 +383,8 @@ def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
             evaluations += 1
         for value, U_s in zip(values, blocks):
             records.append(StartRecord(kind, iterations, evaluations, value, outcome))
-            if value < best_value:
+            # a start a few ulps below an earlier one does not displace it
+            if best_U is None or value < best_value - 4 * _EPS * abs(best_value):
                 best_value = value
                 best_U = U_s
     ensemble = _ensemble_from_rows(best_U @ B, dims)

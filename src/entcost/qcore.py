@@ -224,18 +224,6 @@ def ensemble_average(ensemble: Ensemble) -> QuantumState:
     return QuantumState(ensemble.dims, acc)
 
 
-def purify(rho: QuantumState) -> PureState:
-    """Purification on (system, auxiliary) with auxiliary dimension = rank(rho)."""
-    evals, evecs = np.linalg.eigh(rho.matrix)
-    keep = evals > RANK_TOL
-    lam = evals[keep]
-    vecs = evecs[:, keep]
-    r = int(lam.size)
-    # vector indexed (system, aux): v[x, j] = sqrt(lam_j) e_j[x]
-    v = (vecs * np.sqrt(lam)).reshape(rho.dim * r)
-    return PureState((rho.dim, r), v / np.linalg.norm(v))
-
-
 # ---------------------------------------------------------------------------
 # Tensor products with bipartite regrouping (A factors stay together)
 # ---------------------------------------------------------------------------

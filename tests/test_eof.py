@@ -9,8 +9,10 @@ from entcost.eof import (
     LoccChannel,
     StartRecord,
     _eigen_rows,
+    _inner,
     _minimize_rows,
     _objective,
+    _refine,
     _retract,
     _rounds,
     _tangent,
@@ -255,6 +257,63 @@ class TestStartRecords:
         assert [r.outcome for r in capped.starts] == ["iteration_cap"] * 4
         assert [r.iterations for r in capped.starts] == [1] * 4
         assert not capped.converged
+
+
+class TestLbfgs:
+    """The L-BFGS refine: its unit step is usually accepted at the first
+    trial, a direction that does not descend falls back to -grad, and a
+    later start must win by more than rounding."""
+
+    def test_about_one_evaluation_per_iteration(self):
+        rho = sample_density_matrix((2, 2), 3, RandomSource(131))
+        res = eof_optimize(rho, ensemble_size=5, restarts=3, rng=RandomSource(131))
+        for r in res.starts:
+            assert r.evaluations <= 1.3 * r.iterations + 2
+
+    def test_ascent_direction_falls_back_to_the_gradient(self, monkeypatch):
+        # at the third iteration the two-loop recursion is handed the pair
+        # s = grad, y = -grad, with s.y < 0, which the refine never stores:
+        # the direction it gives is +grad
+        rho = sample_density_matrix((2, 3), 3, RandomSource(157))
+        B = _eigen_rows(rho)
+        g = np.random.default_rng(157)
+        U0 = np.linalg.qr(g.standard_normal((6, 3)) + 1j * g.standard_normal((6, 3)))[0]
+        direction = entcost.eof._lbfgs_direction
+        stored, values = [], []
+
+        def forced(U, grad, pairs, mask):
+            stored.append(len(pairs))
+            values.append(_objective(U, B, *rho.dims)[0])
+            if len(stored) == 3:
+                pairs = [(grad, -grad, -_inner(grad, grad))]
+                ascent = direction(U, grad, pairs, mask)
+                assert _inner(grad, ascent) > 0.0
+                return ascent
+            return direction(U, grad, pairs, mask)
+
+        monkeypatch.setattr(entcost.eof, "_lbfgs_direction", forced)
+        value, _, outcome, (iterations, _) = _refine(U0, B, *rho.dims, 1e-6)
+        assert outcome == "converged" and iterations > 3
+        # the memory was cleared, then the -grad step stored one pair
+        assert stored[:4] == [0, 1, 2, 1]
+        assert values[3] < values[2]
+        assert value < values[0]
+
+    def test_a_later_start_needs_more_than_rounding_to_win(self, monkeypatch):
+        # two random starts refined together end one ulp apart, and the
+        # first keeps its ensemble; 1e-12 lower is a win
+        rho = sample_density_matrix((2, 2), 2, RandomSource(163))
+        B = _eigen_rows(rho)
+        joint = []
+        monkeypatch.setattr(entcost.eof, "_refine",
+                            lambda U, *a: joint.append(U) or (0.0, U, "converged", (0, 1)))
+        for second, winner in ((np.nextafter(0.3, 0.0), 0), (0.3 - 1e-12, 1)):
+            values = iter([0.3, second])
+            monkeypatch.setattr(entcost.eof, "_objective",
+                                lambda *a, values=values: (next(values), None))
+            res, U = _minimize_rows(B, rho.dims, 4, 2, RandomSource(167))
+            assert res.value_history == (0.3, second)
+            assert np.array_equal(U, np.split(joint[-1], 2, axis=1)[winner])
 
 
 class TestRoundRobin:

@@ -312,13 +312,19 @@ def test_factored_fidelities_match_dense_reference(ens, n, delta2):
 
 def test_factored_fidelities_match_dense_reference_with_more_members_than_dimension():
     # the CLI's density-matrix path: eof_optimize gives a rank-3 state nine
-    # members, more than the dimension 4, so 528 typical sequences at n = 3
-    # outnumber the dimension 64 and the factors are compressed
+    # members, more than the dimension 4, so the typical sequences at n = 3
+    # outnumber the dimension 64 and the factors are compressed.  Their
+    # count depends on the optimizer's weights, so it is counted here by
+    # walking all 9^3 sequences against the count windows
     rho = sample_density_matrix((2, 2), 3, RandomSource(5))
     ens = eof_optimize(rho, rng=RandomSource(5)).ensemble
     assert len(ens) == 9
     res = assert_matches_dense_reference(ens, 3, 0.25)
-    assert len(res.typical_set.sequences) == 528
+    windows = typical_count_windows(ens.weights, 3, 0.5)
+    count = sum(all(lo <= seq.count(i) <= hi for i, (lo, hi) in enumerate(windows))
+                for seq in itertools.product(range(9), repeat=3))
+    assert len(res.typical_set.sequences) == res.typical_set.num_sequences == count
+    assert count > 4 ** 3
 
 
 @pytest.mark.parametrize("n", [3, 4])

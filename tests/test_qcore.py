@@ -15,7 +15,6 @@ from entcost.qcore import (
     partial_trace_matrix,
     pure_entanglement,
     pure_power,
-    purify,
     sample_density_matrix,
     sample_pure_state,
     sample_unitary,
@@ -156,29 +155,6 @@ class TestEnsemble:
         with pytest.raises(DimensionError):
             Ensemble(np.array([0.5, 0.5]),
                      (basis_pure((2, 2), 0, 0), basis_pure((2, 3), 0, 0)))
-
-
-class TestPurify:
-    def test_pure_state_gets_trivial_auxiliary(self):
-        rho = singlet().to_state()
-        phi = purify(rho)
-        assert phi.dims == (4, 1)
-
-    def test_maximally_mixed_qubit_pair(self):
-        rho = QuantumState((2, 1), np.eye(2) / 2)
-        phi = purify(rho)
-        assert phi.dims == (2, 2)
-        assert pure_entanglement(phi) == pytest.approx(1.0)
-
-    def test_round_trip_on_random_states(self):
-        rng = RandomSource(17)
-        for i in range(100):
-            dims = [(2, 2), (2, 3), (3, 2)][i % 3]
-            d = dims[0] * dims[1]
-            rho = sample_density_matrix(dims, 1 + i % d, rng.split())
-            phi = purify(rho)
-            back = partial_trace(phi.to_state(), "A")
-            assert np.abs(back - rho.matrix).max() < 1e-9
 
 
 class TestTensorRegrouping:
