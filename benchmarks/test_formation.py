@@ -9,8 +9,8 @@ Layers:
 - `dilution_fidelity` at counts 2-6, at 22 (the largest count the deleted
   r^c spectrum array allowed at r = 2) and at 1000, a walk over the 1001
   occupation patterns of a two-qubit power;
-- `dilute_pure_state` at counts 1-5;
-- `typical_set` over k^n = 2^16 sequences (k = 2, n = 16);
+- `typical_set` at (0.7, 0.3), n = 16 (k^n = 2^16 sequences), and at
+  (0.9, 0.1), n = 21, whose thin window admits 7547 of 2^21 sequences;
 - the exact-mode factor build, `support_factors`: the single-copy basis,
   the per-composition products and gathers, and the block QR of R_t and
   R_y (kept-term selection included);
@@ -36,7 +36,6 @@ import pytest
 from entcost.eof import eof_optimize
 from entcost.formation import (
     _kept_terms,
-    dilute_pure_state,
     dilution_fidelity,
     dilution_plan,
     support_factors,
@@ -65,16 +64,10 @@ def test_dilution_fidelity(benchmark, count):
     assert 0.0 < fid <= 1.0
 
 
-@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
-def test_dilute_pure_state(benchmark, count):
-    approx, fid = benchmark(dilute_pure_state, PSI, count, _budget(count))
-    assert approx.dims == (2 ** count, 2 ** count)
-    assert 0.0 < fid <= 1.0
-
-
-def test_typical_set(benchmark):
-    tset = benchmark(typical_set, [0.7, 0.3], 16, 0.5)
-    assert 0 < len(tset.sequences) < 2 ** 16
+@pytest.mark.parametrize("p, n", [((0.7, 0.3), 16), ((0.9, 0.1), 21)], ids=str)
+def test_typical_set(benchmark, p, n):
+    tset = benchmark(typical_set, list(p), n, 0.5)
+    assert 0 < len(tset.sequences) < 2 ** n
 
 
 def _ensemble(case):

@@ -56,7 +56,6 @@ from .formation import (
     DilutionPlan,
     FormationResult,
     TypicalSet,
-    dilute_pure_state,
     dilution_fidelity,
     dilution_plan,
     formation_protocol,

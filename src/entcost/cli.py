@@ -276,7 +276,7 @@ def build_parser():
     p.add_argument("--ensemble-size", type=_POSITIVE_INT, default=None)
     p.add_argument("--restarts", type=_POSITIVE_INT, default=4,
                    help="random Haar-isometry starts, refined together as one "
-                        "block isometry on small problems; the lowest value "
+                        "stack of isometries on small problems; the lowest value "
                         "wins")
     p.add_argument("--tol", type=_POSITIVE_FLOAT,
                    default=DEFAULT_IMPROVEMENT_TOL,

@@ -7,10 +7,10 @@ every size-L ensemble has rows W = U B, with B the r x d factor whose rows are
 sqrt(lam_j) e_j (the rank-r eigen-ensemble) and U an L x r isometry, so every
 iterate is feasible by construction.  Starts are refined by Riemannian L-BFGS
 over the isometries (Audenaert, Verstraete & De Moor, PRA 64, 052304 (2001);
-Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660 (2015)); on small problems
-the seeded random starts are refined together, side by side as one block
-isometry, and a warm start is always refined alone.  One stacked `eigh` of
-the rows' reduced Gram matrices gives both the objective and its gradient.
+Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660 (2015)), a group of starts
+as one stack of isometries; on small problems the seeded random starts are
+one group, and a warm start is always refined alone.  One stacked `eigh` of
+the rows' reduced Gram matrices gives the objective and its gradient.
 """
 
 from __future__ import annotations
@@ -91,7 +91,8 @@ class StartRecord:
 
     Starts refined together (the random ones, up to JOINT_WORK) share their
     group's `iterations`, `evaluations` and `outcome`; each evaluation of
-    the group evaluates every start in it once.
+    the group evaluates every start in it once, and `value` is the start's
+    own share of the group's last accepted evaluation.
     """
     kind: str                 # "warm" (a given isometry) or "random"
     iterations: int           # L-BFGS iterations of its group
@@ -125,12 +126,14 @@ def _row_blocks(W, dA, dB):
     return M if dA <= dB else np.swapaxes(M, -1, -2)
 
 
-def _objective(U, B, dA, dB):
-    """sum_i p_i E(psi_i) over the rows of W = U B, and its gradient in U.
+def _adjoint(X):
+    """The conjugate transpose of each matrix in the stack X."""
+    return X.conj().swapaxes(-1, -2)
 
-    U may hold S isometries side by side, L x S r for B of r rows: W is
-    then U.reshape(-1, r) @ B, the rows of every U_s B, and the value is the
-    sum of the S values.
+
+def _objective(U, B, dA, dB):
+    """sum_i p_i E(psi_i) over the rows of W = U B, the S starts' own sums,
+    and its gradient in U, for a stack U of S isometries, S x L x r.
 
     Row i, as the block M_i of `_row_blocks`, has Gram matrix
     G_i = M_i M_i^dag, weight p_i = tr G_i and p_i E(psi_i) =
@@ -141,55 +144,45 @@ def _objective(U, B, dA, dB):
     The gradient g is Euclidean: the value changes by Re tr(g^dag X) along X.
     Eigenvalues at or below 1e-18 are noise.
     """
-    W = U.reshape(-1, B.shape[0]) @ B
+    W = U @ B
     M = _row_blocks(W, dA, dB)
-    mu, V = np.linalg.eigh(M @ np.swapaxes(M, -1, -2).conj())
+    mu, V = np.linalg.eigh(M @ _adjoint(M))
     mu = np.where(mu > 1e-18, mu, 0.0)
     p = mu.sum(axis=-1, keepdims=True)
     # log2 mu_j - log2 p_i, and 0 where mu_j = 0; sum_ij mu_j of it is -value
     shift = np.log2(mu / np.where(p > 0.0, p, 1.0), where=mu > 0.0,
                     out=np.zeros_like(mu))
     value = -float(np.vdot(mu, shift))
-    grad = -2.0 * (V * shift[:, None, :]) @ (np.swapaxes(V, -1, -2).conj() @ M)
+    values = [-float(np.vdot(mu_s, shift_s)) for mu_s, shift_s in zip(mu, shift)]
+    grad = -2.0 * (V * shift[..., None, :]) @ (_adjoint(V) @ M)
     if dA > dB:
         grad = np.swapaxes(grad, -1, -2)
-    return value, (grad.reshape(W.shape) @ B.conj().T).reshape(U.shape)
+    return value, values, grad.reshape(W.shape) @ B.conj().T
 
 
 def _inner(X, Y):
-    """The real inner product Re tr(X^dag Y)."""
+    """The real inner product Re tr(X^dag Y), summed over a stack."""
     return float(np.vdot(X, Y).real)
 
 
-def _tangent(U, X, mask):
-    """X projected on the tangent space of the isometries at U.
-
-    U = [U_1 ... U_S] holds S isometries side by side, and `mask` is the
-    block-diagonal matrix of ones with one r x r block per U_s, so each
-    block of X is projected at its own U_s.  A single isometry takes None,
-    which skips the multiplication by all ones.
-    """
-    H = U.conj().T @ X
-    if mask is not None:
-        H *= mask
-    return X - U @ ((H + H.conj().T) / 2.0)
+def _tangent(U, X):
+    """X projected on the tangent space of the isometries at U, per start."""
+    H = _adjoint(U) @ X
+    return X - U @ ((H + _adjoint(H)) / 2.0)
 
 
-def _retract(Y, mask):
-    """The isometry Q of Y = Q R with R's diagonal real and positive, per block.
+def _retract(Y):
+    """The isometry Q of Y = Q R, R's diagonal real and positive, per start.
 
-    R is the adjoint of the Cholesky factor of (Y^dag Y) * mask, which is
-    block diagonal, and so are its Cholesky factor and that factor's inverse:
-    each block Y_s gets its own QR retraction (`mask` as in `_tangent`).  For Y = U + t D, with D
-    tangent at the isometry U, Y_s^dag Y_s = I + t^2 D_s^dag D_s, whose
+    R is the adjoint of the Cholesky factor of Y^dag Y.  For Y = U + t D,
+    with D tangent at the isometry U, Y^dag Y = I + t^2 D^dag D, whose
     eigenvalues are at least 1, so forming it loses no accuracy.
     """
-    G = Y.conj().T @ Y
-    R = np.linalg.cholesky(G if mask is None else G * mask)
-    return Y @ np.linalg.inv(R).conj().T
+    R = np.linalg.cholesky(_adjoint(Y) @ Y)
+    return Y @ _adjoint(np.linalg.inv(R))
 
 
-def _lbfgs_direction(U, grad, pairs, mask):
+def _lbfgs_direction(U, grad, pairs):
     """-H grad, tangent at U, by the two-loop recursion over the pairs (s, y,
     s.y) of steps and gradient changes, H_0 = s.y / y.y of the newest pair."""
     if not pairs:
@@ -202,42 +195,41 @@ def _lbfgs_direction(U, grad, pairs, mask):
     q = q * (sy / _inner(y, y))
     for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
         q = q + (alpha - _inner(y, q) / sy) * s
-    return -_tangent(U, q, mask)
+    return -_tangent(U, q)
 
 
 def _refine(U, B, dA, dB, improvement_tol):
-    """Minimize `_objective` over isometries U by Riemannian L-BFGS.
+    """Minimize `_objective` over the stack U of isometries by Riemannian
+    L-BFGS.
 
-    U = [U_1 ... U_S] may hold several starts side by side (see `_objective`);
-    they are refined together as one problem on the product of their
-    isometry manifolds, with one line search on the summed value.  Returns
-    (value, U, outcome, (iterations, evaluations)).  Directions come from the
-    last _MEMORY steps, stored without transport; one that does not descend
-    clears them and falls back to -grad.  A step t retracts U + t D.  The
-    line search keeps t = 1 if it meets Armijo, else the better of it and the
-    parabola's minimizer through f(0), f'(0), f(1), halved until Armijo holds
-    or the decrease asked for is below rounding.  The starts stop together
-    ("converged") after `_STALLS` iterations in a row each gaining less than
-    improvement_tol, or once no decrease is found; else at MAX_ITERATIONS
-    ("iteration_cap").
+    The starts of the stack are refined together as one problem on the
+    product of their isometry manifolds, with one line search on the summed
+    value.  Returns (values, U, outcome, (iterations, evaluations)), values
+    the starts' own values at the returned U, from its evaluation.
+    Directions come from the last _MEMORY steps, stored without transport;
+    one that does not descend clears them and falls back to -grad.  A step t
+    retracts U + t D.  The line search keeps t = 1 if it meets Armijo, else
+    the better of it and the parabola's minimizer through f(0), f'(0), f(1),
+    halved until Armijo holds or the decrease asked for is below rounding.
+    The starts stop together ("converged") after `_STALLS` iterations in a
+    row each gaining less than improvement_tol, or once no decrease is
+    found; else at MAX_ITERATIONS ("iteration_cap").
     """
-    S, r = U.shape[1] // len(B), len(B)
-    mask = np.kron(np.eye(S), np.ones((r, r))) if S > 1 else None
-    value, g = _objective(U, B, dA, dB)
+    value, values, g = _objective(U, B, dA, dB)
     evaluations = 1
 
     def trial(t):
         nonlocal evaluations
         evaluations += 1
-        U_t = _retract(U + t * direction, mask)
+        U_t = _retract(U + t * direction)
         return (t, *_objective(U_t, B, dA, dB), U_t)
 
-    grad = _tangent(U, g, mask)
+    grad = _tangent(U, g)
     pairs = []
     stalls = iterations = 0
     outcome = "iteration_cap"
     while iterations < MAX_ITERATIONS:
-        direction = _lbfgs_direction(U, grad, pairs, mask)
+        direction = _lbfgs_direction(U, grad, pairs)
         slope = _inner(grad, direction)
         if slope >= 0.0:
             # not a descent direction: forget the pairs, take the gradient
@@ -260,8 +252,8 @@ def _refine(U, B, dA, dB, improvement_tol):
             outcome = "converged"
             break
         iterations += 1
-        t, new_value, g, U = best
-        new_grad = _tangent(U, g, mask)
+        t, new_value, values, g, U = best
+        new_grad = _tangent(U, g)
         s, y = t * direction, new_grad - grad
         sy = _inner(s, y)
         if sy > 0.0:
@@ -271,7 +263,7 @@ def _refine(U, B, dA, dB, improvement_tol):
         if stalls >= _STALLS:
             outcome = "converged"
             break
-    return value, U, outcome, (iterations, evaluations)
+    return values, U, outcome, (iterations, evaluations)
 
 
 def _rounds(L):
@@ -321,7 +313,7 @@ def eof_optimize(rho: QuantumState, ensemble_size=None, restarts=4,
 
     The returned value is always an upper bound on E_f: the achieving ensemble
     is stored and reproduces rho exactly.  `restarts` random isometry starts
-    are refined (`_refine`), together as one block isometry up to
+    are refined (`_refine`), together as one stack of isometries up to
     JOINT_WORK; the lowest value wins, by more than 4 eps over earlier ones.
     The default ensemble size is rank(rho)^2 capped at (dA dB)^2.
     """
@@ -337,12 +329,10 @@ def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
 
     `warm`, an L x r isometry, is refined alone first as the "warm" start and
     sets L; the `restarts` random starts follow.  Up to JOINT_WORK they are
-    refined together as the L x restarts r block isometry [U_1 ... U_S], and
-    each start's value is then one `_objective` call on its own block; these
-    calls together count as one more evaluation of the group.  Beyond it
-    each random start is a group of its own.  Returns the EofResult and the
-    isometry U of the winning start, whose rows U B are its ensemble's.  A
-    rank-1 state has the one decomposition W = B.
+    refined together as one stack of isometries, beyond it one by one.
+    Returns the EofResult and the isometry U of the winning start, whose
+    rows U B are its ensemble's.  A rank-1 state has the one decomposition
+    W = B.
     """
     dA, dB = dims
     r, d = B.shape
@@ -357,31 +347,25 @@ def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
     if L < r:
         raise ValueError(f"ensemble size {L} below rank {r}: no such decomposition")
 
-    groups = [] if warm is None else [("warm", [warm])]  # (kind, isometries)
+    groups = [] if warm is None else [("warm", warm[None])]  # (kind, stack)
     randoms = []
     for _ in range(int(restarts)):
         g = rng.gen
         x = g.standard_normal((L, r)) + 1j * g.standard_normal((L, r))
         randoms.append(np.linalg.qr(x)[0])
     if randoms and L * r * d <= JOINT_WORK:
-        groups.append(("random", randoms))
+        groups.append(("random", np.stack(randoms)))
     else:
-        groups += [("random", [U]) for U in randoms]
+        groups += [("random", U[None]) for U in randoms]
     if not groups:
         raise ValueError("need at least one start (restarts >= 1 or a warm start)")
 
     best_value = best_U = None
     records = []
-    for kind, blocks in groups:
-        value, U, outcome, (iterations, evaluations) = _refine(
-            np.hstack(blocks), B, dA, dB, improvement_tol)
-        blocks = np.split(U, len(blocks), axis=1)
-        if len(blocks) == 1:
-            values = [value]
-        else:
-            values = [_objective(U_s, B, dA, dB)[0] for U_s in blocks]
-            evaluations += 1
-        for value, U_s in zip(values, blocks):
+    for kind, U in groups:
+        values, U, outcome, (iterations, evaluations) = _refine(
+            U, B, dA, dB, improvement_tol)
+        for value, U_s in zip(values, U):
             records.append(StartRecord(kind, iterations, evaluations, value, outcome))
             # a start a few ulps below an earlier one does not displace it
             if best_U is None or value < best_value - 4 * _EPS * abs(best_value):

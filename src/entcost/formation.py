@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -53,7 +54,7 @@ WINDOW_KINDS = ("paper", "plain")
 # perfbench/tracing.py wraps these names when a traced run starts; nothing
 # calls them, and they go when its wrap list drops them (ROADMAP direction 1).
 truncated_state = fidelity_matrices = tensor_power = None
-tensor_pure = pure_power = None
+tensor_pure = pure_power = dilute_pure_state = None
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +110,8 @@ def typical_count_windows(p, n, delta1, window="paper"):
 
 
 def typical_set(p, n, delta1, window="paper") -> TypicalSet:
-    """Enumerate every length-n index sequence whose type fits the window."""
+    """Enumerate every length-n index sequence whose type fits the window,
+    in base-k order, and p_T, their weights summed in that order."""
     p = np.asarray(p, dtype=float)
     if abs(p.sum() - 1.0) > 1e-9:
         raise StateValidationError("probabilities must sum to 1")
@@ -123,13 +125,25 @@ def typical_set(p, n, delta1, window="paper") -> TypicalSet:
     windows = typical_count_windows(p, n, delta1, window)
     entropy = float(-(p * np.log2(p)).sum())
 
-    sequences = []
-    total = 0.0
-    for seq in itertools.product(range(k), repeat=n):
-        if all(lo <= seq.count(i) <= hi for i, (lo, hi) in enumerate(windows)):
-            ps = float(np.prod(p[list(seq)]))
-            sequences.append((seq, ps))
-            total += ps
+    # the base-k keys of the prefixes grow one place at a time, by every
+    # index in order; a prefix stays while its counts can still fit: none
+    # above its window, and no more missing below them than places left
+    lo, hi = np.array(windows).T
+    keys, counts = np.zeros(1, dtype=np.int64), np.zeros((1, k), dtype=np.int64)
+    for left in range(n - 1, -1, -1):
+        keys = (keys[:, None] * k + np.arange(k)).ravel()
+        counts = (counts[:, None] + np.eye(k, dtype=np.int64)).reshape(-1, k)
+        fits = ((counts <= hi).all(axis=1)
+                & (np.maximum(lo - counts, 0).sum(axis=1) <= left))
+        keys, counts = keys[fits], counts[fits]
+    # the digits and weights in chunks, so that only the sequences are held
+    powers, sequences, weights = k ** np.arange(n - 1, -1, -1), [], []
+    for chunk in np.array_split(keys, len(keys) // 65536 + 1):
+        rows = chunk[:, None] // powers % k
+        w = np.prod(p[rows], axis=1).tolist()
+        sequences += zip(map(tuple, rows.tolist()), w)
+        weights += w
+    total = functools.reduce(operator.add, weights, 0.0)   # one by one, in order
     # two-sided weight bounds implied by the integer windows themselves; with
     # exact (unrounded) windows these equal 2^{-n(H +/- delta1)}, and the
     # outward rounding can only widen them
@@ -192,6 +206,11 @@ class _RowStack:
         return np.linalg.qr(rows, mode="r") if self.filled > self.width else rows
 
 
+def _kron(a, b):
+    """The Kronecker product of the vectors a and b."""
+    return np.multiply.outer(a, b).ravel()
+
+
 def composition_factor(block, k, dim, sequences):
     """R with R^T conj(R) = sum_s w_s |v_s><v_s|, at most dim^n rows.
 
@@ -214,17 +233,18 @@ def composition_factor(block, k, dim, sequences):
     # the sorted sequence names the composition
     order = np.argsort(seqs, axis=1, kind="stable")
     inv = np.argsort(order, axis=1)
-    comps, group = np.unique(np.take_along_axis(seqs, order, axis=1), axis=0,
-                             return_inverse=True)
-    group = group.ravel()
+    comps = np.take_along_axis(seqs, order, axis=1)
+    _, first, group = np.unique(comps @ k ** np.arange(n - 1, -1, -1),
+                                return_index=True, return_inverse=True)
+    comps = comps[first]
     strides = dim ** np.arange(n - 1, -1, -1)
     digits = np.indices((dim,) * n).reshape(n, -1)
     stack = _RowStack(len(seqs), dim ** n)
     ends = np.cumsum(np.bincount(group))[:-1]
     for comp, members in zip(comps.tolist(),
                              np.split(np.argsort(group, kind="stable"), ends)):
-        product = functools.reduce(np.kron, [block(i, comp.count(i))
-                                             for i in sorted(set(comp))])
+        product = functools.reduce(_kron, [block(i, comp.count(i))
+                                           for i in sorted(set(comp))])
         stack.add(product[strides[inv[members]] @ digits] * roots[members, None])
     return stack.r()
 
@@ -298,15 +318,14 @@ def _kept_terms(psi: PureState, count: int, singlet_budget: int):
     `dilution_fidelity`'s walk.
     """
     u, mu, vh = _schmidt(psi)
-    ranked = _ranked_patterns(mu, count)
-    keep, fidelity = _truncation(ranked, singlet_budget)
-    weight = {pattern: w for w, _, pattern in ranked}
-    terms = list(itertools.product(range(mu.size), repeat=count))
-    w = np.array([weight[tuple(sorted(t))] for t in terms])
+    keep, fidelity = _truncation(_ranked_patterns(mu, count), singlet_budget)
+    terms = np.indices((mu.size,) * count).reshape(count, -1).T
+    # the product over the sorted row, factor by factor as the walk forms it
+    w = functools.reduce(operator.mul, mu[np.sort(terms, axis=1)].T)
     kept = np.argsort(-w, kind="stable")[:keep]
     amplitudes = np.sqrt(w[kept])
     amplitudes /= np.linalg.norm(amplitudes)
-    return u, vh, np.array(terms)[kept], amplitudes, fidelity
+    return u, vh, terms[kept], amplitudes, fidelity
 
 
 def _kron_columns(x, terms, amplitudes):
@@ -316,22 +335,6 @@ def _kron_columns(x, terms, amplitudes):
     for j in terms.T:
         cols = (cols[:, None, :] * x[:, j]).reshape(-1, len(amplitudes))
     return cols
-
-
-def dilute_pure_state(psi: PureState, count: int, singlet_budget: int):
-    """Schmidt-truncated approximation of psi^(x)count on (dA^count, dB^count),
-    with its fidelity (its overlap with psi^(x)count).
-
-    Each kept term of `_kept_terms` is a Kronecker product of psi's own
-    Schmidt vectors, u's on the A side and vh's on the B side.
-    """
-    if psi.dim ** count > DIMENSION_CAP:
-        raise ValueError("total dimension exceeds the cap")
-    u, vh, terms, amplitudes, fidelity = _kept_terms(psi, count, singlet_budget)
-    left = _kron_columns(u, terms, amplitudes)
-    right = _kron_columns(vh.T, terms, np.ones(len(terms))).T
-    vec = (left @ right).reshape(-1)
-    return PureState((left.shape[0], right.shape[1]), vec), fidelity
 
 
 def support_factors(rho: QuantumState, ensemble: Ensemble, sequences, kept):
@@ -358,9 +361,9 @@ def support_factors(rho: QuantumState, ensemble: Ensemble, sequences, kept):
 
     k, n = len(ensemble), len(sequences[0][0])
     r_t = composition_factor(lambda i, count: functools.reduce(
-        np.kron, [coords[:, i]] * count), k, dim, sequences)
+        _kron, [coords[:, i]] * count), k, dim, sequences)
     r_y = composition_factor(diluted, k, dim, sequences)
-    return functools.reduce(np.kron, [sqrt_lam] * n), r_t, r_y
+    return functools.reduce(_kron, [sqrt_lam] * n), r_t, r_y
 
 
 # ---------------------------------------------------------------------------

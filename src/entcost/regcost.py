@@ -62,7 +62,7 @@ def regularized_sequence(rho: QuantumState, n_max: int, *,
     are B_n = B_(n-1) (x) B_1, and the warm start U_(n-1) (x) U_1 is an
     isometry whose rows U_n B_n are those of the product ensemble, so the
     n-fold search has L_(n-1) L_1 rows.  `restarts` counts random starts per
-    n, refined together as one block isometry up to `eof.JOINT_WORK` (at
+    n, refined together as one stack of isometries up to `eof.JOINT_WORK` (at
     n <= 2 for a rank-2 two-qubit rho at the default size); for n > 1 it may
     be 0, in which case only the warm start is refined.  The warm start is
     refined alone, and refining only lowers its value, so

@@ -196,19 +196,19 @@ class TestOptimizer:
 
 class TestStartRecords:
     """The warm start is refined alone and, on small problems, the random
-    starts together, as one block isometry; each start leaves one record,
-    and an objective call evaluates every start whose block it holds once,
+    starts together, as one stack of isometries; each start leaves one
+    record, and an objective call evaluates every start of its stack once,
     so the records' evaluations add up to the starts held, summed over the
     calls."""
 
     @staticmethod
     def count_starts_per_call(monkeypatch):
-        """The number of starts each objective call holds, U being L x S r."""
+        """The number of starts each objective call holds, U being S x L x r."""
         calls = []
         objective = entcost.eof._objective
         monkeypatch.setattr(
             entcost.eof, "_objective",
-            lambda U, B, *a: calls.append(U.shape[1] // len(B)) or objective(U, B, *a))
+            lambda U, *a: calls.append(len(U)) or objective(U, *a))
         return calls
 
     def test_records_count_every_start(self, monkeypatch):
@@ -281,18 +281,18 @@ class TestLbfgs:
         direction = entcost.eof._lbfgs_direction
         stored, values = [], []
 
-        def forced(U, grad, pairs, mask):
+        def forced(U, grad, pairs):
             stored.append(len(pairs))
             values.append(_objective(U, B, *rho.dims)[0])
             if len(stored) == 3:
                 pairs = [(grad, -grad, -_inner(grad, grad))]
-                ascent = direction(U, grad, pairs, mask)
+                ascent = direction(U, grad, pairs)
                 assert _inner(grad, ascent) > 0.0
                 return ascent
-            return direction(U, grad, pairs, mask)
+            return direction(U, grad, pairs)
 
         monkeypatch.setattr(entcost.eof, "_lbfgs_direction", forced)
-        value, _, outcome, (iterations, _) = _refine(U0, B, *rho.dims, 1e-6)
+        (value,), _, outcome, (iterations, _) = _refine(U0[None], B, *rho.dims, 1e-6)
         assert outcome == "converged" and iterations > 3
         # the memory was cleared, then the -grad step stored one pair
         assert stored[:4] == [0, 1, 2, 1]
@@ -305,15 +305,13 @@ class TestLbfgs:
         rho = sample_density_matrix((2, 2), 2, RandomSource(163))
         B = _eigen_rows(rho)
         joint = []
-        monkeypatch.setattr(entcost.eof, "_refine",
-                            lambda U, *a: joint.append(U) or (0.0, U, "converged", (0, 1)))
         for second, winner in ((np.nextafter(0.3, 0.0), 0), (0.3 - 1e-12, 1)):
-            values = iter([0.3, second])
-            monkeypatch.setattr(entcost.eof, "_objective",
-                                lambda *a, values=values: (next(values), None))
+            monkeypatch.setattr(
+                entcost.eof, "_refine", lambda U, *a, second=second: joint.append(U)
+                or ([0.3, second], U, "converged", (0, 1)))
             res, U = _minimize_rows(B, rho.dims, 4, 2, RandomSource(167))
             assert res.value_history == (0.3, second)
-            assert np.array_equal(U, np.split(joint[-1], 2, axis=1)[winner])
+            assert np.array_equal(U, joint[-1][winner])
 
 
 class TestRoundRobin:
@@ -330,40 +328,50 @@ class TestRoundRobin:
             assert len(rows) == len(set(rows))
 
 
-class TestBlockIsometry:
-    """Starts side by side, U = [U_1 U_2 U_3], give each block its own
-    objective, projection and retraction."""
+class TestIsometryStack:
+    """Starts stacked as U = [U_1, U_2, U_3], S x L x r, give each start its
+    own objective, projection and retraction, and `_refine` each start's
+    own value."""
+
+    @staticmethod
+    def stack(seed, L=7):
+        rho = sample_density_matrix((2, 3), 3, RandomSource(seed))
+        B = _eigen_rows(rho)
+        g = np.random.default_rng(seed)
+
+        def draw(*shape):
+            return g.standard_normal(shape) + 1j * g.standard_normal(shape)
+
+        return rho, B, np.linalg.qr(draw(3, L, len(B)))[0], draw
 
     def test_three_blocks_match_the_blocks_one_by_one(self):
-        rho = sample_density_matrix((2, 3), 3, RandomSource(151))
-        B = _eigen_rows(rho)
-        L, r = 7, len(B)
-        g = np.random.default_rng(151)
-
-        def draw(cols):
-            return g.standard_normal((L, cols)) + 1j * g.standard_normal((L, cols))
-
-        blocks = [np.linalg.qr(draw(r))[0] for _ in range(3)]
-        U, X = np.hstack(blocks), draw(3 * r)
-        mask = np.kron(np.eye(3), np.ones((r, r)))
-        Xs = np.split(X, 3, axis=1)
-        D = _tangent(U, X, mask)
-        assert np.allclose(D, np.hstack([_tangent(U_s, X_s, None)
-                                         for U_s, X_s in zip(blocks, Xs)]),
-                           rtol=0.0, atol=1e-14)
+        rho, B, U, draw = self.stack(151)
+        X = draw(*U.shape)
+        D = _tangent(U, X)
+        assert np.allclose(D, [_tangent(U_s[None], X_s[None])[0]
+                               for U_s, X_s in zip(U, X)], rtol=0.0, atol=1e-14)
         Y = U + 0.3 * D
-        Q = _retract(Y, mask)
-        assert np.allclose(Q, np.hstack([_retract(Y_s, None)
-                                         for Y_s in np.split(Y, 3, axis=1)]),
+        Q = _retract(Y)
+        assert np.allclose(Q, [_retract(Y_s[None])[0] for Y_s in Y],
                            rtol=0.0, atol=1e-14)
-        # each block is an isometry; the blocks need not be orthogonal
-        assert np.allclose((Q.conj().T @ Q) * mask, np.eye(3 * r), rtol=0.0,
-                           atol=1e-14)
-        value, grad = _objective(U, B, *rho.dims)
-        parts = [_objective(U_s, B, *rho.dims) for U_s in blocks]
-        assert value == pytest.approx(sum(v for v, _ in parts), rel=0.0, abs=1e-14)
-        assert np.allclose(grad, np.hstack([g_s for _, g_s in parts]),
+        assert np.allclose(np.swapaxes(Q, 1, 2).conj() @ Q, np.eye(len(B)),
                            rtol=0.0, atol=1e-14)
+        value, values, grad = _objective(U, B, *rho.dims)
+        parts = [_objective(U_s[None], B, *rho.dims) for U_s in U]
+        assert values == pytest.approx([v for v, _, _ in parts], rel=0.0, abs=1e-14)
+        assert value == pytest.approx(sum(values), rel=0.0, abs=1e-14)
+        for (v, (v_s,), _) in parts:
+            assert v_s == v
+        assert np.allclose(grad, [g_s[0] for _, _, g_s in parts],
+                           rtol=0.0, atol=1e-14)
+
+    def test_refined_values_are_the_returned_starts_values(self):
+        rho, B, U, _ = self.stack(173)
+        values, U, outcome, _ = _refine(U, B, *rho.dims, 1e-6)
+        assert outcome == "converged" and len(values) == len(U) == 3
+        for value, U_s in zip(values, U):
+            assert value == pytest.approx(_objective(U_s[None], B, *rho.dims)[0],
+                                          rel=0.0, abs=1e-14)
 
 
 class TestContinuity:

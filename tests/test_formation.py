@@ -10,9 +10,10 @@ import entcost.formation
 from entcost.eof import eof_optimize
 from entcost.formation import (
     SUPPORT_TOL,
+    _kept_terms,
+    _kron_columns,
     _ranked_patterns,
     composition_factor,
-    dilute_pure_state,
     dilution_fidelity,
     dilution_plan,
     formation_protocol,
@@ -95,6 +96,20 @@ class TestCountWindows:
             typical_count_windows([0.5, 0.5], 4, 0.5, "gaussian")
 
 
+def scanned_typical_set(p, n, delta1, window):
+    """Brute-force reference: (sequences, p_T) from a scan of all k^n
+    sequences in product order, each weighed on its own and summed in turn."""
+    p = np.asarray(p, dtype=float)
+    windows = typical_count_windows(p, n, delta1, window)
+    sequences, total = [], 0.0
+    for seq in itertools.product(range(p.size), repeat=n):
+        if all(lo <= seq.count(i) <= hi for i, (lo, hi) in enumerate(windows)):
+            ps = float(np.prod(p[list(seq)]))
+            sequences.append((seq, ps))
+            total += ps
+    return tuple(sequences), total
+
+
 class TestTypicalSet:
     def test_wide_window_admits_everything(self):
         tset = typical_set([0.5, 0.5], 4, 1.5)
@@ -129,6 +144,27 @@ class TestTypicalSet:
         lo, hi = tset.weight_bounds
         for _, ps in tset.sequences:
             assert lo - 1e-15 <= ps <= hi + 1e-15
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_enumeration_matches_the_full_scan(self, seed):
+        # the admitted sequences, their weights and p_T, bit for bit
+        g = np.random.default_rng(seed)
+        for _ in range(10):
+            k = int(g.integers(1, 5))
+            n = int(g.integers(1, {1: 12, 2: 12, 3: 8, 4: 6}[k]))
+            p, delta1 = g.dirichlet(np.ones(k)), float(g.uniform(0.05, 1.0))
+            for window in ("paper", "plain"):
+                tset = typical_set(p, n, delta1, window)
+                sequences, total = scanned_typical_set(p, n, delta1, window)
+                assert tset.sequences == sequences
+                assert tset.num_sequences == len(sequences)
+                assert tset.total_weight == total
+
+    def test_a_thin_window_is_cheap_at_large_n(self):
+        # 7547 of the 2^21 sequences are admitted, and only they are formed
+        tset = typical_set([0.9, 0.1], 21, 0.5)
+        assert tset.num_sequences == 7547
+        assert tset.count_windows == ((0, 21), (0, 4))
 
     def test_coverage_is_high_at_moderate_n(self):
         p = [0.7, 0.3]
@@ -238,6 +274,16 @@ def _sequence_vector(blocks, seq, dims):
     return out
 
 
+def diluted_state(psi, count, budget):
+    """Dense reference: the kept terms of `_kept_terms` summed as the vector
+    on (dA^count, dB^count), each a Kronecker product of psi's own Schmidt
+    vectors, and the fidelity."""
+    u, vh, terms, amplitudes, fidelity = _kept_terms(psi, count, budget)
+    left = _kron_columns(u, terms, amplitudes)
+    right = _kron_columns(vh.T, terms, np.ones(len(terms))).T
+    return PureState((left.shape[0], right.shape[1]), (left @ right).ravel()), fidelity
+
+
 def _nonzero_factor(m):
     """The `psd_factor` of m behind fidelity_matrices, less its zero columns."""
     f = psd_factor(m)
@@ -253,7 +299,7 @@ def dense_reference(rho, ens, res):
     rho_t = np.zeros((d, d), dtype=complex)
     rho_approx = np.zeros((d, d), dtype=complex)
     exact = lambda i, c: pure_power(ens.states[i], c)
-    diluted = lambda i, c: dilute_pure_state(
+    diluted = lambda i, c: diluted_state(
         ens.states[i], c, res.plan.entries[i].singlets)[0]
     for seq, ps in res.typical_set.sequences:
         v = _sequence_vector(exact, seq, rho.dims)
@@ -407,10 +453,10 @@ class TestDilution:
         assert all(f2 >= f1 - 1e-15 for f1, f2 in zip(fids, fids[1:]))
         assert fids[-1] == pytest.approx(1.0, abs=1e-12)
 
-    def test_dilute_pure_state_matches_reported_fidelity(self):
+    def test_kept_terms_match_reported_fidelity(self):
         psi = schmidt_state(0.9)
         for budget in (0, 1, 2):
-            approx, fid = dilute_pure_state(psi, 2, budget)
+            approx, fid = diluted_state(psi, 2, budget)
             assert approx.dims == (4, 4)
             target = pure_power(psi, 2)
             overlap = abs(np.vdot(target.vector, approx.vector))
@@ -420,7 +466,7 @@ class TestDilution:
     def test_ties_keep_index_order(self):
         # weights 0.81, 0.09, 0.09, 0.01 for tuples (0,0), (0,1), (1,0), (1,1):
         # two kept terms are (0,0) and (0,1), on basis states |00>|00> and |01>|01>
-        approx, fid = dilute_pure_state(schmidt_state(0.9), 2, 1)
+        approx, fid = diluted_state(schmidt_state(0.9), 2, 1)
         expect = np.zeros(16)
         expect[0], expect[5] = 0.9, 0.1
         assert np.abs(approx.vector) ** 2 == pytest.approx(expect, abs=1e-12)
@@ -431,13 +477,13 @@ class TestDilution:
                     sample_pure_state((2, 3), RandomSource(5))):
             for count in (1, 2, 3):
                 assert dilution_fidelity(psi, count, count) == 1.0
-                assert dilute_pure_state(psi, count, count)[1] == 1.0
+                assert _kept_terms(psi, count, count)[-1] == 1.0
         assert dilution_fidelity(basis_pure((2, 2), 0, 1), 4, 0) == 1.0
 
     def test_huge_budget_keeps_everything(self):
         psi = sample_pure_state((2, 2), RandomSource(5))
         assert dilution_fidelity(psi, 3, 10 ** 300) == 1.0
-        assert dilute_pure_state(psi, 3, 10 ** 300)[1] == 1.0
+        assert _kept_terms(psi, 3, 10 ** 300)[-1] == 1.0
 
     def test_walked_mass_sums_to_one(self):
         # each weight carries at most `count` roundings and psi's Schmidt
@@ -490,11 +536,9 @@ class TestDilution:
         with pytest.raises(ValueError):
             dilution_fidelity(psi, 1, -1)
         with pytest.raises(ValueError):
-            dilute_pure_state(psi, 8, 2)   # 4^8 exceeds the dimension cap
+            _kept_terms(psi, 0, 1)
         with pytest.raises(ValueError):
-            dilute_pure_state(psi, 0, 1)
-        with pytest.raises(ValueError):
-            dilute_pure_state(psi, 1, -1)
+            _kept_terms(psi, 1, -1)
 
 
 def _sorted_spectrum(mu, count):

@@ -19,7 +19,7 @@ from entcost.eof import (
     eof_optimize,
     eof_two_qubit_closed_form,
 )
-from entcost.formation import dilute_pure_state, dilution_fidelity
+from entcost.formation import _kept_terms, _kron_columns, dilution_fidelity
 from entcost.qcore import (
     Ensemble,
     PureState,
@@ -126,7 +126,7 @@ def _two_rows(dims, seed, split, product_row):
 def test_objective_matches_explicit_rows(dims, seed, split, product_row):
     B, _ = _two_rows(dims, seed, split, product_row)
     # the rows W = U B with U = I, an isometry
-    value, _ = _objective(np.eye(2, dtype=complex), B, *dims)
+    value, _, _ = _objective(np.eye(2, dtype=complex)[None], B, *dims)
     reference = sum(float(np.vdot(w, w).real)
                     * pure_entanglement(PureState(dims, w / np.linalg.norm(w)))
                     for w in B if np.linalg.norm(w) > 0.0)
@@ -140,14 +140,14 @@ def test_objective_gradient_matches_central_difference(dims, seed, split,
                                                        product_row, blocks):
     # rows of weight at least 0.01, so a step of 1e-5 stays small beside both;
     # at a product row the central difference cancels the h^2 log h^2 part.
-    # Two blocks hold two starts side by side, U = [I, Q] with Q the swap
-    # times random phases, whose rows are those of the first block permuted
+    # Two blocks stack two starts, U = [I, Q] with Q the swap times random
+    # phases, whose rows are those of the first start permuted
     B, g = _two_rows(dims, seed, split, product_row)
-    X = g.standard_normal((2, 2 * blocks)) + 1j * g.standard_normal((2, 2 * blocks))
+    X = g.standard_normal((blocks, 2, 2)) + 1j * g.standard_normal((blocks, 2, 2))
     swap = np.exp(2j * np.pi * g.random(2))[:, None] * np.eye(2)[::-1]
-    U = np.hstack([np.eye(2, dtype=complex), swap][:blocks])
-    _, grad = _objective(U, B, *dims)
-    X = _tangent(U, X, np.kron(np.eye(2), np.ones((2, 2))) if blocks == 2 else None)
+    U = np.stack([np.eye(2, dtype=complex), swap][:blocks])
+    grad = _objective(U, B, *dims)[-1]
+    X = _tangent(U, X)
     h = 1e-5
     central = (_objective(U + h * X, B, *dims)[0]
                - _objective(U - h * X, B, *dims)[0]) / (2.0 * h)
@@ -186,8 +186,10 @@ def test_dilution_fidelity_matches_brute_force_ranking(dims, seed, count, data):
 def test_diluted_state_overlap_is_its_fidelity(dims, seed, count, data):
     budget = data.draw(st.integers(0, 2 * count))
     psi = _random_pure(dims, seed)
-    approx, fid = dilute_pure_state(psi, count, budget)
-    assert approx.dims == (dims[0] ** count, dims[1] ** count)
-    overlap = abs(np.vdot(pure_power(psi, count).vector, approx.vector))
+    u, vh, terms, amplitudes, fid = _kept_terms(psi, count, budget)
+    # the kept terms summed as a vector on (dA^count, dB^count)
+    approx = (_kron_columns(u, terms, amplitudes)
+              @ _kron_columns(vh.T, terms, np.ones(len(terms))).T).ravel()
+    overlap = abs(np.vdot(pure_power(psi, count).vector, approx))
     assert overlap == pytest.approx(fid, abs=1e-12)
     assert fid == dilution_fidelity(psi, count, budget)
