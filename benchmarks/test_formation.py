@@ -9,8 +9,9 @@ Layers:
 - `dilution_fidelity` at counts 2-6, at 22 (the largest count the deleted
   r^c spectrum array allowed at r = 2) and at 1000, a walk over the 1001
   occupation patterns of a two-qubit power;
-- `typical_set` at (0.7, 0.3), n = 16 (k^n = 2^16 sequences), and at
-  (0.9, 0.1), n = 21, whose thin window admits 7547 of 2^21 sequences;
+- `typical_set` at (0.7, 0.3), n = 16 (k^n = 2^16 sequences), at
+  (0.9, 0.1), n = 21, whose thin window admits 7547 of 2^21 sequences, and
+  at (0.5, 0.5), n = 20, which admits 1,036,184 of 2^20;
 - the exact-mode factor build, `support_factors`: the single-copy basis,
   the per-composition products and gathers, and the block QR of R_t and
   R_y (kept-term selection included);
@@ -64,7 +65,8 @@ def test_dilution_fidelity(benchmark, count):
     assert 0.0 < fid <= 1.0
 
 
-@pytest.mark.parametrize("p, n", [((0.7, 0.3), 16), ((0.9, 0.1), 21)], ids=str)
+@pytest.mark.parametrize("p, n", [((0.7, 0.3), 16), ((0.9, 0.1), 21),
+                                  ((0.5, 0.5), 20)], ids=str)
 def test_typical_set(benchmark, p, n):
     tset = benchmark(typical_set, list(p), n, 0.5)
     assert 0 < len(tset.sequences) < 2 ** n
@@ -88,7 +90,7 @@ def _protocol_inputs(case):
     tset = typical_set(ens.weights, n, 0.5)
     plan = dilution_plan(ens, tset, 0.25)
     kept = lambda i, c: _kept_terms(ens.states[i], c, plan.entries[i].singlets)
-    lam_n, r_t, r_y = support_factors(rho, ens, tset.sequences, kept)
+    lam_n, r_t, r_y = support_factors(rho, ens, tset, kept)
     scale = 1.0 / np.sqrt(tset.total_weight)
     return rho, ens, tset, kept, lam_n, r_t * scale, r_y * scale
 
@@ -99,7 +101,7 @@ CASES = ["ens3-n4", "sixteen-n3"]
 @pytest.mark.parametrize("case", CASES)
 def test_factor_build(benchmark, case):
     rho, ens, tset, kept, *_ = _protocol_inputs(case)
-    lam_n, r_t, r_y = benchmark(support_factors, rho, ens, tset.sequences, kept)
+    lam_n, r_t, r_y = benchmark(support_factors, rho, ens, tset, kept)
     assert r_t.shape[1] == r_y.shape[1] == lam_n.size
 
 

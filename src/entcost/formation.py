@@ -61,16 +61,17 @@ tensor_pure = pure_power = dilute_pure_state = None
 # Typical set
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypicalSet:
-    """Strongly typical index sequences with their product weights."""
+    """Strongly typical index sequences, array rows, and their weights p_s."""
 
     n: int
     delta1: float
     k: int
     window: str
     num_sequences: int
-    sequences: tuple = field(metadata=INTERNAL)   # ((s_0, ..., s_{n-1}), p_s)
+    sequences: np.ndarray = field(metadata=INTERNAL)   # (T, n), read-only
+    weights: np.ndarray = field(metadata=INTERNAL)     # (T,), read-only
     total_weight: float            # p_T
     entropy: float                 # H(p) in bits
     weight_bounds: tuple           # guaranteed (min, max) admitted weight
@@ -110,14 +111,15 @@ def typical_count_windows(p, n, delta1, window="paper"):
 
 
 def typical_set(p, n, delta1, window="paper") -> TypicalSet:
-    """Enumerate every length-n index sequence whose type fits the window,
-    in base-k order, and p_T, their weights summed in that order."""
+    """Every length-n index sequence whose type fits the window, in base-k
+    order, as rows of the smallest unsigned dtype that holds k - 1; their
+    weights p_s, products of p_i from the left; and p_T, their sum in order."""
     p = np.asarray(p, dtype=float)
     if abs(p.sum() - 1.0) > 1e-9:
         raise StateValidationError("probabilities must sum to 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if delta1 <= 0:
+    if not delta1 > 0:
         raise ValueError("delta1 must be positive")
     k = p.size
     if k ** n > ENUMERATION_CAP:
@@ -125,25 +127,21 @@ def typical_set(p, n, delta1, window="paper") -> TypicalSet:
     windows = typical_count_windows(p, n, delta1, window)
     entropy = float(-(p * np.log2(p)).sum())
 
-    # the base-k keys of the prefixes grow one place at a time, by every
-    # index in order; a prefix stays while its counts can still fit: none
-    # above its window, and no more missing below them than places left
+    # the prefixes grow one place at a time, by every index in order, each
+    # with its digits, counts and weight; a prefix stays while its counts
+    # can still fit: none above its window, and no more missing below them
+    # than places left
     lo, hi = np.array(windows).T
-    keys, counts = np.zeros(1, dtype=np.int64), np.zeros((1, k), dtype=np.int64)
+    digits = np.zeros((1, 0), dtype=np.min_scalar_type(k - 1))
+    counts, weights = np.zeros((1, k), dtype=np.int64), np.ones(1)
     for left in range(n - 1, -1, -1):
-        keys = (keys[:, None] * k + np.arange(k)).ravel()
         counts = (counts[:, None] + np.eye(k, dtype=np.int64)).reshape(-1, k)
-        fits = ((counts <= hi).all(axis=1)
-                & (np.maximum(lo - counts, 0).sum(axis=1) <= left))
-        keys, counts = keys[fits], counts[fits]
-    # the digits and weights in chunks, so that only the sequences are held
-    powers, sequences, weights = k ** np.arange(n - 1, -1, -1), [], []
-    for chunk in np.array_split(keys, len(keys) // 65536 + 1):
-        rows = chunk[:, None] // powers % k
-        w = np.prod(p[rows], axis=1).tolist()
-        sequences += zip(map(tuple, rows.tolist()), w)
-        weights += w
-    total = functools.reduce(operator.add, weights, 0.0)   # one by one, in order
+        rows = np.flatnonzero((counts <= hi).all(axis=1)
+                              & (np.maximum(lo - counts, 0).sum(axis=1) <= left))
+        prefix, index = np.divmod(rows, k)
+        digits = np.column_stack([digits[prefix], index.astype(digits.dtype)])
+        counts, weights = counts[rows], weights[prefix] * p[index]
+    digits.flags.writeable = weights.flags.writeable = False
     # two-sided weight bounds implied by the integer windows themselves; with
     # exact (unrounded) windows these equal 2^{-n(H +/- delta1)}, and the
     # outward rounding can only widen them
@@ -151,8 +149,8 @@ def typical_set(p, n, delta1, window="paper") -> TypicalSet:
     bounds = (2.0 ** (-float(sum(hi * g for (_, hi), g in zip(windows, logs)))),
               min(1.0, 2.0 ** (-float(sum(lo * g for (lo, _), g
                                           in zip(windows, logs))))))
-    return TypicalSet(n, float(delta1), k, window, len(sequences),
-                      tuple(sequences), float(total), entropy, bounds, windows)
+    return TypicalSet(n, float(delta1), k, window, len(digits), digits, weights,
+                      float(np.cumsum(weights)[-1]), entropy, bounds, windows)
 
 
 # ---------------------------------------------------------------------------
@@ -211,35 +209,35 @@ def _kron(a, b):
     return np.multiply.outer(a, b).ravel()
 
 
-def composition_factor(block, k, dim, sequences):
+def composition_factor(block, k, dim, sequences, weights):
     """R with R^T conj(R) = sum_s w_s |v_s><v_s|, at most dim^n rows.
 
-    `sequences` holds (s, w_s) pairs, s a length-n sequence of indices into
-    k members.  The vector v_s, on dim coordinates per copy, is the product
+    `sequences` is a (T, n) integer array, each row s a sequence of indices
+    into k members, and `weights` the (T,) array of their w_s, as in a
+    `TypicalSet`.  The vector v_s, on dim coordinates per copy, is the product
     over members i of block(i, c_i), the c_i-copy block of member i (a vector
     of length dim^c_i), with its copies placed on the positions where i
     occurs in s.  The product is built once per composition (c_0, ...,
     c_{k-1}); each sequence's v_s is gathered from it by permuting digits.
     """
     block = functools.cache(block)
-    seqs = np.array([s for s, _ in sequences])
-    roots = np.sqrt([w for _, w in sequences])
-    if seqs.min() < 0 or seqs.max() >= k:
+    roots = np.sqrt(weights)
+    if sequences.min() < 0 or sequences.max() >= k:
         raise StateValidationError(
             "sequence indexes a member the ensemble does not have")
-    n = seqs.shape[1]
+    n = sequences.shape[1]
     # a product holds member 0's copies first, then member 1's, ...: its
     # slot m is copy order[m] of s, so copy j of s is its slot inv[j], and
     # the sorted sequence names the composition
-    order = np.argsort(seqs, axis=1, kind="stable")
+    order = np.argsort(sequences, axis=1, kind="stable")
     inv = np.argsort(order, axis=1)
-    comps = np.take_along_axis(seqs, order, axis=1)
+    comps = np.take_along_axis(sequences, order, axis=1)
     _, first, group = np.unique(comps @ k ** np.arange(n - 1, -1, -1),
                                 return_index=True, return_inverse=True)
     comps = comps[first]
     strides = dim ** np.arange(n - 1, -1, -1)
     digits = np.indices((dim,) * n).reshape(n, -1)
-    stack = _RowStack(len(seqs), dim ** n)
+    stack = _RowStack(len(sequences), dim ** n)
     ends = np.cumsum(np.bincount(group))[:-1]
     for comp, members in zip(comps.tolist(),
                              np.split(np.argsort(group, kind="stable"), ends)):
@@ -337,12 +335,12 @@ def _kron_columns(x, terms, amplitudes):
     return cols
 
 
-def support_factors(rho: QuantumState, ensemble: Ensemble, sequences, kept):
+def support_factors(rho: QuantumState, ensemble: Ensemble, tset, kept):
     """(lam_n, R_t, R_y): the factors of rho^(x)n, rho_T and rho'_T in
     coordinates of span(E)^(x)n, E from `support_basis`.
 
     rho^(x)n is diag(lam_n)^2, lam_n = sqrt(lam)^(x)n.  R_t and R_y are the
-    `composition_factor`s of the (s, p_s) `sequences` with undiluted blocks
+    `composition_factor`s of the typical set `tset` with undiluted blocks
     (E^dag psi_i)^(x)c and diluted blocks sum_t a_t (x)_m E^dag (u_{t_m} (x)
     vh_{t_m}) from kept(i, c), a `_kept_terms` result.  Every fidelity of
     the protocol pairs rho'_T or a factor in span(E)^(x)n with a factor in
@@ -359,11 +357,11 @@ def support_factors(rho: QuantumState, ensemble: Ensemble, sequences, kept):
         pairs = to_basis @ (u[:, None, :] * vh.T[None]).reshape(rho.dim, -1)
         return _kron_columns(pairs, terms, amplitudes).sum(axis=1)
 
-    k, n = len(ensemble), len(sequences[0][0])
+    k = len(ensemble)
     r_t = composition_factor(lambda i, count: functools.reduce(
-        _kron, [coords[:, i]] * count), k, dim, sequences)
-    r_y = composition_factor(diluted, k, dim, sequences)
-    return functools.reduce(_kron, [sqrt_lam] * n), r_t, r_y
+        _kron, [coords[:, i]] * count), k, dim, tset.sequences, tset.weights)
+    r_y = composition_factor(diluted, k, dim, tset.sequences, tset.weights)
+    return functools.reduce(_kron, [sqrt_lam] * tset.n), r_t, r_y
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +481,7 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     fid1_holds = fid2_holds = triangle_holds = None
     if exact:
         # unit trace: 1 / sqrt(p_T) scales the factors of the weights p_s
-        lam_n, r_t, r_y = support_factors(rho, ensemble, tset.sequences, kept)
+        lam_n, r_t, r_y = support_factors(rho, ensemble, tset, kept)
         r_t, r_y = r_t / np.sqrt(p_t), r_y / np.sqrt(p_t)
         fid1 = nuclear_norm(r_t * lam_n)
         fid2 = nuclear_norm(r_t @ r_y.conj().T)

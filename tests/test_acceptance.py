@@ -122,7 +122,7 @@ def test_criterion_6_formation_protocol_at_n_4():
     res = formation_protocol(rho, ens, 4, 0.5, 0.25)
     lo, hi = res.typical_set.weight_bounds
     weights_ok = all(lo - 1e-15 <= ps <= hi + 1e-15
-                     for _, ps in res.typical_set.sequences)
+                     for ps in res.typical_set.weights.tolist())
     slack_ok = res.slack == res.rate - res.mean_entanglement
     bound_ok = res.exact_bures is not None and \
         res.exact_bures <= res.bures_bound + 1e-12

@@ -84,7 +84,7 @@ class TestCountWindows:
         # a pure state: its one sequence is typical, in both window kinds
         assert typical_count_windows([1.0], 4, 0.5, window) == ((4, 4),)
         tset = typical_set([1.0], 4, 0.5, window)
-        assert tset.sequences == (((0, 0, 0, 0), 1.0),)
+        assert pairs(tset) == (((0, 0, 0, 0), 1.0),)
         assert tset.total_weight == 1.0
         assert tset.entropy == 0.0
         assert tset.weight_bounds == (1.0, 1.0)
@@ -94,6 +94,11 @@ class TestCountWindows:
     def test_unknown_window_kind(self):
         with pytest.raises(ValueError):
             typical_count_windows([0.5, 0.5], 4, 0.5, "gaussian")
+
+
+def pairs(tset):
+    """The typical set as ((s_0, ..., s_{n-1}), p_s) tuples, in its order."""
+    return tuple(zip(map(tuple, tset.sequences.tolist()), tset.weights.tolist()))
 
 
 def scanned_typical_set(p, n, delta1, window):
@@ -122,7 +127,7 @@ class TestTypicalSet:
         assert tset.total_weight == pytest.approx(0.875, abs=1e-12)
         assert tset.entropy == pytest.approx(1.0, abs=1e-12)
         lo, hi = tset.weight_bounds
-        for seq, ps in tset.sequences:
+        for seq, ps in pairs(tset):
             assert ps == pytest.approx(1.0 / 16.0, abs=1e-15)
             assert lo - 1e-15 <= ps <= hi + 1e-15
 
@@ -130,7 +135,7 @@ class TestTypicalSet:
         p = [0.7, 0.2, 0.1]
         n, delta1 = 5, 0.4
         tset = typical_set(p, n, delta1)
-        admitted = {seq for seq, _ in tset.sequences}
+        admitted = {seq for seq, _ in pairs(tset)}
         windows = tset.count_windows
         total = 0.0
         for seq in itertools.product(range(3), repeat=n):
@@ -142,7 +147,7 @@ class TestTypicalSet:
                 total += float(np.prod([p[j] for j in seq]))
         assert tset.total_weight == pytest.approx(total, abs=1e-12)
         lo, hi = tset.weight_bounds
-        for _, ps in tset.sequences:
+        for _, ps in pairs(tset):
             assert lo - 1e-15 <= ps <= hi + 1e-15
 
     @pytest.mark.parametrize("seed", range(6))
@@ -156,7 +161,7 @@ class TestTypicalSet:
             for window in ("paper", "plain"):
                 tset = typical_set(p, n, delta1, window)
                 sequences, total = scanned_typical_set(p, n, delta1, window)
-                assert tset.sequences == sequences
+                assert pairs(tset) == sequences
                 assert tset.num_sequences == len(sequences)
                 assert tset.total_weight == total
 
@@ -178,8 +183,25 @@ class TestTypicalSet:
             typical_set([0.5, 0.5], 0, 0.5)
         with pytest.raises(ValueError):
             typical_set([0.5, 0.5], 3, 0.0)
+        with pytest.raises(ValueError, match="delta1 must be positive"):
+            typical_set([0.5, 0.5], 3, float("nan"))
         with pytest.raises(ValueError):
             typical_set([0.1] * 10, 8, 0.5)   # 10^8 sequences, over the cap
+
+    def test_arrays_are_read_only(self):
+        tset = typical_set([0.5, 0.3, 0.2], 4, 0.5)
+        with pytest.raises(ValueError):
+            tset.sequences[0, 0] = 1
+        with pytest.raises(ValueError):
+            tset.weights[0] = 0.5
+
+    def test_a_million_sequences_take_one_byte_per_index(self):
+        # 1,036,184 of the 2^20 sequences are admitted; each index is held
+        # in one byte, and no per-sequence object is built
+        tset = typical_set([0.5, 0.5], 20, 0.5)
+        assert (tset.num_sequences == len(tset.sequences) == len(tset.weights)
+                == 1_036_184)
+        assert tset.sequences.nbytes == 1_036_184 * 20
 
 
 def undiluted_blocks(ens, basis):
@@ -201,7 +223,8 @@ class TestTruncatedState:
         assert basis.shape == (4, 2)
         assert np.abs((basis * sqrt_lam ** 2) @ basis.conj().T
                       - rho.matrix).max() < 1e-12
-        r = composition_factor(undiluted_blocks(ens, basis), 2, 2, tset.sequences)
+        r = composition_factor(undiluted_blocks(ens, basis), 2, 2, tset.sequences,
+                               tset.weights)
         lam_n = functools.reduce(np.kron, [sqrt_lam ** 2] * 3)
         assert np.abs(r.T @ r.conj() - np.diag(lam_n)).max() < 1e-12
         # back on (A1 B1 A2 B2 A3 B3), regrouped as tensor_power's (A1 A2 A3 B1 B2 B3)
@@ -214,7 +237,8 @@ class TestTruncatedState:
         ens = half_half_ensemble()
         tset = typical_set(ens.weights, 4, 0.5)
         basis, _ = support_basis(ensemble_average(ens), ens.states)
-        r = composition_factor(undiluted_blocks(ens, basis), 2, 2, tset.sequences)
+        r = composition_factor(undiluted_blocks(ens, basis), 2, 2, tset.sequences,
+                               tset.weights)
         assert r.shape == (len(tset.sequences), 16)
         assert (np.abs(r) ** 2).sum() == pytest.approx(tset.total_weight,
                                                        abs=1e-12)
@@ -225,7 +249,7 @@ class TestTruncatedState:
         psi = schmidt_state(0.9)
         ens = Ensemble(np.array([1.0]), (psi,))
         r = composition_factor(undiluted_blocks(ens, np.eye(4)), 1, 4,
-                               [((0, 0, 0), 1.0)])
+                               np.zeros((1, 3), dtype=np.uint8), np.ones(1))
         assert r.shape == (1, 64)
         regrouped = r[0].reshape((2, 2) * 3).transpose(0, 2, 4, 1, 3, 5)
         assert np.abs(regrouped.reshape(-1) - pure_power(psi, 3).vector).max() < 1e-15
@@ -240,7 +264,8 @@ class TestTruncatedState:
         tset = typical_set(ens.weights, 2, 2.0, "plain")
         assert len(tset.sequences) == 81
         basis, sqrt_lam = support_basis(ensemble_average(ens), ens.states)
-        r = composition_factor(undiluted_blocks(ens, basis), 9, 4, tset.sequences)
+        r = composition_factor(undiluted_blocks(ens, basis), 9, 4, tset.sequences,
+                               tset.weights)
         assert r.shape == (16, 16)
         lam_n = np.kron(sqrt_lam ** 2, sqrt_lam ** 2)
         assert np.abs(r.T @ r.conj() - np.diag(lam_n)).max() < 1e-12
@@ -250,7 +275,7 @@ class TestTruncatedState:
         tset = typical_set([0.5, 0.3, 0.2], 3, 0.5)
         with pytest.raises(StateValidationError):
             composition_factor(undiluted_blocks(ens, np.eye(4)), 2, 4,
-                               tset.sequences)
+                               tset.sequences, tset.weights)
 
 
 def _sequence_vector(blocks, seq, dims):
@@ -301,7 +326,7 @@ def dense_reference(rho, ens, res):
     exact = lambda i, c: pure_power(ens.states[i], c)
     diluted = lambda i, c: diluted_state(
         ens.states[i], c, res.plan.entries[i].singlets)[0]
-    for seq, ps in res.typical_set.sequences:
+    for seq, ps in pairs(res.typical_set):
         v = _sequence_vector(exact, seq, rho.dims)
         w = _sequence_vector(diluted, seq, rho.dims)
         rho_t += ps * np.outer(v, v.conj())
@@ -677,7 +702,7 @@ def test_each_dilution_is_ranked_once(monkeypatch, n):
                    tuple(sample_pure_state((2, 2), RandomSource(139 + j))
                          for j in range(3)))
     res = formation_protocol(ensemble_average(ens), ens, n, 0.5, 0.25)
-    blocks = {(i, seq.count(i)) for seq, _ in res.typical_set.sequences
+    blocks = {(i, seq.count(i)) for seq, _ in pairs(res.typical_set)
               for i in set(seq)}
     exact, analytic = ((calls["_kept_terms"], calls["dilution_fidelity"])
                        if n == 4 else
@@ -754,7 +779,7 @@ def test_eps2_covers_exactly_the_blocks_of_typical_sequences(seed):
                                   for _ in range(k)))
     res = formation_protocol(ensemble_average(ens), ens, 7 - k, 0.3 * (1 + seed),
                              0.0, window=("paper", "plain")[seed % 2])
-    blocks = {(i, seq.count(i)) for seq, _ in res.typical_set.sequences
+    blocks = {(i, seq.count(i)) for seq, _ in pairs(res.typical_set)
               for i in set(seq)}
     assert res.eps2 == max(1.0 - dilution_fidelity(ens.states[i], c,
                                                    res.plan.entries[i].singlets)
@@ -786,4 +811,4 @@ def test_exact_chain_holds_beyond_two_qubits(dims, n_top):
 def test_factored_fidelities_match_dense_reference_beyond_two_qubits():
     ens = _seeded_members((2, 3), 3, 0)
     res = assert_matches_dense_reference(ens, 3, 0.25)
-    assert res.typical_set.sequences
+    assert len(res.typical_set.sequences)
