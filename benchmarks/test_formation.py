@@ -12,9 +12,9 @@ Layers:
 - `typical_set` at (0.7, 0.3), n = 16 (k^n = 2^16 sequences), at
   (0.9, 0.1), n = 21, whose thin window admits 7547 of 2^21 sequences, and
   at (0.5, 0.5), n = 20, which admits 1,036,184 of 2^20;
-- the exact-mode factor build, `support_factors`: the single-copy basis,
-  the per-composition products and gathers, and the block QR of R_t and
-  R_y (kept-term selection included);
+- the exact-mode factor build, `support_factors`: the per-composition
+  products and gathers, and the block QR of R_t and R_y (kept-term
+  selection included; the single-copy basis is its input);
 - each fidelity of the chain from those factors, as `formation_protocol`
   forms it: fid1 = ||R_t Lam||_1, fid2 = ||R_t R_y^dag||_1, and
   exact_bures from ||R_y Lam||_1.
@@ -25,7 +25,9 @@ lossy and its cut falls inside the spectrum.  The factor and fidelity layers
 run on a seeded (0.5, 0.3, 0.2) ensemble at n = 4, as the formation-exact
 corpus does (rank 3, 81 rows, 56 typical sequences), and on the 16-member
 `eof_optimize` ensemble of a full-rank two-qubit state at n = 3 (64 rows,
-3360 typical sequences, so R_t and R_y are QR-compressed).
+3360 typical sequences, so R_t and R_y are QR-compressed), and at the
+exact-mode work limit: criterion 6 at n = 10 with delta1 = 0.3 (1024 rows,
+912 typical sequences, work 8.5e8 of `qcore.EXACT_WORK_CAP` = 1e9).
 """
 
 import functools
@@ -39,13 +41,16 @@ from entcost.formation import (
     _kept_terms,
     dilution_fidelity,
     dilution_plan,
+    support_basis,
     support_factors,
     typical_set,
 )
 from entcost.metrics import bures_from_fidelity, nuclear_norm
 from entcost.qcore import (
     Ensemble,
+    PureState,
     RandomSource,
+    basis_pure,
     ensemble_average,
     pure_entanglement,
     sample_density_matrix,
@@ -73,35 +78,42 @@ def test_typical_set(benchmark, p, n):
 
 
 def _ensemble(case):
+    """(ensemble, n, delta1)"""
     if case == "ens3-n4":
         rng = RandomSource(41)
         states = tuple(sample_pure_state((2, 2), rng.split()) for _ in range(3))
-        return Ensemble(np.array([0.5, 0.3, 0.2]), states), 4
+        return Ensemble(np.array([0.5, 0.3, 0.2]), states), 4, 0.5
+    if case == "criterion6-n10":
+        v = np.zeros(4, dtype=complex)
+        v[0] = v[3] = 1 / np.sqrt(2)
+        return Ensemble(np.array([0.5, 0.5]), (PureState((2, 2), v),
+                                               basis_pure((2, 2), 0, 0))), 10, 0.3
     rho = sample_density_matrix((2, 2), 4, RandomSource(11))
-    return eof_optimize(rho, rng=RandomSource(11)).ensemble, 3
+    return eof_optimize(rho, rng=RandomSource(11)).ensemble, 3, 0.5
 
 
 @functools.cache
 def _protocol_inputs(case):
-    """rho, ensemble, typical set, kept-term selection and unit-trace factors,
-    with delta1 = 0.5 and delta2 = 0.25 as the formation-exact items."""
-    ens, n = _ensemble(case)
+    """rho, ensemble, typical set, kept-term selection, support basis and
+    unit-trace factors, with delta2 = 0.25 as the formation-exact items."""
+    ens, n, delta1 = _ensemble(case)
     rho = ensemble_average(ens)
-    tset = typical_set(ens.weights, n, 0.5)
+    tset = typical_set(ens.weights, n, delta1)
     plan = dilution_plan(ens, tset, 0.25)
     kept = lambda i, c: _kept_terms(ens.states[i], c, plan.entries[i].singlets)
-    lam_n, r_t, r_y = support_factors(rho, ens, tset, kept)
+    support = support_basis(rho, ens.states)
+    lam_n, r_t, r_y = support_factors(rho, ens, tset, kept, support)
     scale = 1.0 / np.sqrt(tset.total_weight)
-    return rho, ens, tset, kept, lam_n, r_t * scale, r_y * scale
+    return rho, ens, tset, kept, support, lam_n, r_t * scale, r_y * scale
 
 
-CASES = ["ens3-n4", "sixteen-n3"]
+CASES = ["ens3-n4", "sixteen-n3", "criterion6-n10"]
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_factor_build(benchmark, case):
-    rho, ens, tset, kept, *_ = _protocol_inputs(case)
-    lam_n, r_t, r_y = benchmark(support_factors, rho, ens, tset, kept)
+    rho, ens, tset, kept, support, *_ = _protocol_inputs(case)
+    lam_n, r_t, r_y = benchmark(support_factors, rho, ens, tset, kept, support)
     assert r_t.shape[1] == r_y.shape[1] == lam_n.size
 
 

@@ -79,8 +79,8 @@ def _library_input_checks():
     """Turn the library's own argument checks (ValueError) into input errors.
 
     They reject what only the input can decide, such as an ensemble size below
-    the state's rank or a tensor power beyond the dimension cap.  A failed
-    linear-algebra kernel is a ValueError too, but an internal one.
+    the state's rank or a run past a work limit.  A failed linear-algebra
+    kernel is a ValueError too, but an internal one.
     """
     try:
         yield

@@ -35,8 +35,10 @@ import numpy as np
 
 from .metrics import BURES_TOL, bures_from_fidelity, nuclear_norm
 from .qcore import (
-    DIMENSION_CAP,
+    EXACT_WORK_CAP,
     RANK_TOL,
+    SPECTRUM_CAP,
+    TYPICAL_CAP,
     Ensemble,
     PureState,
     QuantumState,
@@ -45,9 +47,6 @@ from .qcore import (
     pure_entanglement,
 )
 from .serialize import INTERNAL
-
-ENUMERATION_CAP = 10_000_000
-SPECTRUM_CAP = 1 << 22         # occupation patterns x count per dilution walk
 
 WINDOW_KINDS = ("paper", "plain")
 
@@ -113,7 +112,8 @@ def typical_count_windows(p, n, delta1, window="paper"):
 def typical_set(p, n, delta1, window="paper") -> TypicalSet:
     """Every length-n index sequence whose type fits the window, in base-k
     order, as rows of the smallest unsigned dtype that holds k - 1; their
-    weights p_s, products of p_i from the left; and p_T, their sum in order."""
+    weights p_s, products of p_i from the left; and p_T, their sum in order.
+    ValueError once more than qcore.TYPICAL_CAP prefixes fit at one place."""
     p = np.asarray(p, dtype=float)
     if abs(p.sum() - 1.0) > 1e-9:
         raise StateValidationError("probabilities must sum to 1")
@@ -122,25 +122,25 @@ def typical_set(p, n, delta1, window="paper") -> TypicalSet:
     if not delta1 > 0:
         raise ValueError("delta1 must be positive")
     k = p.size
-    if k ** n > ENUMERATION_CAP:
-        raise ValueError(f"{k}^{n} sequences exceed the enumeration cap")
     windows = typical_count_windows(p, n, delta1, window)
     entropy = float(-(p * np.log2(p)).sum())
 
     # the prefixes grow one place at a time, by every index in order, each
     # with its digits, counts and weight; a prefix stays while its counts
     # can still fit: none above its window, and no more missing below them
-    # than places left
+    # than places left, tested on the parent's counts at the new index
     lo, hi = np.array(windows).T
     digits = np.zeros((1, 0), dtype=np.min_scalar_type(k - 1))
     counts, weights = np.zeros((1, k), dtype=np.int64), np.ones(1)
     for left in range(n - 1, -1, -1):
-        counts = (counts[:, None] + np.eye(k, dtype=np.int64)).reshape(-1, k)
-        rows = np.flatnonzero((counts <= hi).all(axis=1)
-                              & (np.maximum(lo - counts, 0).sum(axis=1) <= left))
+        missing = np.maximum(lo - counts, 0).sum(axis=1)[:, None] - (counts < lo)
+        rows = np.flatnonzero((counts < hi) & (missing <= left))
+        if len(rows) > TYPICAL_CAP:
+            raise ValueError(f"more than {TYPICAL_CAP} typical prefixes to list")
         prefix, index = np.divmod(rows, k)
         digits = np.column_stack([digits[prefix], index.astype(digits.dtype)])
-        counts, weights = counts[rows], weights[prefix] * p[index]
+        counts = counts[prefix] + np.eye(k, dtype=np.int64)[index]
+        weights = weights[prefix] * p[index]
     digits.flags.writeable = weights.flags.writeable = False
     # two-sided weight bounds implied by the integer windows themselves; with
     # exact (unrounded) windows these equal 2^{-n(H +/- delta1)}, and the
@@ -335,9 +335,9 @@ def _kron_columns(x, terms, amplitudes):
     return cols
 
 
-def support_factors(rho: QuantumState, ensemble: Ensemble, tset, kept):
+def support_factors(rho: QuantumState, ensemble: Ensemble, tset, kept, support):
     """(lam_n, R_t, R_y): the factors of rho^(x)n, rho_T and rho'_T in
-    coordinates of span(E)^(x)n, E from `support_basis`.
+    coordinates of span(E)^(x)n, `support` = (E, sqrt(lam)) from `support_basis`.
 
     rho^(x)n is diag(lam_n)^2, lam_n = sqrt(lam)^(x)n.  R_t and R_y are the
     `composition_factor`s of the typical set `tset` with undiluted blocks
@@ -347,7 +347,7 @@ def support_factors(rho: QuantumState, ensemble: Ensemble, tset, kept):
     span(E)^(x)n, so the coordinates lose nothing but the members' parts
     outside span(E): at most sqrt(n) SUPPORT_TOL on fid2, none on the others.
     """
-    basis, sqrt_lam = support_basis(rho, ensemble.states)
+    basis, sqrt_lam = support
     dim, to_basis = basis.shape[1], basis.conj().T
     coords = to_basis @ np.stack([psi.vector for psi in ensemble.states], axis=1)
 
@@ -428,12 +428,14 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
 
     eps2 is the worst dilution infidelity over the (member, count) blocks
     that occur in some typical sequence, read off the count windows.
-    Whenever (dA dB)^n <= DIMENSION_CAP, exact mode judges the whole
-    fidelity chain on fidelities from `support_factors` of rho^(x)n, rho_T
-    and rho'_T: fid1_holds, fid2_holds, and triangle_holds, the Bures
-    triangle through rho_T up to BURES_TOL of rounding.  Above the cap only
-    the analytic bounds from p_T and the dilution fidelities are emitted and
-    the three flags are None.
+    Exact mode judges the whole fidelity chain on fidelities from
+    `support_factors` of rho^(x)n, rho_T and rho'_T: fid1_holds, fid2_holds,
+    and triangle_holds, the Bures triangle through rho_T up to BURES_TOL of
+    rounding.  It runs while its work, r^n T min(T, r^n) on r^n support
+    coordinates and T typical sequences plus 32 c r_s^c per block of c
+    copies (r_s = min(dA, dB)), stays within qcore.EXACT_WORK_CAP; past it
+    only the analytic bounds from p_T and the dilution fidelities are
+    emitted and the three flags are None.
 
     exact_bures and the 2 sqrt(eps3) term of bures_bound share the rounding
     floor of `bures_from_fidelity`; a lossless dilution gives eps2 = eps3 = 0
@@ -449,10 +451,20 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     eps1 = max(0.0, 1.0 - tset.total_weight)
     p_t = 1.0 - eps1
 
+    # member i holds c >= 1 copies in some typical sequence exactly when c
+    # fits its window and the other members' windows can make up n - c
+    los, his = map(sum, zip(*tset.count_windows))
+    blocks = [(i, c) for i, (lo, hi) in enumerate(tset.count_windows)
+              for c in range(max(lo, 1), hi + 1) if los - lo <= n - c <= his - hi]
+    # exact mode's work: the factors' QR and norms, and the kept-term tables
+    support = support_basis(rho, ensemble.states)
+    r_n, t = support[0].shape[1] ** n, tset.num_sequences
+    exact = r_n * t * min(t, r_n) + 32 * sum(
+        c * min(rho.dims) ** c for _, c in blocks) <= EXACT_WORK_CAP
+
     # per-block dilution of each (member, count): exact mode selects a
     # block's kept terms once, for its fidelity and for rho'_T, and analytic
     # mode needs only the fidelity
-    exact = rho.dim ** n <= DIMENSION_CAP
     if exact:
         kept = functools.cache(lambda i, count: _kept_terms(
             ensemble.states[i], count, plan.entries[i].singlets))
@@ -461,13 +473,7 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
         fidelity = functools.cache(lambda i, count: dilution_fidelity(
             ensemble.states[i], count, plan.entries[i].singlets))
 
-    # member i holds c >= 1 copies in some typical sequence exactly when c
-    # fits its window and the other members' windows can make up n - c
-    los, his = map(sum, zip(*tset.count_windows))
-    eps2 = max((1.0 - fidelity(i, c)
-                for i, (lo, hi) in enumerate(tset.count_windows)
-                for c in range(max(lo, 1), hi + 1)
-                if los - lo <= n - c <= his - hi), default=0.0)
+    eps2 = max((1.0 - fidelity(i, c) for i, c in blocks), default=0.0)
     eps3 = 1.0 - (1.0 - eps2) ** k
     bound = bures_from_fidelity(np.sqrt(max(0.0, 1.0 - eps1))) + 2.0 * np.sqrt(eps3)
 
@@ -481,7 +487,7 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     fid1_holds = fid2_holds = triangle_holds = None
     if exact:
         # unit trace: 1 / sqrt(p_T) scales the factors of the weights p_s
-        lam_n, r_t, r_y = support_factors(rho, ensemble, tset, kept)
+        lam_n, r_t, r_y = support_factors(rho, ensemble, tset, kept, support)
         r_t, r_y = r_t / np.sqrt(p_t), r_y / np.sqrt(p_t)
         fid1 = nuclear_norm(r_t * lam_n)
         fid2 = nuclear_norm(r_t @ r_y.conj().T)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qcore import (
-    DIMENSION_CAP,
+    DENSE_WORK_CAP,
     RANK_TOL,
     DimensionError,
     QuantumState,
@@ -152,14 +152,15 @@ def divergence_sequence(f1, k_max):
             for k in range(1, k_max + 1)]
 
 
-def tensor_power_divergence(rho, sigma, k_max, *, dim_cap=DIMENSION_CAP,
+def tensor_power_divergence(rho, sigma, k_max, *,
+                            dim_cap=round(DENSE_WORK_CAP ** (1 / 3)),
                             cross_check_tol=1e-8):
     """Per-copy fidelity raised to tensor powers: (k, F^k, 2 sqrt(1 - F^k)).
 
     Fidelity is multiplicative under tensor products, so F_k = F(rho, sigma)^k;
-    the Bures distance 2 sqrt(1 - F_k) tends to 2 whenever F < 1.  For powers
-    whose total dimension stays within `dim_cap`, F_k is cross-checked against
-    the directly computed tensor-power fidelity.
+    the Bures distance 2 sqrt(1 - F_k) tends to 2 whenever F < 1.  Up to total
+    dimension `dim_cap`, by default 1000 where the dense work dim^3 reaches
+    qcore.DENSE_WORK_CAP, F_k is cross-checked against the dense fidelity.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

@@ -19,7 +19,15 @@ EIG_ERROR_FLOOR = -1e-6   # eigenvalues below this signal a caller bug
 EIG_WARN_FLOOR = -1e-9    # [-1e-6, -1e-9): warn and repair; [-1e-9, 0): clip
 RANK_TOL = 1e-12
 WEIGHT_FLOOR = 1e-12
-DIMENSION_CAP = 4096      # largest total dimension of a tensor power built exactly
+
+# Work limits, one per engine, each on a formula evaluated before the work;
+# past one, exact formation turns analytic, the dense check stops, the rest
+# raise ValueError.  Time at the limit, one BLAS thread, 2-core VM (BENCH_*):
+EXACT_WORK_CAP = 10 ** 9   # r^n T min(T, r^n) + 32 sum_blocks c r_s^c: 2.4 s
+DENSE_WORK_CAP = 10 ** 9   # (d^k)^3 of the direct tensor-power fidelity: 4.0 s
+ROW_WORK_CAP = 10 ** 8     # (L_1 r d)^n_max (1 + 128 restarts): 3.1 s
+TYPICAL_CAP = 1 << 22      # typical prefixes admitted at one place: 1.6 s
+SPECTRUM_CAP = 1 << 22     # occupation patterns x count of a dilution: 1.0 s
 
 
 class DimensionError(ValueError):

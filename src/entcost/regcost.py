@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .eof import _eigen_rows, _minimize_rows
-from .qcore import DIMENSION_CAP, QuantumState, RandomSource, tensor_rows
+from .qcore import ROW_WORK_CAP, QuantumState, RandomSource, tensor_rows
 from .serialize import INTERNAL
 
 LIMIT_CAVEAT = ("finite-n certificate only: the n -> infinity limit is not "
@@ -67,16 +67,21 @@ def regularized_sequence(rho: QuantumState, n_max: int, *,
     be 0, in which case only the warm start is refined.  The warm start is
     refined alone, and refining only lowers its value, so
     n A_n <= (n-1) A_(n-1) + A_1 up to rounding, A_2 <= A_1 in particular
-    (tested at 1e-9).
+    (tested at 1e-9).  ValueError when the row work of the deepest step,
+    (L_1 r d)^n_max for the L_1 x r isometry on r x d eigen rows, times its
+    starts, a random one weighed as 128 warm ones, passes qcore.ROW_WORK_CAP.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if rho.dim ** n_max > DIMENSION_CAP:
-        raise ValueError(
-            f"dim^n_max = {rho.dim ** n_max} exceeds the cap {DIMENSION_CAP}")
     if rng is None:
         rng = RandomSource(0)
     B1 = _eigen_rows(rho)
+    r, d = B1.shape
+    L = ensemble_size if ensemble_size is not None else min(r * r, d * d)
+    starts = 1 + 128 * int(restarts)
+    if (L * r * d) ** n_max * starts > ROW_WORK_CAP:
+        raise ValueError(f"row work {L * r * d}^{n_max} x {starts} exceeds "
+                         f"the limit {ROW_WORK_CAP:.0e}")
     res, U1 = _minimize_rows(B1, rho.dims, ensemble_size,
                              max(int(restarts), 1), rng.split())
     entries = [TraceEntry(1, res.value, warm_started=False)]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import entcost
+import entcost.regcost
 from entcost import __version__
 from entcost import cli
 from entcost.cli import (
@@ -332,6 +333,16 @@ class TestFormationCommand:
         assert time.perf_counter() - start < 2.0
         assert code == EXIT_INPUT and doc is None
 
+    def test_typical_set_past_the_prefix_cap_is_an_input_error(self, tmp_path,
+                                                                capsys):
+        # (0.5, 0.5) at n = 23 fits more than 2^22 prefixes at place 23
+        path = tmp_path / "ens.json"
+        save_object(path, Ensemble(np.array([0.5, 0.5]),
+                                   (singlet(), basis_pure((2, 2), 0, 0))))
+        code, doc = run_to_json(["formation", str(path), "--n", "23"], tmp_path)
+        assert code == EXIT_INPUT and doc is None
+        assert capsys.readouterr().err.startswith("error: more than 4194304")
+
     @pytest.mark.parametrize("delta2,expect", [("600", EXIT_OK),
                                                ("1e300", EXIT_OK),
                                                ("1.7e308", EXIT_INPUT)])
@@ -475,12 +486,25 @@ class TestNumericFlags:
         # the mixed state has rank 2, so no one-member ensemble realizes it
         ["eof", "{state}", "--ensemble-size", "1"],
         ["regularize", "{state}", "--ensemble-size", "1"],
-        # 4^7 exceeds the dimension cap
+        # 32^7 rows x 257, the weight of a warm and two random starts,
+        # exceeds the row-work cap
         ["regularize", "{state}", "--n-max", "7"],
     ])
     def test_rejected_by_the_state(self, argv, mixed_file, capsys):
         assert main([mixed_file if a == "{state}" else a for a in argv]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("rank, n_max", [(4, "4"), (2, "6")])
+    def test_regularize_past_the_row_work_cap_runs_no_refine(
+            self, rank, n_max, tmp_path, monkeypatch, capsys):
+        def refine(*args, **kwargs):
+            raise AssertionError("refined past the cap")
+        monkeypatch.setattr(entcost.regcost, "_minimize_rows", refine)
+        path = tmp_path / "rho.json"
+        save_object(path, sample_density_matrix((2, 2), rank, RandomSource(1)))
+        assert main(["regularize", str(path), "--n-max", n_max,
+                     "--restarts", "0"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: row work")
 
     def test_negative_seed_env(self, monkeypatch):
         monkeypatch.setenv("ENTCOST_SEED", "-1")

@@ -170,6 +170,9 @@ class TestTypicalSet:
         tset = typical_set([0.9, 0.1], 21, 0.5)
         assert tset.num_sequences == 7547
         assert tset.count_windows == ((0, 21), (0, 4))
+        # the cap is on the prefixes held at one place, not on k^n
+        tset = typical_set([0.9, 0.1], 24, 0.5)
+        assert tset.num_sequences == 55_455
 
     def test_coverage_is_high_at_moderate_n(self):
         p = [0.7, 0.3]
@@ -185,8 +188,9 @@ class TestTypicalSet:
             typical_set([0.5, 0.5], 3, 0.0)
         with pytest.raises(ValueError, match="delta1 must be positive"):
             typical_set([0.5, 0.5], 3, float("nan"))
-        with pytest.raises(ValueError):
-            typical_set([0.1] * 10, 8, 0.5)   # 10^8 sequences, over the cap
+        with pytest.raises(ValueError, match="typical prefixes"):
+            # 10^7 prefixes fit at place 7, past the prefix cap
+            typical_set([0.1] * 10, 8, 0.5, "plain")
 
     def test_arrays_are_read_only(self):
         tset = typical_set([0.5, 0.3, 0.2], 4, 0.5)
@@ -645,10 +649,12 @@ class TestFormationProtocol:
         assert res.rate == 0.0
         assert res.fid2_holds
 
-    def test_analytic_mode_beyond_dimension_cap(self):
+    def test_analytic_mode_beyond_the_work_cap(self):
+        # criterion 6 at n = 10: 2^10 x 1002 x 1002 = 1.03e9 factor work
+        # exceeds EXACT_WORK_CAP
         ens = half_half_ensemble()
         rho = ensemble_average(ens)
-        res = formation_protocol(rho, ens, 7, 0.5, 0.25)
+        res = formation_protocol(rho, ens, 10, 0.5, 0.25)
         assert not res.exact_mode
         assert res.exact_bures is None
         assert res.fid1_fidelity is None
@@ -713,14 +719,36 @@ def test_each_dilution_is_ranked_once(monkeypatch, n):
     assert {(members[id(psi)], c) for psi, c in exact} == blocks
 
 
-def test_exact_mode_finishes_at_the_dimension_cap():
-    # the criterion-6 ensemble at n = 6 has dimension 4^6 = 4096, the cap
+def test_exact_mode_finishes_at_the_work_cap():
+    # criterion 6 at n = 9, 2^9 x 492 x 492 = 1.2e8 factor work, is the
+    # largest n it runs exactly at these deltas; n = 10 is analytic
     ens = half_half_ensemble()
-    res = formation_protocol(ensemble_average(ens), ens, 6, 0.5, 0.25)
+    res = formation_protocol(ensemble_average(ens), ens, 9, 0.5, 0.25)
     assert res.exact_mode
     assert res.fid1_holds and res.fid2_holds
     assert res.exact_bures <= res.bures_bound
     assert res.triangle_holds
+
+
+@pytest.mark.parametrize("n, exact", [(20, True), (21, False)])
+def test_a_pure_state_turns_analytic_before_its_term_table_outgrows_the_cap(
+        monkeypatch, n, exact):
+    # r = T = 1, so the work is the kept-term table, 32 n 2^n: 6.7e8 at
+    # n = 20, 1.4e9 at n = 21.  Exact mode's first step selects kept terms
+    class ExactMode(Exception):
+        pass
+
+    def selected(*args):
+        raise ExactMode
+
+    monkeypatch.setattr(entcost.formation, "_kept_terms", selected)
+    psi = sample_pure_state((2, 2), RandomSource(5))
+    ens = Ensemble(np.array([1.0]), (psi,))
+    if exact:
+        with pytest.raises(ExactMode):
+            formation_protocol(psi.to_state(), ens, n, 0.5, 0.1)
+    else:
+        assert not formation_protocol(psi.to_state(), ens, n, 0.5, 0.1).exact_mode
 
 
 class TestFidelityChain:
@@ -795,8 +823,8 @@ def _seeded_members(dims, k, seed):
 
 @pytest.mark.parametrize("dims, n_top", [((2, 3), 4), ((3, 3), 3)], ids=str)
 def test_exact_chain_holds_beyond_two_qubits(dims, n_top):
-    # 2-4 seeded members at two seeds, every n up to the exact-mode reach,
-    # lossless and lossy dilution: all three flags hold.  Where the bound is
+    # 2-4 seeded members at two seeds, every n up to n_top, lossless and
+    # lossy dilution: all three flags hold.  Where the bound is
     # 0.0, exact_bures carries up to BURES_TOL of rounding
     for k, seed, n, delta2 in itertools.product((2, 3, 4), (0, 1),
                                                range(1, n_top + 1), (0.0, 0.25)):

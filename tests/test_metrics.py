@@ -189,7 +189,7 @@ class TestTensorPowerDivergence:
         rng = RandomSource(31)
         a = sample_density_matrix((2, 2), 2, rng.split())
         b = sample_density_matrix((2, 2), 3, rng.split())
-        entries = tensor_power_divergence(a, b, 5)
+        entries = tensor_power_divergence(a, b, 4)
         f1 = entries[0]["fidelity"]
         for e in entries:
             assert e["fidelity"] == pytest.approx(f1 ** e["k"], abs=1e-12)
@@ -204,6 +204,16 @@ class TestTensorPowerDivergence:
         entries = tensor_power_divergence(a, b, 8, dim_cap=256)
         assert entries[3]["direct_fidelity"] is not None   # 4^4 = 256
         assert entries[4]["direct_fidelity"] is None
+
+    def test_default_cap_is_the_dense_work_cap(self):
+        # (4^k)^3 dense work is 1.7e7 at k = 4 and 1.1e9 at k = 5, past
+        # DENSE_WORK_CAP
+        rng = RandomSource(33)
+        a = sample_density_matrix((2, 2), 2, rng.split())
+        b = sample_density_matrix((2, 2), 2, rng.split())
+        entries = tensor_power_divergence(a, b, 6)
+        assert [e["direct_fidelity"] is not None for e in entries] == (
+            [True] * 4 + [False] * 2)
 
     def test_divergence_approaches_two(self):
         rng = RandomSource(35)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -295,3 +298,24 @@ def test_binary_entropy_values():
     assert binary_entropy(0.5) == pytest.approx(1.0)
     assert binary_entropy(0.9) == pytest.approx(0.4689955935892812, abs=1e-12)
     assert binary_entropy(0.1) == pytest.approx(binary_entropy(0.9), abs=1e-15)
+
+
+def test_every_cap_is_defined_in_qcore_and_tabled_in_the_readme():
+    # the work limits are defined in one place and listed in one table; the
+    # total-dimension and k^n caps they replaced stay gone
+    root = Path(__file__).resolve().parents[1]
+    defined = {}
+    for path in sorted((root / "src" / "entcost").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for target in getattr(node, "targets", ()):
+                if isinstance(target, ast.Name) and target.id.endswith("_CAP"):
+                    defined[target.id] = path.name
+    assert defined and set(defined.values()) == {"qcore.py"}, defined
+    readme = (root / "README.md").read_text()
+    rows = [line for line in readme.splitlines() if line.startswith("| `")]
+    for name in defined:
+        assert sum(line.startswith(f"| `{name}`") for line in rows) == 1, name
+    stale = ("DIMENSION" + "_CAP", "ENUMERATION" + "_CAP")
+    for path in [root / "README.md", *(root / "src").rglob("*.py"),
+                 *(root / "tests").glob("*.py"), *(root / "benchmarks").glob("*.py")]:
+        assert not any(name in path.read_text() for name in stale), path

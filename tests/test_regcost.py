@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import entcost.regcost
 from entcost.eof import _eigen_rows, _minimize_rows, eof_two_qubit_closed_form
 from entcost.qcore import (
     Ensemble,
@@ -147,10 +148,29 @@ class TestRegularizedSequence:
         regularized_sequence(rho, 3, rng=RandomSource(0), restarts=1)
         assert sizes and max(max(s) for s in sizes) <= 8, sorted(set(sizes))
 
-    def test_dimension_cap_enforced(self):
-        rho = sample_density_matrix((8, 8), 1, RandomSource(9))
-        with pytest.raises(ValueError):
-            regularized_sequence(rho, 3)
+    def test_row_work_cap_enforced(self, monkeypatch):
+        # (L_1 r d)^n_max (1 + 128 restarts) against ROW_WORK_CAP = 1e8,
+        # judged before the first refine
+        class Refined(Exception):
+            pass
+
+        def refine(*args, **kwargs):
+            raise Refined
+
+        monkeypatch.setattr(entcost.regcost, "_minimize_rows", refine)
+        rank1 = sample_density_matrix((8, 8), 1, RandomSource(9))
+        rank2 = sample_density_matrix((2, 2), 2, RandomSource(1))
+        rank4 = sample_density_matrix((2, 2), 4, RandomSource(1))
+        # rank 2 at n = 5, warm start only: 32^5 = 3.4e7; the rank-1 (8, 8)
+        # state has one row: 64^3 x 257 = 6.7e7
+        for rho, n_max, restarts in [(rank2, 5, 0), (rank1, 3, 2)]:
+            with pytest.raises(Refined):
+                regularized_sequence(rho, n_max, restarts=restarts)
+        # a random start weighs 128 warm ones: 4.4e9; 32^6 = 1.1e9;
+        # 256^4 = 4.3e9
+        for rho, n_max, restarts in [(rank2, 5, 1), (rank2, 6, 0), (rank4, 4, 0)]:
+            with pytest.raises(ValueError, match="row work"):
+                regularized_sequence(rho, n_max, restarts=restarts)
 
     def test_bad_n_max(self):
         with pytest.raises(ValueError):

@@ -123,7 +123,8 @@ def test_formation_exact(tmp_path, ensemble_file):
 
 
 def test_formation_analytic(tmp_path, ensemble_file):
-    config, result = _report(tmp_path, ["formation", ensemble_file, "--n", "8"])
+    # 2^10 x 1002 x 1002 factor work is past the exact-mode cap
+    config, result = _report(tmp_path, ["formation", ensemble_file, "--n", "10"])
     assert set(config) == FORMATION_CONFIG
     _check_formation(result)
     assert result["exact_mode"] is False
