@@ -14,11 +14,11 @@ Layers, at dims (2, 2) and (4, 4):
   3 x L x r stack of isometries, as `eof_optimize` refines an eof-qubit
   item's starts;
 - one `eof_optimize` call: three random starts at (2, 2) (an eof-qubit
-  item), and at (4, 4) the A_2 step of a regularize-n2 item, warm-started
-  from the Kronecker square of the single-copy isometry with one random start;
+  item), and at (4, 4) the A_2 step of a regularize-n2 item, the Kronecker
+  square of the single-copy isometry refined alone as its warm start;
 - one step of the regularization trace at n = 3 and n = 4: the warm start
-  alone on the Kronecker rows, as `regularized_sequence(..., restarts=0)`
-  runs it.
+  alone on the Kronecker rows, as `regularized_sequence` runs every step
+  past n = 1.
 
 The inputs mirror the benchmark workloads: a rank-3 two-qubit state with five
 rows (eof-qubit), and the square of a rank-2 two-qubit state, dims (4, 4),
@@ -115,13 +115,13 @@ def test_eof_optimize(benchmark, dims):
     one = _eigen_rows(sample_density_matrix((2, 2), 2, RandomSource(1)))
     _, U1 = _minimize_rows(one, (2, 2), 3, 1, RandomSource(2))
     square, dims2 = tensor_rows(one, (2, 2), one, (2, 2))
-    res, _ = benchmark(lambda: _minimize_rows(square, dims2, None, 1, RandomSource(3),
+    res, _ = benchmark(lambda: _minimize_rows(square, dims2, None, 0, RandomSource(3),
                                               warm=np.kron(U1, U1)))
-    assert [r.kind for r in res.starts] == ["warm", "random"]
+    assert [r.kind for r in res.starts] == ["warm"]
 
 
 def _trace_step(n):
-    """(B_n, dims, warm) of step n of the trace at restarts=0."""
+    """(B_n, dims, warm) of step n of the trace."""
     B1 = _eigen_rows(sample_density_matrix((2, 2), 2, RandomSource(1)))
     _, U1 = _minimize_rows(B1, (2, 2), None, 1, RandomSource(2))
     B, dims, U = B1, (2, 2), U1

@@ -294,10 +294,9 @@ def build_parser():
     p.add_argument("state")
     p.add_argument("--n-max", type=_POSITIVE_INT, default=2)
     p.add_argument("--restarts", type=_COUNT, default=2,
-                   help="random Haar-isometry starts per n (at least one at "
-                        "n = 1), refined together on small problems, the warm "
-                        "start alone; the lowest value, warm start included, "
-                        "wins")
+                   help="random Haar-isometry starts of the n = 1 step (at "
+                        "least one), refined together on small problems; every "
+                        "n >= 2 refines only the product warm start")
     p.add_argument("--ensemble-size", type=_POSITIVE_INT, default=None)
     p.add_argument("--csv", default=None, help="also write (n, rate) CSV here")
     common(p)

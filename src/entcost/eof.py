@@ -9,8 +9,9 @@ iterate is feasible by construction.  Starts are refined by Riemannian L-BFGS
 over the isometries (Audenaert, Verstraete & De Moor, PRA 64, 052304 (2001);
 Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660 (2015)), a group of starts
 as one stack of isometries; on small problems the seeded random starts are
-one group, and a warm start is always refined alone.  One stacked `eigh` of
-the rows' reduced Gram matrices gives the objective and its gradient.
+one group, and a warm start is refined alone, without random starts.  One
+stacked `eigh` of the rows' reduced Gram matrices gives the objective and its
+gradient.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .qcore import (
     QuantumState,
     RandomSource,
     RANK_TOL,
+    START_CAP,
     StateValidationError,
     binary_entropy,
     pure_entanglement,
@@ -315,7 +317,8 @@ def eof_optimize(rho: QuantumState, ensemble_size=None, restarts=4,
     is stored and reproduces rho exactly.  `restarts` random isometry starts
     are refined (`_refine`), together as one stack of isometries up to
     JOINT_WORK; the lowest value wins, by more than 4 eps over earlier ones.
-    The default ensemble size is rank(rho)^2 capped at (dA dB)^2.
+    The default ensemble size is rank(rho)^2 capped at (dA dB)^2, and
+    restarts sqrt(L r d) may not pass qcore.START_CAP.
     """
     if rng is None:
         rng = RandomSource(0)
@@ -327,12 +330,14 @@ def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
                    improvement_tol=DEFAULT_IMPROVEMENT_TOL, warm=None):
     """`eof_optimize` on the state sum_j |b_j><b_j| of the r x d rows b_j of B.
 
-    `warm`, an L x r isometry, is refined alone first as the "warm" start and
-    sets L; the `restarts` random starts follow.  Up to JOINT_WORK they are
-    refined together as one stack of isometries, beyond it one by one.
-    Returns the EofResult and the isometry U of the winning start, whose
-    rows U B are its ensemble's.  A rank-1 state has the one decomposition
-    W = B.
+    `warm`, an L x r isometry, is refined alone as the "warm" start and sets
+    L; without it, `restarts` random starts are drawn, together as one stack
+    of isometries up to JOINT_WORK, beyond it one by one.  Never both: a
+    call with a warm start and random ones is a ValueError, and so are
+    random starts whose work restarts sqrt(L r d) passes qcore.START_CAP,
+    before any refine.  Returns the EofResult and the isometry U of the
+    winning start, whose rows U B are its ensemble's.  A rank-1 state has
+    the one decomposition W = B.
     """
     dA, dB = dims
     r, d = B.shape
@@ -340,25 +345,26 @@ def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
         psi = PureState(dims, B[0])
         return (EofResult(pure_entanglement(psi), Ensemble(np.array([1.0]), (psi,)),
                           0, True, ()), np.ones((1, 1)))
+    restarts = int(restarts)
     if warm is not None:
-        L = len(warm)
+        if restarts:
+            raise ValueError("a warm start is refined alone, without random starts")
+        groups = [("warm", warm[None])]   # (kind, stack)
     else:
         L = int(ensemble_size) if ensemble_size is not None else min(r * r, d * d)
-    if L < r:
-        raise ValueError(f"ensemble size {L} below rank {r}: no such decomposition")
-
-    groups = [] if warm is None else [("warm", warm[None])]  # (kind, stack)
-    randoms = []
-    for _ in range(int(restarts)):
+        if L < r:
+            raise ValueError(f"ensemble size {L} below rank {r}: no such decomposition")
+        if restarts < 1:
+            raise ValueError("need at least one start (restarts >= 1 or a warm start)")
+        if restarts * np.sqrt(L * r * d) > START_CAP:
+            raise ValueError(f"random-start work {restarts} x sqrt({L * r * d}) "
+                             f"exceeds the limit {START_CAP}")
         g = rng.gen
-        x = g.standard_normal((L, r)) + 1j * g.standard_normal((L, r))
-        randoms.append(np.linalg.qr(x)[0])
-    if randoms and L * r * d <= JOINT_WORK:
-        groups.append(("random", np.stack(randoms)))
-    else:
-        groups += [("random", U[None]) for U in randoms]
-    if not groups:
-        raise ValueError("need at least one start (restarts >= 1 or a warm start)")
+        randoms = [np.linalg.qr(g.standard_normal((L, r))
+                                + 1j * g.standard_normal((L, r)))[0]
+                   for _ in range(restarts)]
+        groups = ([("random", np.stack(randoms))] if L * r * d <= JOINT_WORK
+                  else [("random", U[None]) for U in randoms])
 
     best_value = best_U = None
     records = []

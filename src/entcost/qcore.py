@@ -25,7 +25,8 @@ WEIGHT_FLOOR = 1e-12
 # raise ValueError.  Time at the limit, one BLAS thread, 2-core VM (BENCH_*):
 EXACT_WORK_CAP = 10 ** 9   # r^n T min(T, r^n) + 32 sum_blocks c r_s^c: 2.4 s
 DENSE_WORK_CAP = 10 ** 9   # (d^k)^3 of the direct tensor-power fidelity: 4.0 s
-ROW_WORK_CAP = 10 ** 8     # (L_1 r d)^n_max (1 + 128 restarts): 3.1 s
+ROW_WORK_CAP = 10 ** 8     # (L_1 r d)^n_max of the deepest warm refine: 3.1 s
+START_CAP = 1024           # restarts sqrt(L r d) of one call's random starts: 2.7 s
 TYPICAL_CAP = 1 << 22      # typical prefixes admitted at one place: 1.6 s
 SPECTRUM_CAP = 1 << 22     # occupation patterns x count of a dilution: 1.0 s
 

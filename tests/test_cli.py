@@ -486,9 +486,11 @@ class TestNumericFlags:
         # the mixed state has rank 2, so no one-member ensemble realizes it
         ["eof", "{state}", "--ensemble-size", "1"],
         ["regularize", "{state}", "--ensemble-size", "1"],
-        # 32^7 rows x 257, the weight of a warm and two random starts,
-        # exceeds the row-work cap
+        # 32^7 rows exceeds the row-work cap
         ["regularize", "{state}", "--n-max", "7"],
+        # 20000 random starts x sqrt(32) exceed the random-start cap
+        ["eof", "{state}", "--restarts", "20000"],
+        ["regularize", "{state}", "--n-max", "1", "--restarts", "20000"],
     ])
     def test_rejected_by_the_state(self, argv, mixed_file, capsys):
         assert main([mixed_file if a == "{state}" else a for a in argv]) == EXIT_INPUT
@@ -515,6 +517,14 @@ class TestNumericFlags:
                                 tmp_path)
         assert code == EXIT_OK
         assert doc["config"]["restarts"] == 0
+        # n = 1 refines max(restarts, 1) random starts and n = 2 the warm
+        # start alone, so --restarts 0 and 1 differ only in config.restarts
+        one = tmp_path / "one.json"
+        assert main(["regularize", mixed_file, "--restarts", "1",
+                     "--output", str(one)]) == EXIT_OK
+        zero = (tmp_path / "out.json").read_bytes()
+        assert zero.count(b'"restarts": 0,') == 1
+        assert zero.replace(b'"restarts": 0,', b'"restarts": 1,') == one.read_bytes()
 
     def test_linear_algebra_failure_stays_internal(self, singlet_file,
                                                    monkeypatch):

@@ -186,6 +186,23 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             eof_optimize(rho, restarts=0, rng=RandomSource(0))
 
+    @pytest.mark.parametrize("restarts, admitted", [(181, True), (182, False),
+                                                    (20000, False)])
+    def test_random_starts_are_capped(self, monkeypatch, restarts, admitted):
+        # restarts sqrt(L r d) against START_CAP = 1024, before any refine:
+        # a rank-2 two-qubit state has L r d = 4 * 2 * 4, so 181 starts fit
+        class Refined(Exception):
+            pass
+
+        def refine(*args, **kwargs):
+            raise Refined
+
+        monkeypatch.setattr(entcost.eof, "_refine", refine)
+        rho = sample_density_matrix((2, 2), 2, RandomSource(1))
+        with pytest.raises(Refined if admitted else ValueError,
+                           match=None if admitted else "random-start work"):
+            eof_optimize(rho, restarts=restarts, rng=RandomSource(0))
+
     def test_deterministic_given_seed(self):
         rho = sample_density_matrix((2, 2), 2, RandomSource(71))
         r1 = eof_optimize(rho, ensemble_size=4, restarts=2, rng=RandomSource(5))
@@ -216,10 +233,9 @@ class TestStartRecords:
         rng = RandomSource(127)
         rho = sample_density_matrix((2, 2), 2, rng.split())
         B = _eigen_rows(rho)
-        res, _ = _minimize_rows(B, rho.dims, None, 3, rng.split(),
-                                warm=np.eye(4, len(B)))
-        assert [r.kind for r in res.starts] == ["warm"] + ["random"] * 3
-        assert res.restarts_used == len(res.starts) == 4
+        res, _ = _minimize_rows(B, rho.dims, None, 3, rng.split())
+        assert [r.kind for r in res.starts] == ["random"] * 3
+        assert res.restarts_used == len(res.starts) == 3
         assert res.value_history == tuple(r.value for r in res.starts)
         assert sum(r.evaluations for r in res.starts) == sum(calls)
         assert max(calls) == 3
@@ -233,6 +249,19 @@ class TestStartRecords:
             {"kind": r.kind, "iterations": r.iterations,
              "evaluations": r.evaluations, "value": r.value,
              "outcome": r.outcome} for r in res.starts]
+
+    def test_a_warm_start_is_refined_without_random_starts(self, monkeypatch):
+        calls = self.count_starts_per_call(monkeypatch)
+        rho = sample_density_matrix((2, 2), 2, RandomSource(127))
+        B = _eigen_rows(rho)
+        with pytest.raises(ValueError, match="alone"):
+            _minimize_rows(B, rho.dims, None, 1, RandomSource(0),
+                           warm=np.eye(4, len(B)))
+        assert calls == []
+        res, _ = _minimize_rows(B, rho.dims, None, 0, RandomSource(0),
+                                warm=np.eye(4, len(B)))
+        assert [r.kind for r in res.starts] == ["warm"]
+        assert set(calls) == {1} and res.starts[0].evaluations == len(calls)
 
     def test_starts_beyond_the_joint_work_are_refined_one_by_one(self, monkeypatch):
         calls = self.count_starts_per_call(monkeypatch)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import entcost.eof
 import entcost.regcost
 from entcost.eof import _eigen_rows, _minimize_rows, eof_two_qubit_closed_form
 from entcost.qcore import (
@@ -89,6 +90,24 @@ def test_warm_rows_are_the_product_ensemble():
     assert np.abs(warm_rows - np.array(expect)).max() < 1e-12
 
 
+@pytest.mark.parametrize("rank, n", [(2, 2), (3, 2), (4, 2), (2, 3)])
+def test_random_starts_never_beat_the_warm_start(rank, n):
+    # the trace refines only the warm start past n = 1; two cold random
+    # starts at the same L_n = L_1^n never end below it by more than 1e-9
+    # (L_1 = r keeps the problems small)
+    for seed in range(3):
+        rho = sample_density_matrix((2, 2), rank, RandomSource(500 + seed))
+        trace = regularized_sequence(rho, n, rng=RandomSource(seed),
+                                     restarts=1, ensemble_size=rank)
+        B1 = _eigen_rows(rho)
+        B, dims = B1, rho.dims
+        for _ in range(n - 1):
+            B, dims = tensor_rows(B, dims, B1, rho.dims)
+        cold, _ = _minimize_rows(B, dims, rank ** n, 2, RandomSource(seed))
+        assert [r.kind for r in cold.starts] == ["random"] * 2
+        assert cold.value >= n * trace.rate(n) - 1e-9, (rank, n, seed)
+
+
 class TestRegularizedSequence:
     def test_singlet_rates_are_exactly_one(self):
         trace = regularized_sequence(singlet().to_state(), 2,
@@ -149,8 +168,8 @@ class TestRegularizedSequence:
         assert sizes and max(max(s) for s in sizes) <= 8, sorted(set(sizes))
 
     def test_row_work_cap_enforced(self, monkeypatch):
-        # (L_1 r d)^n_max (1 + 128 restarts) against ROW_WORK_CAP = 1e8,
-        # judged before the first refine
+        # (L_1 r d)^n_max against ROW_WORK_CAP = 1e8, judged before the
+        # first refine; random starts run only at n = 1, so they add nothing
         class Refined(Exception):
             pass
 
@@ -161,16 +180,52 @@ class TestRegularizedSequence:
         rank1 = sample_density_matrix((8, 8), 1, RandomSource(9))
         rank2 = sample_density_matrix((2, 2), 2, RandomSource(1))
         rank4 = sample_density_matrix((2, 2), 4, RandomSource(1))
-        # rank 2 at n = 5, warm start only: 32^5 = 3.4e7; the rank-1 (8, 8)
-        # state has one row: 64^3 x 257 = 6.7e7
-        for rho, n_max, restarts in [(rank2, 5, 0), (rank1, 3, 2)]:
+        # rank 2 at n = 5: 32^5 = 3.4e7 at any restarts; the rank-1 (8, 8)
+        # state has one row: 64^3 = 2.6e5
+        for rho, n_max, restarts in [(rank2, 5, 0), (rank2, 5, 1), (rank1, 3, 2)]:
             with pytest.raises(Refined):
                 regularized_sequence(rho, n_max, restarts=restarts)
-        # a random start weighs 128 warm ones: 4.4e9; 32^6 = 1.1e9;
-        # 256^4 = 4.3e9
-        for rho, n_max, restarts in [(rank2, 5, 1), (rank2, 6, 0), (rank4, 4, 0)]:
+        # 32^6 = 1.1e9; 256^4 = 4.3e9
+        for rho, n_max, restarts in [(rank2, 6, 0), (rank4, 4, 0)]:
             with pytest.raises(ValueError, match="row work"):
                 regularized_sequence(rho, n_max, restarts=restarts)
+
+    @pytest.mark.parametrize("restarts, admitted", [(181, True), (182, False),
+                                                    (20000, False)])
+    def test_single_copy_random_starts_are_capped(self, monkeypatch, restarts,
+                                                  admitted):
+        # the n = 1 step's restarts sqrt(L r d) against START_CAP = 1024,
+        # L r d = 4 * 2 * 4 for a rank-2 two-qubit state, before any refine
+        class Refined(Exception):
+            pass
+
+        def refine(*args, **kwargs):
+            raise Refined
+
+        monkeypatch.setattr(entcost.eof, "_refine", refine)
+        rho = sample_density_matrix((2, 2), 2, RandomSource(1))
+        with pytest.raises(Refined if admitted else ValueError,
+                           match=None if admitted else "random-start work"):
+            regularized_sequence(rho, 1, rng=RandomSource(0), restarts=restarts)
+
+    def test_steps_past_one_refine_the_warm_start_alone(self, monkeypatch):
+        # every n >= 2 call of _minimize_rows has a warm start and draws no
+        # random start, at any restarts
+        calls = []
+        minimize = entcost.regcost._minimize_rows
+
+        def recording(B, dims, size, restarts, rng, *args, warm=None, **kw):
+            calls.append((restarts, warm is not None))
+            return minimize(B, dims, size, restarts, rng, *args, warm=warm, **kw)
+
+        monkeypatch.setattr(entcost.regcost, "_minimize_rows", recording)
+        rho = sample_density_matrix((2, 2), 2, RandomSource(1))
+        for restarts in (0, 3):
+            calls.clear()
+            trace = regularized_sequence(rho, 3, rng=RandomSource(0),
+                                         restarts=restarts)
+            assert calls == [(max(restarts, 1), False), (0, True), (0, True)]
+            assert [e.warm_started for e in trace.entries] == [False, True, True]
 
     def test_bad_n_max(self):
         with pytest.raises(ValueError):
