@@ -6,8 +6,12 @@ Outside the tier-1 suite: `testpaths` collects only `tests/`.  Run with
         benchmarks/test_eof.py --benchmark-json=bench.json
 
 Layers, at dims (2, 2) and (4, 4):
-- one `_objective` call, which gives the value and the gradient together;
-- one line-search trial: the retraction of a step and the objective there;
+- one `_objective` call, which gives the value and the gradient together,
+  on the path the refine takes: at (2, 2), k = 2, from the rows' Pauli
+  forms (`pauli`), timed also on the `eigh` path it replaced (`eigh`); at
+  (4, 4), k = 4, the `eigh` path;
+- one line-search trial: the retraction of a step and the objective there,
+  on the path the refine takes;
 - one L-BFGS iteration (`MAX_ITERATIONS` set to 1);
 - one start, refined until it stops;
 - one joint refine of three random starts at (2, 2), stacked as one
@@ -35,6 +39,7 @@ from entcost.eof import (
     _eigen_rows,
     _minimize_rows,
     _objective,
+    _pauli_forms,
     _refine,
     _retract,
     _tangent,
@@ -68,18 +73,26 @@ def _start(dims, starts=1):
     return np.stack(blocks), B
 
 
-@pytest.mark.parametrize("dims", list(CASES), ids=str)
-def test_objective(benchmark, dims):
+def _forms(B, dims, eigh=False):
+    """`_objective`'s forms argument: the Pauli forms at k = 2, where the
+    refine takes them, unless the eigh path is asked for."""
+    return None if eigh or min(dims) != 2 else _pauli_forms(B, *dims)
+
+
+@pytest.mark.parametrize("dims, path", [((2, 2), "pauli"), ((2, 2), "eigh"),
+                                        ((4, 4), "eigh")], ids=str)
+def test_objective(benchmark, dims, path):
     U, B = _start(dims)
-    value = benchmark(_objective, U, B, *dims)[0]
+    value = benchmark(_objective, U, B, *dims, _forms(B, dims, path == "eigh"))[0]
     assert np.isfinite(value)
 
 
 @pytest.mark.parametrize("dims", list(CASES), ids=str)
 def test_line_search_trial(benchmark, dims):
     U, B = _start(dims)
-    step = -0.1 * _tangent(U, _objective(U, B, *dims)[-1])
-    value = benchmark(lambda: _objective(_retract(U + step), B, *dims))[0]
+    forms = _forms(B, dims)
+    step = -0.1 * _tangent(U, _objective(U, B, *dims, forms)[-1])
+    value = benchmark(lambda: _objective(_retract(U + step), B, *dims, forms))[0]
     assert np.isfinite(value)
 
 

@@ -9,9 +9,12 @@ iterate is feasible by construction.  Starts are refined by Riemannian L-BFGS
 over the isometries (Audenaert, Verstraete & De Moor, PRA 64, 052304 (2001);
 Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660 (2015)), a group of starts
 as one stack of isometries; on small problems the seeded random starts are
-one group, and a warm start is refined alone, without random starts.  One
-stacked `eigh` of the rows' reduced Gram matrices gives the objective and its
-gradient.
+one group, and a warm start is refined alone, without random starts.
+Where the smaller factor is a qubit, k = min(dA, dB) = 2 (every eof-qubit
+item and the n = 1 step of a two-qubit trace), each evaluation reads the
+rows' Pauli components off one product U P and takes no `eigh`.  At any
+other k (the trace's steps past n = 1 have k >= 4) one stacked `eigh` of the
+rows' reduced Gram matrices gives the objective and its gradient.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .qcore import (
     START_CAP,
     StateValidationError,
     binary_entropy,
+    entanglement_entropies,
     pure_entanglement,
     sample_pure_state,
     sample_unitary,
@@ -133,11 +137,13 @@ def _adjoint(X):
     return X.conj().swapaxes(-1, -2)
 
 
-def _objective(U, B, dA, dB):
+def _objective(U, B, dA, dB, forms=None):
     """sum_i p_i E(psi_i) over the rows of W = U B, the S starts' own sums,
     and its gradient in U, for a stack U of S isometries, S x L x r.
 
-    Row i, as the block M_i of `_row_blocks`, has Gram matrix
+    With `forms`, the rows' Pauli forms `_pauli_forms(B, dA, dB)` at
+    k = min(dA, dB) = 2, `_pauli_objective` evaluates it without forming W.
+    Else row i, as the block M_i of `_row_blocks`, has Gram matrix
     G_i = M_i M_i^dag, weight p_i = tr G_i and p_i E(psi_i) =
     p_i log2 p_i - tr G_i log2 G_i.  One stacked `eigh` of the G_i gives both
     the value and the gradient -2 (log2 G_i - log2 p_i) M_i in M_i, with
@@ -146,6 +152,8 @@ def _objective(U, B, dA, dB):
     The gradient g is Euclidean: the value changes by Re tr(g^dag X) along X.
     Eigenvalues at or below 1e-18 are noise.
     """
+    if forms is not None:
+        return _pauli_objective(U, forms)
     W = U @ B
     M = _row_blocks(W, dA, dB)
     mu, V = np.linalg.eigh(M @ _adjoint(M))
@@ -160,6 +168,49 @@ def _objective(U, B, dA, dB):
     if dA > dB:
         grad = np.swapaxes(grad, -1, -2)
     return value, values, grad.reshape(W.shape) @ B.conj().T
+
+
+def _pauli_forms(B, dA, dB):
+    """The Hermitian forms P_mu, r x r, with u P_mu u^dag = tr(sigma_mu G),
+    G the 2 x 2 Gram block of the row u B at k = 2 (sigma_0 = I), as one
+    real 2r x 8r matrix Q: with complex rows read as reals (real and
+    imaginary parts interleaved, as `.view(np.float64)` reads them), u Q is
+    u [P_0 P_1 P_2 P_3].  Built once per refine.
+    """
+    M = _row_blocks(B, dA, dB)
+    T = np.einsum("jab,kcb->acjk", M, M.conj())    # T[a, c]_jk = M_j,a . M_k,c^*
+    P = np.concatenate([T[0, 0] + T[1, 1], T[0, 1] + T[1, 0],
+                        1j * (T[0, 1] - T[1, 0]), T[0, 0] - T[1, 1]], axis=1)
+    return np.stack([P, 1j * P], axis=1).reshape(2 * len(B), -1).view(np.float64)
+
+
+def _pauli_objective(U, forms):
+    """`_objective` at k = 2 from each row's Pauli components x_mu = u P_mu u^dag.
+
+    G has eigenvalues l+- = (p +- n) / 2, p = x_0 and n = |x_1..3|, so a row
+    adds -(l+ log2(l+/p) + l- log2(l-/p)); with c = dE/dx its gradient is
+    2 sum_mu c_mu u P_mu, where c_0 = -(log2(l+/p) + log2(l-/p)) / 2 and
+    c_k = -x_k ln(l+/l-) / (2 n ln 2), taken as -x_k / (p ln 2) at n = 0.
+    Rows with l- <= 1e-18 add 0 and get gradient 0, as on the `eigh` path.
+    """
+    # a warm start may be real; read as reals, each row u is 2r long
+    V = np.ascontiguousarray(U, complex).view(np.float64)
+    F = (V @ forms).reshape(V.shape[:-1] + (4, -1))    # the u P_mu, as reals
+    x = (F @ V[..., None])[..., 0]
+    p = x[..., 0]
+    n = np.sqrt((x[..., 1:] ** 2).sum(-1))
+    live = p - n > 2e-18                               # l- > 1e-18
+    p, n = np.where(live, p, 1.0), np.where(live, n, 0.0)
+    lp, lm = (p + n) / 2.0, (p - n) / 2.0
+    sp, sm = np.log2(lp / p), np.log2(lm / p)
+    values = -((lp * sp + lm * sm) * live).sum(-1)
+    # ln(l+/l-) / n = log1p(n / l-) / n, which is 1 / l- at n = 0
+    ratio = np.divide(np.log1p(n / lm), n, out=1.0 / lm, where=n > 0.0)
+    c2 = x * (ratio / -np.log(2.0))[..., None]         # 2 c, row by row
+    c2[..., 0] = -(sp + sm)
+    c2 *= live[..., None]
+    grad = (c2[..., None, :] @ F)[..., 0, :]
+    return float(values.sum()), values.tolist(), grad.view(complex)
 
 
 def _inner(X, Y):
@@ -217,14 +268,15 @@ def _refine(U, B, dA, dB, improvement_tol):
     row each gaining less than improvement_tol, or once no decrease is
     found; else at MAX_ITERATIONS ("iteration_cap").
     """
-    value, values, g = _objective(U, B, dA, dB)
+    forms = _pauli_forms(B, dA, dB) if min(dA, dB) == 2 else None
+    value, values, g = _objective(U, B, dA, dB, forms)
     evaluations = 1
 
     def trial(t):
         nonlocal evaluations
         evaluations += 1
         U_t = _retract(U + t * direction)
-        return (t, *_objective(U_t, B, dA, dB), U_t)
+        return (t, *_objective(U_t, B, dA, dB, forms), U_t)
 
     grad = _tangent(U, g)
     pairs = []
@@ -359,11 +411,10 @@ def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
         if restarts * np.sqrt(L * r * d) > START_CAP:
             raise ValueError(f"random-start work {restarts} x sqrt({L * r * d}) "
                              f"exceeds the limit {START_CAP}")
-        g = rng.gen
-        randoms = [np.linalg.qr(g.standard_normal((L, r))
-                                + 1j * g.standard_normal((L, r)))[0]
-                   for _ in range(restarts)]
-        groups = ([("random", np.stack(randoms))] if L * r * d <= JOINT_WORK
+        # start s draws its real parts, then its imaginary ones
+        Z = rng.gen.standard_normal((restarts, 2, L, r))
+        randoms = np.linalg.qr(Z[:, 0] + 1j * Z[:, 1])[0]
+        groups = ([("random", randoms)] if L * r * d <= JOINT_WORK
                   else [("random", U[None]) for U in randoms])
 
     best_value = best_U = None
@@ -379,8 +430,8 @@ def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
                 best_U = U_s
     ensemble = _ensemble_from_rows(best_U @ B, dims)
     # report the value the stored ensemble actually achieves
-    value = float(np.dot(ensemble.weights,
-                         [pure_entanglement(s) for s in ensemble.states]))
+    value = float(np.dot(ensemble.weights, entanglement_entropies(
+        np.stack([s.vector for s in ensemble.states]), dims)))
     return (EofResult(value, ensemble, len(records),
                       all(r.outcome != "iteration_cap" for r in records),
                       tuple(r.value for r in records), tuple(records)), best_U)

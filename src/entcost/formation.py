@@ -128,18 +128,22 @@ def typical_set(p, n, delta1, window="paper") -> TypicalSet:
     # the prefixes grow one place at a time, by every index in order, each
     # with its digits, counts and weight; a prefix stays while its counts
     # can still fit: none above its window, and no more missing below them
-    # than places left, tested on the parent's counts at the new index
-    lo, hi = np.array(windows).T
+    # than places left, tested on the parent's counts at the new index.
+    # Counts, windows and the missing sums (at most sum lo <= n) share the
+    # smallest unsigned dtype that holds n, and lo - min(c, lo) never wraps
+    count = np.min_scalar_type(n)
+    lo, hi = np.array(windows, dtype=count).T
     digits = np.zeros((1, 0), dtype=np.min_scalar_type(k - 1))
-    counts, weights = np.zeros((1, k), dtype=np.int64), np.ones(1)
+    counts, weights = np.zeros((1, k), dtype=count), np.ones(1)
     for left in range(n - 1, -1, -1):
-        missing = np.maximum(lo - counts, 0).sum(axis=1)[:, None] - (counts < lo)
+        missing = ((lo - np.minimum(counts, lo)).sum(axis=1, dtype=count)[:, None]
+                   - (counts < lo))
         rows = np.flatnonzero((counts < hi) & (missing <= left))
         if len(rows) > TYPICAL_CAP:
             raise ValueError(f"more than {TYPICAL_CAP} typical prefixes to list")
         prefix, index = np.divmod(rows, k)
         digits = np.column_stack([digits[prefix], index.astype(digits.dtype)])
-        counts = counts[prefix] + np.eye(k, dtype=np.int64)[index]
+        counts = counts[prefix] + np.eye(k, dtype=count)[index]
         weights = weights[prefix] * p[index]
     digits.flags.writeable = weights.flags.writeable = False
     # two-sided weight bounds implied by the integer windows themselves; with

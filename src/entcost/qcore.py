@@ -27,7 +27,7 @@ EXACT_WORK_CAP = 10 ** 9   # r^n T min(T, r^n) + 32 sum_blocks c r_s^c: 2.4 s
 DENSE_WORK_CAP = 10 ** 9   # (d^k)^3 of the direct tensor-power fidelity: 4.0 s
 ROW_WORK_CAP = 10 ** 8     # (L_1 r d)^n_max of the deepest warm refine: 3.1 s
 START_CAP = 1024           # restarts sqrt(L r d) of one call's random starts: 2.7 s
-TYPICAL_CAP = 1 << 22      # typical prefixes admitted at one place: 1.6 s
+TYPICAL_CAP = 1 << 22      # typical prefixes admitted at one place: 1.1 s
 SPECTRUM_CAP = 1 << 22     # occupation patterns x count of a dilution: 1.0 s
 
 
@@ -218,11 +218,17 @@ def von_neumann_entropy(sigma) -> float:
 
 def pure_entanglement(psi: PureState) -> float:
     """Entanglement of a bipartite pure state: entropy of either reduction."""
-    m = psi.vector.reshape(psi.dims)
-    sv = np.linalg.svd(m, compute_uv=False)
+    return float(entanglement_entropies(psi.vector, psi.dims))
+
+
+def entanglement_entropies(vectors, dims) -> np.ndarray:
+    """`pure_entanglement` of each unit vector along the last axis, from one
+    stacked SVD: -sum mu log2 mu over the squared Schmidt coefficients
+    mu > 1e-18."""
+    sv = np.linalg.svd(vectors.reshape(vectors.shape[:-1] + tuple(dims)),
+                       compute_uv=False)
     mu = sv * sv
-    nz = mu[mu > 1e-18]
-    return float(-(nz * np.log2(nz)).sum())
+    return -(mu * np.log2(np.where(mu > 1e-18, mu, 1.0))).sum(-1)
 
 
 def ensemble_average(ensemble: Ensemble) -> QuantumState:

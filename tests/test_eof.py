@@ -12,6 +12,7 @@ from entcost.eof import (
     _inner,
     _minimize_rows,
     _objective,
+    _pauli_forms,
     _refine,
     _retract,
     _rounds,
@@ -359,8 +360,8 @@ class TestRoundRobin:
 
 class TestIsometryStack:
     """Starts stacked as U = [U_1, U_2, U_3], S x L x r, give each start its
-    own objective, projection and retraction, and `_refine` each start's
-    own value."""
+    own objective, on the `eigh` path and on the Pauli one (k = 2 at (2, 3)),
+    projection and retraction, and `_refine` each start's own value."""
 
     @staticmethod
     def stack(seed, L=7):
@@ -385,14 +386,16 @@ class TestIsometryStack:
                            rtol=0.0, atol=1e-14)
         assert np.allclose(np.swapaxes(Q, 1, 2).conj() @ Q, np.eye(len(B)),
                            rtol=0.0, atol=1e-14)
-        value, values, grad = _objective(U, B, *rho.dims)
-        parts = [_objective(U_s[None], B, *rho.dims) for U_s in U]
-        assert values == pytest.approx([v for v, _, _ in parts], rel=0.0, abs=1e-14)
-        assert value == pytest.approx(sum(values), rel=0.0, abs=1e-14)
-        for (v, (v_s,), _) in parts:
-            assert v_s == v
-        assert np.allclose(grad, [g_s[0] for _, _, g_s in parts],
-                           rtol=0.0, atol=1e-14)
+        for forms in (None, _pauli_forms(B, *rho.dims)):
+            value, values, grad = _objective(U, B, *rho.dims, forms)
+            parts = [_objective(U_s[None], B, *rho.dims, forms) for U_s in U]
+            assert values == pytest.approx([v for v, _, _ in parts], rel=0.0,
+                                           abs=1e-14)
+            assert value == pytest.approx(sum(values), rel=0.0, abs=1e-14)
+            for (v, (v_s,), _) in parts:
+                assert v_s == v
+            assert np.allclose(grad, [g_s[0] for _, _, g_s in parts],
+                               rtol=0.0, atol=1e-14)
 
     def test_refined_values_are_the_returned_starts_values(self):
         rho, B, U, _ = self.stack(173)
@@ -401,6 +404,98 @@ class TestIsometryStack:
         for value, U_s in zip(values, U):
             assert value == pytest.approx(_objective(U_s[None], B, *rho.dims)[0],
                                           rel=0.0, abs=1e-14)
+
+
+class TestPauliPath:
+    """At k = min(dA, dB) = 2 the refine evaluates each row from its Pauli
+    components: it agrees with the `eigh` path, which stays the reference,
+    and takes no `eigh`."""
+
+    @staticmethod
+    def rows(dims, seed):
+        """Two generic rows, a zero row, a product row, a Bell row (n = 0),
+        weights summing to one.  The product row is e_0 on the two-level
+        factor, so its Gram block is exactly rank 1 and both paths take
+        their l- = 0 branch; off the axes its l- is rounding, where the two
+        agree only to about eps |log2 eps|."""
+        dA, dB = dims
+        g = np.random.default_rng(seed)
+
+        def draw(size):
+            return g.standard_normal(size) + 1j * g.standard_normal(size)
+
+        e0 = lambda d: np.eye(d, 1).ravel()
+        product = (np.kron(draw(dA), e0(dB)) if dA > dB
+                   else np.kron(e0(dA), draw(dB)))
+        bell = np.zeros((dA, dB), dtype=complex)
+        bell[0, 0] = bell[1, 1] = 1.0
+        rows = np.stack([draw(dA * dB), draw(dA * dB), np.zeros(dA * dB),
+                         product, bell.ravel()])
+        weights = np.array([0.3, 0.2, 0.0, 0.3, 0.2])
+        norms = np.maximum(np.linalg.norm(rows, axis=1), 1e-300)
+        return rows * (np.sqrt(weights) / norms)[:, None]
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (4, 2)], ids=str)
+    def test_pauli_path_matches_the_eigh_path(self, dims):
+        # three starts: the rows as they are, permuted with phases, and a
+        # random unitary mixing them
+        B = self.rows(dims, 211)
+        g = np.random.default_rng(223)
+        phases = np.exp(2j * np.pi * g.random(5))
+        mixed = np.linalg.qr(g.standard_normal((5, 5)) + 1j * g.standard_normal((5, 5)))[0]
+        U = np.stack([np.eye(5, dtype=complex), (phases * np.eye(5))[[2, 4, 0, 1, 3]],
+                      mixed])
+        value, values, grad = _objective(U, B, *dims)
+        p_value, p_values, p_grad = _objective(U, B, *dims, _pauli_forms(B, *dims))
+        assert p_value == pytest.approx(value, rel=0.0, abs=1e-14)
+        assert p_values == pytest.approx(values, rel=0.0, abs=1e-14)
+        assert np.abs(p_grad - grad).max() <= 1e-14
+        # alone, the zero, product and Bell rows add 0, 0 and the Bell row's
+        # weight 0.2; the first two, of rank below 2, get gradient 0
+        one = _objective(np.eye(3, dtype=complex)[None], B[2:], *dims,
+                         _pauli_forms(B[2:], *dims))
+        assert one[0] == pytest.approx(0.2, rel=0.0, abs=1e-15)
+        assert np.abs(one[2][0, :2]).max() == 0.0
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (3, 3)], ids=str)
+    def test_two_level_blocks_take_no_eigh(self, monkeypatch, dims):
+        # `_eigen_rows` takes one eigh; past k = 2 each joint evaluation
+        # of the two starts takes one more
+        rho = sample_density_matrix(dims, 3, RandomSource(227))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a, *args: calls.append(a.shape) or eigh(a, *args))
+        res = eof_optimize(rho, ensemble_size=5, restarts=2, rng=RandomSource(229))
+        assert len(calls) == 1 + (min(dims) > 2) * res.starts[0].evaluations
+
+    @pytest.mark.parametrize("dims, joint", [((2, 2), True), ((2, 3), False)], ids=str)
+    def test_random_starts_are_drawn_start_by_start(self, monkeypatch, dims, joint):
+        # one stacked draw and QR give each start the isometry that its own
+        # draw, real parts then imaginary ones, gives
+        refined = []
+        monkeypatch.setattr(
+            entcost.eof, "_refine", lambda U, *a: refined.append(U)
+            or ([0.5] * len(U), U, "converged", (0, 1)))
+        rho = sample_density_matrix(dims, 3 if joint else 6, RandomSource(233))
+        B = _eigen_rows(rho)
+        L = 5 if joint else 36
+        _minimize_rows(B, dims, L, 3, RandomSource(239))
+        g = RandomSource(239).gen
+        expect = [np.linalg.qr(g.standard_normal((L, len(B)))
+                               + 1j * g.standard_normal((L, len(B))))[0]
+                  for _ in range(3)]
+        assert [len(U) for U in refined] == ([3] if joint else [1, 1, 1])
+        assert np.array_equal(np.concatenate(refined), np.stack(expect))
+
+    @pytest.mark.parametrize("dims, rank", [((2, 2), 3), ((2, 3), 4), ((4, 4), 5)],
+                             ids=str)
+    def test_reported_value_is_the_members_entanglement(self, dims, rank):
+        rho = sample_density_matrix(dims, rank, RandomSource(241))
+        res = eof_optimize(rho, restarts=1, rng=RandomSource(251))
+        assert res.value == float(np.dot(res.ensemble.weights,
+                                         [pure_entanglement(s)
+                                          for s in res.ensemble.states]))
 
 
 class TestContinuity:

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -206,6 +207,24 @@ class TestTypicalSet:
         assert (tset.num_sequences == len(tset.sequences) == len(tset.weights)
                 == 1_036_184)
         assert tset.sequences.nbytes == 1_036_184 * 20
+
+    def test_the_walk_counts_in_the_smallest_dtype_that_holds_n(self):
+        # at n = 300 the counts take two bytes; index 0 must reach its
+        # lower window edge 91, so the missing sums lo - min(c, lo) matter
+        tset = typical_set([0.999, 0.001], 300, 0.002)
+        assert tset.count_windows == ((91, 300), (0, 1))
+        assert tset.num_sequences == 301
+        assert sorted(tset.sequences.sum(axis=1).tolist()) == [0] + [1] * 300
+        # 1,814,400 sequences of 8 one-byte indices: one-byte counts keep
+        # the walk's peak near the 29 MB result, where int64 counts took 450 MB
+        tracemalloc.start()
+        try:
+            tset = typical_set([0.1] * 10, 8, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tset.num_sequences == 1_814_400
+        assert peak < 200e6
 
 
 def undiluted_blocks(ens, basis):

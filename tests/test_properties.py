@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from entcost.eof import (
     _inner,
     _objective,
+    _pauli_forms,
     _tangent,
     eof_optimize,
     eof_two_qubit_closed_form,
@@ -104,7 +105,7 @@ def test_optimizer_ensemble_and_value_on_degenerate_spectra(lam, seed):
 # The optimizer's objective and its gradient
 # ---------------------------------------------------------------------------
 
-OBJECTIVE_DIMS = st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 4)])
+OBJECTIVE_DIMS = st.sampled_from([(2, 2), (2, 3), (3, 2), (4, 2), (4, 4)])
 
 
 def _two_rows(dims, seed, split, product_row):
@@ -120,17 +121,24 @@ def _two_rows(dims, seed, split, product_row):
     return np.stack([wa, wb]), g
 
 
+def _paths(B, dims):
+    """The `forms` argument of each objective path at dims: None for the
+    `eigh` path, and at min(dA, dB) = 2 the Pauli forms as well."""
+    return [None] + ([_pauli_forms(B, *dims)] if min(dims) == 2 else [])
+
+
 @PROPERTY
 @given(dims=OBJECTIVE_DIMS, seed=SEEDS, split=st.floats(0.0, 1.0),
        product_row=st.booleans())
 def test_objective_matches_explicit_rows(dims, seed, split, product_row):
     B, _ = _two_rows(dims, seed, split, product_row)
-    # the rows W = U B with U = I, an isometry
-    value, _, _ = _objective(np.eye(2, dtype=complex)[None], B, *dims)
     reference = sum(float(np.vdot(w, w).real)
                     * pure_entanglement(PureState(dims, w / np.linalg.norm(w)))
                     for w in B if np.linalg.norm(w) > 0.0)
-    assert value == pytest.approx(reference, abs=1e-12)
+    for forms in _paths(B, dims):
+        # the rows W = U B with U = I, an isometry
+        value, _, _ = _objective(np.eye(2, dtype=complex)[None], B, *dims, forms)
+        assert value == pytest.approx(reference, abs=1e-12)
 
 
 @PROPERTY
@@ -146,12 +154,13 @@ def test_objective_gradient_matches_central_difference(dims, seed, split,
     X = g.standard_normal((blocks, 2, 2)) + 1j * g.standard_normal((blocks, 2, 2))
     swap = np.exp(2j * np.pi * g.random(2))[:, None] * np.eye(2)[::-1]
     U = np.stack([np.eye(2, dtype=complex), swap][:blocks])
-    grad = _objective(U, B, *dims)[-1]
     X = _tangent(U, X)
     h = 1e-5
-    central = (_objective(U + h * X, B, *dims)[0]
-               - _objective(U - h * X, B, *dims)[0]) / (2.0 * h)
-    assert _inner(grad, X) == pytest.approx(central, rel=1e-6, abs=1e-9)
+    for forms in _paths(B, dims):
+        grad = _objective(U, B, *dims, forms)[-1]
+        central = (_objective(U + h * X, B, *dims, forms)[0]
+                   - _objective(U - h * X, B, *dims, forms)[0]) / (2.0 * h)
+        assert _inner(grad, X) == pytest.approx(central, rel=1e-6, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
