@@ -276,8 +276,7 @@ def build_parser():
     p.add_argument("--ensemble-size", type=_POSITIVE_INT, default=None)
     p.add_argument("--restarts", type=_POSITIVE_INT, default=4,
                    help="random Haar-isometry starts, refined together as one "
-                        "stack of isometries on small problems; the lowest value "
-                        "wins")
+                        "stack of isometries; the lowest value wins")
     p.add_argument("--tol", type=_POSITIVE_FLOAT,
                    default=DEFAULT_IMPROVEMENT_TOL,
                    help="per-iteration improvement tolerance in ebits: starts "
@@ -295,7 +294,7 @@ def build_parser():
     p.add_argument("--n-max", type=_POSITIVE_INT, default=2)
     p.add_argument("--restarts", type=_COUNT, default=2,
                    help="random Haar-isometry starts of the n = 1 step (at "
-                        "least one), refined together on small problems; every "
+                        "least one), refined together as one stack; every "
                         "n >= 2 refines only the product warm start")
     p.add_argument("--ensemble-size", type=_POSITIVE_INT, default=None)
     p.add_argument("--csv", default=None, help="also write (n, rate) CSV here")

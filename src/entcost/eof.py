@@ -7,9 +7,9 @@ every size-L ensemble has rows W = U B, with B the r x d factor whose rows are
 sqrt(lam_j) e_j (the rank-r eigen-ensemble) and U an L x r isometry, so every
 iterate is feasible by construction.  Starts are refined by Riemannian L-BFGS
 over the isometries (Audenaert, Verstraete & De Moor, PRA 64, 052304 (2001);
-Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660 (2015)), a group of starts
-as one stack of isometries; on small problems the seeded random starts are
-one group, and a warm start is refined alone, without random starts.
+Huang, Gallivan & Absil, SIAM J. Optim. 25, 1660 (2015)): a call's seeded
+random starts as one stack of isometries, and a warm start alone, without
+random starts.
 Where the smaller factor is a qubit, k = min(dA, dB) = 2 (every eof-qubit
 item and the n = 1 step of a two-qubit trace), each evaluation reads the
 rows' Pauli components off one product U P and takes no `eigh`.  At any
@@ -48,11 +48,6 @@ _STALLS = 5                   # iterations in a row gaining < improvement_tol
 _ARMIJO = 1e-4                # sufficient-decrease fraction of the slope
 _BACKTRACKS = 30              # step halvings before a search gives up
 _EPS = np.finfo(float).eps
-
-# L r d of one start up to which the random starts share one refine, paying
-# numpy's call overhead once.  Two random starts took 0.55-1.05 of their
-# one-by-one time up to 1024 and 0.75-1.20 at 1620-32768 (BENCH_eof.json)
-JOINT_WORK = 1024
 
 # perfbench/tracing.py wraps these names when a traced run starts; nothing
 # calls them, and they go when its wrap list drops them (ROADMAP direction 1).
@@ -95,14 +90,14 @@ def eof_two_qubit_closed_form(rho: QuantumState) -> float:
 class StartRecord:
     """Deterministic work counters of one optimizer start.
 
-    Starts refined together (the random ones, up to JOINT_WORK) share their
-    group's `iterations`, `evaluations` and `outcome`; each evaluation of
-    the group evaluates every start in it once, and `value` is the start's
-    own share of the group's last accepted evaluation.
+    A call's starts are refined as one stack and share its `iterations`,
+    `evaluations` and `outcome`; each evaluation evaluates every start of
+    the stack once, and `value` is the start's own share of the stack's
+    last accepted evaluation.
     """
     kind: str                 # "warm" (a given isometry) or "random"
-    iterations: int           # L-BFGS iterations of its group
-    evaluations: int          # evaluations of its group, value and gradient each
+    iterations: int           # L-BFGS iterations of its stack
+    evaluations: int          # evaluations of its stack, value and gradient each
     value: float              # sum_i p_i E_i the start ended at
     outcome: str              # "converged" or "iteration_cap"
 
@@ -111,8 +106,8 @@ class StartRecord:
 class EofResult:
     """Best value over the starts, its ensemble, and one record per start.
 
-    Each start keeps its own value and record, also when refined with others
-    (up to JOINT_WORK).  `converged` means no start hit the iteration cap.
+    Each start keeps its own value and record, though all are refined as
+    one stack.  `converged` means the stack did not hit the iteration cap.
     """
     value: float
     ensemble: Ensemble
@@ -367,8 +362,8 @@ def eof_optimize(rho: QuantumState, ensemble_size=None, restarts=4,
 
     The returned value is always an upper bound on E_f: the achieving ensemble
     is stored and reproduces rho exactly.  `restarts` random isometry starts
-    are refined (`_refine`), together as one stack of isometries up to
-    JOINT_WORK; the lowest value wins, by more than 4 eps over earlier ones.
+    are refined (`_refine`) as one stack of isometries; the lowest value
+    wins, by more than 4 eps over earlier ones.
     The default ensemble size is rank(rho)^2 capped at (dA dB)^2, and
     restarts sqrt(L r d) may not pass qcore.START_CAP.
     """
@@ -383,13 +378,12 @@ def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
     """`eof_optimize` on the state sum_j |b_j><b_j| of the r x d rows b_j of B.
 
     `warm`, an L x r isometry, is refined alone as the "warm" start and sets
-    L; without it, `restarts` random starts are drawn, together as one stack
-    of isometries up to JOINT_WORK, beyond it one by one.  Never both: a
-    call with a warm start and random ones is a ValueError, and so are
-    random starts whose work restarts sqrt(L r d) passes qcore.START_CAP,
-    before any refine.  Returns the EofResult and the isometry U of the
-    winning start, whose rows U B are its ensemble's.  A rank-1 state has
-    the one decomposition W = B.
+    L; without it, `restarts` random starts are drawn and refined as one
+    stack of isometries.  Never both: a call with a warm start and random
+    ones is a ValueError, and so are random starts whose work
+    restarts sqrt(L r d) passes qcore.START_CAP, before any refine.  Returns
+    the EofResult and the isometry U of the winning start, whose rows U B
+    are its ensemble's.  A rank-1 state has the one decomposition W = B.
     """
     dA, dB = dims
     r, d = B.shape
@@ -401,7 +395,7 @@ def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
     if warm is not None:
         if restarts:
             raise ValueError("a warm start is refined alone, without random starts")
-        groups = [("warm", warm[None])]   # (kind, stack)
+        kind, U = "warm", warm[None]
     else:
         L = int(ensemble_size) if ensemble_size is not None else min(r * r, d * d)
         if L < r:
@@ -413,28 +407,23 @@ def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
                              f"exceeds the limit {START_CAP}")
         # start s draws its real parts, then its imaginary ones
         Z = rng.gen.standard_normal((restarts, 2, L, r))
-        randoms = np.linalg.qr(Z[:, 0] + 1j * Z[:, 1])[0]
-        groups = ([("random", randoms)] if L * r * d <= JOINT_WORK
-                  else [("random", U[None]) for U in randoms])
+        kind, U = "random", np.linalg.qr(Z[:, 0] + 1j * Z[:, 1])[0]
 
-    best_value = best_U = None
-    records = []
-    for kind, U in groups:
-        values, U, outcome, (iterations, evaluations) = _refine(
-            U, B, dA, dB, improvement_tol)
-        for value, U_s in zip(values, U):
-            records.append(StartRecord(kind, iterations, evaluations, value, outcome))
-            # a start a few ulps below an earlier one does not displace it
-            if best_U is None or value < best_value - 4 * _EPS * abs(best_value):
-                best_value = value
-                best_U = U_s
-    ensemble = _ensemble_from_rows(best_U @ B, dims)
+    values, U, outcome, (iterations, evaluations) = _refine(
+        U, B, dA, dB, improvement_tol)
+    best = 0
+    for i, value in enumerate(values):
+        # a start a few ulps below an earlier one does not displace it
+        if value < values[best] - 4 * _EPS * abs(values[best]):
+            best = i
+    ensemble = _ensemble_from_rows(U[best] @ B, dims)
     # report the value the stored ensemble actually achieves
     value = float(np.dot(ensemble.weights, entanglement_entropies(
         np.stack([s.vector for s in ensemble.states]), dims)))
-    return (EofResult(value, ensemble, len(records),
-                      all(r.outcome != "iteration_cap" for r in records),
-                      tuple(r.value for r in records), tuple(records)), best_U)
+    records = tuple(StartRecord(kind, iterations, evaluations, v, outcome)
+                    for v in values)
+    return (EofResult(value, ensemble, len(records), outcome != "iteration_cap",
+                      tuple(values), records), U[best])
 
 # ---------------------------------------------------------------------------
 # Continuity bound

@@ -26,7 +26,7 @@ WEIGHT_FLOOR = 1e-12
 EXACT_WORK_CAP = 10 ** 9   # r^n T min(T, r^n) + 32 sum_blocks c r_s^c: 2.4 s
 DENSE_WORK_CAP = 10 ** 9   # (d^k)^3 of the direct tensor-power fidelity: 4.0 s
 ROW_WORK_CAP = 10 ** 8     # (L_1 r d)^n_max of the deepest warm refine: 3.1 s
-START_CAP = 1024           # restarts sqrt(L r d) of one call's random starts: 2.7 s
+START_CAP = 1024           # restarts sqrt(L r d) of one call's random starts: 1.8 s
 TYPICAL_CAP = 1 << 22      # typical prefixes admitted at one place: 1.1 s
 SPECTRUM_CAP = 1 << 22     # occupation patterns x count of a dilution: 1.0 s
 
@@ -46,7 +46,7 @@ def _as_dims(dims):
     return (dA, dB)
 
 
-def repair_psd(matrix, *, context="density matrix"):
+def repair_psd(matrix):
     """Clip tiny negative eigenvalues and renormalize the trace to 1.
 
     Eigenvalues below -1e-6 raise; values in [-1e-6, -1e-9) trigger a warning
@@ -56,10 +56,10 @@ def repair_psd(matrix, *, context="density matrix"):
     lo = float(evals.min())
     if lo < EIG_ERROR_FLOOR:
         raise StateValidationError(
-            f"{context} has eigenvalue {lo:.3e} below {EIG_ERROR_FLOOR:g}")
+            f"density matrix has eigenvalue {lo:.3e} below {EIG_ERROR_FLOOR:g}")
     if lo < EIG_WARN_FLOOR:
         warnings.warn(
-            f"{context} has eigenvalue {lo:.3e}; clipping to 0 and renormalizing",
+            f"density matrix has eigenvalue {lo:.3e}; clipping to 0 and renormalizing",
             stacklevel=3)
     if lo < 0.0:
         evals = np.clip(evals, 0.0, None)

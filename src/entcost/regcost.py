@@ -59,10 +59,10 @@ def regularized_sequence(rho: QuantumState, n_max: int, *,
     """Compute A_n = E_f(rho^(x)n)/n for n = 1..n_max with warm starts.
 
     `ensemble_size` applies to the single-copy problem, which refines
-    max(restarts, 1) random starts, together as one stack of isometries up
-    to `eof.JOINT_WORK`.  For n > 1 the rows are B_n = B_(n-1) (x) B_1, and
-    the warm start U_(n-1) (x) U_1 is an isometry whose rows U_n B_n are
-    those of the product ensemble, so the n-fold search has L_(n-1) L_1 rows.
+    max(restarts, 1) random starts as one stack of isometries.  For n > 1
+    the rows are B_n = B_(n-1) (x) B_1, and the warm start U_(n-1) (x) U_1
+    is an isometry whose rows U_n B_n are those of the product ensemble, so
+    the n-fold search has L_(n-1) L_1 rows.
     It is refined alone: random starts there never ended below it by more
     than 4 eps on the 105 steps of ROADMAP direction 12, and cost most of a
     trace.  Refining only lowers its value, so n A_n <= (n-1) A_(n-1) + A_1

@@ -21,8 +21,12 @@ from .qcore import (
     tensor_matrix,
 )
 
+CONTINUITY_SCALE = 0.02        # first perturbation step of a continuity pair
+CONTINUITY_MAX_DISTANCE = 0.2  # Bures distance a continuity pair must land within
+MULTIPLICATIVITY_TOL = 1e-8    # |F(joint) - F F| counted as a violation above it
 
-def perturbed_pair(rho: QuantumState, rng: RandomSource, scale=0.02):
+
+def perturbed_pair(rho: QuantumState, rng: RandomSource, scale):
     """rho plus scaled Hermitian traceless Gaussian noise, clipped back to PSD."""
     d = rho.dim
     g = rng.gen
@@ -52,24 +56,24 @@ def fuzz_monotonicity(count, rng: RandomSource):
     return {"count": count, "violations": violations, "worst_increase": worst}
 
 
-def fuzz_continuity(count, rng: RandomSource, scale=0.02, d_cap=0.2):
+def fuzz_continuity(count, rng: RandomSource):
     """Perturbed two-qubit pairs against the continuity bound.
 
     The bound is only claimed for small Bures distance, so the perturbation
-    is shrunk until each pair lands within `d_cap`.
+    is shrunk until each pair lands within CONTINUITY_MAX_DISTANCE.
     """
     violations = 0
     max_distance = 0.0
     for i in range(count):
         rho = sample_density_matrix((2, 2), 1 + i % 4, rng.split())
         noise = rng.split()
-        step = scale
+        step = CONTINUITY_SCALE
         for _ in range(30):
             rho2 = perturbed_pair(rho, noise.replay(), step)
             chk = continuity_bound(rho, rho2,
                                    eof_two_qubit_closed_form(rho),
                                    eof_two_qubit_closed_form(rho2))
-            if chk.distance <= d_cap:
+            if chk.distance <= CONTINUITY_MAX_DISTANCE:
                 break
             step /= 2.0
         max_distance = max(max_distance, chk.distance)
@@ -92,7 +96,7 @@ def fuzz_metric_chain(count, rng: RandomSource):
     return {"count": count, "violations": violations}
 
 
-def fuzz_multiplicativity(count, rng: RandomSource, tol=1e-8):
+def fuzz_multiplicativity(count, rng: RandomSource):
     """F(rho (x) rho', sigma (x) sigma') against F(rho,sigma) F(rho',sigma')."""
     violations = 0
     worst = 0.0
@@ -107,7 +111,7 @@ def fuzz_multiplicativity(count, rng: RandomSource, tol=1e-8):
         product = uhlmann_fidelity(r1, s1) * uhlmann_fidelity(r2, s2)
         err = abs(joint - product)
         worst = max(worst, err)
-        if err > tol:
+        if err > MULTIPLICATIVITY_TOL:
             violations += 1
     return {"count": count, "violations": violations, "worst_error": worst}
 
