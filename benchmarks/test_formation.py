@@ -9,6 +9,11 @@ Layers:
 - `dilution_fidelity` at counts 2-6, at 22 (the largest count the deleted
   r^c spectrum array allowed at r = 2) and at 1000, a walk over the 1001
   occupation patterns of a two-qubit power;
+- `_kept_terms`, the dilution spectra: the kept rows and amplitudes of one
+  block arranged from its walk's head, on the Bell block of criterion 6 at
+  n = 10 with delta1 = 0.3 (count 7, all 2^7 terms tie and are kept) and
+  on the 20-copy block of `sample_pure_state((2, 2), RandomSource(5))` at
+  the budget `--delta2 0.1` charges (2^4 of 2^20 terms kept);
 - `typical_set` at (0.7, 0.3), n = 16 (k^n = 2^16 sequences), at
   (0.9, 0.1), n = 21, whose thin window admits 7547 of 2^21 sequences, and
   at (0.5, 0.5), n = 20, which admits 1,036,184 of 2^20;
@@ -39,6 +44,9 @@ import pytest
 from entcost.eof import eof_optimize
 from entcost.formation import (
     _kept_terms,
+    _ranked_patterns,
+    _schmidt,
+    _truncation,
     dilution_fidelity,
     dilution_plan,
     support_basis,
@@ -70,6 +78,31 @@ def test_dilution_fidelity(benchmark, count):
     assert 0.0 < fid <= 1.0
 
 
+def _walk(psi, count, budget):
+    """(Schmidt weights, keep, head) of diluting psi^(x)count from `budget`
+    singlets, as formation_protocol walks each block once."""
+    mu = _schmidt(psi)[1]
+    keep, _, head = _truncation(_ranked_patterns(mu, count), budget)
+    return mu, keep, head
+
+
+def _kept_term_block(case):
+    if case == "criterion6-bell-c7":
+        ens, n, delta1 = _ensemble("criterion6-n10")
+        plan = dilution_plan(ens, typical_set(ens.weights, n, delta1), 0.25)
+        count = plan.entries[0].count
+        return _walk(ens.states[0], count, plan.entries[0].singlets)
+    psi = sample_pure_state((2, 2), RandomSource(5))
+    return _walk(psi, 20, math.ceil(20 * (pure_entanglement(psi) + 0.1)))
+
+
+@pytest.mark.parametrize("case", ["criterion6-bell-c7", "pure-c20"])
+def test_kept_terms(benchmark, case):
+    mu, keep, head = _kept_term_block(case)
+    terms, amplitudes = benchmark(_kept_terms, mu.size, keep, head)
+    assert terms.shape == (keep, len(head[0][2])) and amplitudes.shape == (keep,)
+
+
 @pytest.mark.parametrize("p, n", [((0.7, 0.3), 16), ((0.9, 0.1), 21),
                                   ((0.5, 0.5), 20)], ids=str)
 def test_typical_set(benchmark, p, n):
@@ -94,17 +127,20 @@ def _ensemble(case):
 
 @functools.cache
 def _protocol_inputs(case):
-    """rho, ensemble, typical set, kept-term selection, support basis and
-    unit-trace factors, with delta2 = 0.25 as the formation-exact items."""
+    """rho, ensemble, typical set, Schmidt decompositions, kept-term
+    selection (walk included), support basis and unit-trace factors, with
+    delta2 = 0.25 as the formation-exact items."""
     ens, n, delta1 = _ensemble(case)
     rho = ensemble_average(ens)
     tset = typical_set(ens.weights, n, delta1)
     plan = dilution_plan(ens, tset, 0.25)
-    kept = lambda i, c: _kept_terms(ens.states[i], c, plan.entries[i].singlets)
+    schmidt = [_schmidt(psi) for psi in ens.states]
+    kept = lambda i, c: _kept_terms(schmidt[i][1].size, *_truncation(
+        _ranked_patterns(schmidt[i][1], c), plan.entries[i].singlets)[::2])
     support = support_basis(rho, ens.states)
-    lam_n, r_t, r_y = support_factors(rho, ens, tset, kept, support)
+    lam_n, r_t, r_y = support_factors(rho, ens, tset, schmidt, kept, support)
     scale = 1.0 / np.sqrt(tset.total_weight)
-    return rho, ens, tset, kept, support, lam_n, r_t * scale, r_y * scale
+    return rho, ens, tset, schmidt, kept, support, lam_n, r_t * scale, r_y * scale
 
 
 CASES = ["ens3-n4", "sixteen-n3", "criterion6-n10"]
@@ -112,8 +148,9 @@ CASES = ["ens3-n4", "sixteen-n3", "criterion6-n10"]
 
 @pytest.mark.parametrize("case", CASES)
 def test_factor_build(benchmark, case):
-    rho, ens, tset, kept, support, *_ = _protocol_inputs(case)
-    lam_n, r_t, r_y = benchmark(support_factors, rho, ens, tset, kept, support)
+    rho, ens, tset, schmidt, kept, support, *_ = _protocol_inputs(case)
+    lam_n, r_t, r_y = benchmark(support_factors, rho, ens, tset, schmidt, kept,
+                                support)
     assert r_t.shape[1] == r_y.shape[1] == lam_n.size
 
 

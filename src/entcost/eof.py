@@ -373,6 +373,11 @@ def eof_optimize(rho: QuantumState, ensemble_size=None, restarts=4,
                           restarts, rng, improvement_tol)[0]
 
 
+def _ensemble_size(ensemble_size, r, d):
+    """L for r x d eigen rows: `ensemble_size` if given, else min(r^2, d^2)."""
+    return int(ensemble_size) if ensemble_size is not None else min(r * r, d * d)
+
+
 def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
                    improvement_tol=DEFAULT_IMPROVEMENT_TOL, warm=None):
     """`eof_optimize` on the state sum_j |b_j><b_j| of the r x d rows b_j of B.
@@ -397,7 +402,7 @@ def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
             raise ValueError("a warm start is refined alone, without random starts")
         kind, U = "warm", warm[None]
     else:
-        L = int(ensemble_size) if ensemble_size is not None else min(r * r, d * d)
+        L = _ensemble_size(ensemble_size, r, d)
         if L < r:
             raise ValueError(f"ensemble size {L} below rank {r}: no such decomposition")
         if restarts < 1:

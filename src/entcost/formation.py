@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -240,7 +239,7 @@ def composition_factor(block, k, dim, sequences, weights):
                                 return_index=True, return_inverse=True)
     comps = comps[first]
     strides = dim ** np.arange(n - 1, -1, -1)
-    digits = np.indices((dim,) * n).reshape(n, -1)
+    digits = np.arange(dim ** n) // strides[:, None] % dim
     stack = _RowStack(len(sequences), dim ** n)
     ends = np.cumsum(np.bincount(group))[:-1]
     for comp, members in zip(comps.tolist(),
@@ -288,8 +287,9 @@ def _ranked_patterns(mu, count: int):
 
 
 def _truncation(ranked, singlet_budget: int):
-    """(kept terms, sqrt(1 - dropped)) when 2^budget singlets keep the head of
-    `ranked`, 2^budget never formed past the term count.  A pattern's
+    """(keep, sqrt(1 - dropped), head) when 2^budget singlets keep the first
+    `keep` terms of `ranked`, 2^budget never formed past the term count, and
+    `head` is `ranked` down to the weight the cut falls in.  A pattern's
     arrangements share one weight, so a cut inside one drops exact weight."""
     if singlet_budget < 0:
         raise ValueError("singlet budget must be >= 0")
@@ -297,37 +297,39 @@ def _truncation(ranked, singlet_budget: int):
     keep = min(ends[-1], 1 << min(singlet_budget, ends[-1].bit_length()))
     dropped = math.fsum(_times(min(a, max(0, end - keep)), w)
                         for (w, a, _), end in zip(ranked, ends))
-    return keep, math.sqrt(max(0.0, 1.0 - dropped))
+    cut = next(w for (w, _, _), end in zip(ranked, ends) if end >= keep)
+    head = list(itertools.takewhile(lambda term: term[0] >= cut, ranked))
+    return keep, math.sqrt(max(0.0, 1.0 - dropped)), head
 
 
 def dilution_fidelity(psi: PureState, count: int, singlet_budget: int) -> float:
-    """Square-root fidelity of diluting psi^(x)count from `singlet_budget` singlets.
-
-    The dilution keeps the 2^budget heaviest Schmidt terms of the tensor
-    power, so the fidelity is the square root of one minus the dropped weight.
-    """
+    """Square-root fidelity of diluting psi^(x)count from `singlet_budget`
+    singlets, which keep its 2^budget heaviest Schmidt terms: sqrt(1 - dropped)."""
     return _truncation(_ranked_patterns(_schmidt(psi)[1], count), singlet_budget)[1]
 
 
-def _kept_terms(psi: PureState, count: int, singlet_budget: int):
-    """The Schmidt terms of psi^(x)count that `singlet_budget` singlets keep.
-
-    Returns (u, vh, terms, amplitudes, fidelity): psi's Schmidt vectors, one
-    row of Schmidt indices per kept term, the kept terms' amplitudes scaled
-    to unit norm, and the fidelity.  Each term is weighed by its occupation
-    pattern (the sorted tuple), so permuted tuples tie exactly; a stable
-    sort keeps ties in index order.  Keep count and fidelity come from
-    `dilution_fidelity`'s walk.
-    """
-    u, mu, vh = _schmidt(psi)
-    keep, fidelity = _truncation(_ranked_patterns(mu, count), singlet_budget)
-    terms = np.indices((mu.size,) * count).reshape(count, -1).T
-    # the product over the sorted row, factor by factor as the walk forms it
-    w = functools.reduce(operator.mul, mu[np.sort(terms, axis=1)].T)
-    kept = np.argsort(-w, kind="stable")[:keep]
-    amplitudes = np.sqrt(w[kept])
+def _kept_terms(r: int, keep: int, head):
+    """(terms, amplitudes): one row of Schmidt indices per term that a
+    `_truncation` (keep, head) on r Schmidt weights keeps, amplitudes at unit
+    norm.  The rows are the head's arrangements, grown one place at a time,
+    in (-weight, index tuple) order: the rows a stable sort of all r^c
+    tuples by weight keeps, ties across patterns in index order."""
+    count = len(head[0][2])
+    # a row: how often each index is still to place, its pattern, its indices
+    rows = np.zeros((len(head), r + 1 + count),
+                    np.min_scalar_type(max(count, len(head), r)))
+    rows[:, :r] = [[pattern.count(j) for j in range(r)] for _, _, pattern in head]
+    rows[:, r] = np.arange(len(head))
+    for place in range(r + 1, r + 1 + count):
+        prefix, index = np.nonzero(rows[:, :r])
+        rows = rows[prefix]
+        rows[np.arange(len(rows)), index] -= 1
+        rows[:, place] = index
+    terms, weights = rows[:, r + 1:], np.array([w for w, _, _ in head])[rows[:, r]]
+    kept = np.lexsort((*terms.T[::-1], -weights))[:keep]
+    amplitudes = np.sqrt(weights[kept])
     amplitudes /= np.linalg.norm(amplitudes)
-    return u, vh, terms[kept], amplitudes, fidelity
+    return terms[kept], amplitudes
 
 
 def _kron_columns(x, terms, amplitudes):
@@ -339,27 +341,28 @@ def _kron_columns(x, terms, amplitudes):
     return cols
 
 
-def support_factors(rho: QuantumState, ensemble: Ensemble, tset, kept, support):
+def support_factors(rho: QuantumState, ensemble: Ensemble, tset, schmidt, kept, support):
     """(lam_n, R_t, R_y): the factors of rho^(x)n, rho_T and rho'_T in
     coordinates of span(E)^(x)n, `support` = (E, sqrt(lam)) from `support_basis`.
 
     rho^(x)n is diag(lam_n)^2, lam_n = sqrt(lam)^(x)n.  R_t and R_y are the
     `composition_factor`s of the typical set `tset` with undiluted blocks
     (E^dag psi_i)^(x)c and diluted blocks sum_t a_t (x)_m E^dag (u_{t_m} (x)
-    vh_{t_m}) from kept(i, c), a `_kept_terms` result.  Every fidelity of
-    the protocol pairs rho'_T or a factor in span(E)^(x)n with a factor in
-    span(E)^(x)n, so the coordinates lose nothing but the members' parts
-    outside span(E): at most sqrt(n) SUPPORT_TOL on fid2, none on the others.
+    vh_{t_m}): (u, mu, vh) = schmidt[i], and t, a_t from kept(i, c), a
+    `_kept_terms` result.  Every fidelity of the protocol pairs rho'_T or a
+    factor in span(E)^(x)n with a factor in span(E)^(x)n, so the coordinates
+    lose nothing but the members' parts outside span(E): at most sqrt(n)
+    SUPPORT_TOL on fid2, none on the others.
     """
     basis, sqrt_lam = support
     dim, to_basis = basis.shape[1], basis.conj().T
     coords = to_basis @ np.stack([psi.vector for psi in ensemble.states], axis=1)
+    # column j of member i's pairs: the coordinates of u_j (x) vh_j
+    pairs = [to_basis @ (u[:, None, :] * vh.T[None]).reshape(rho.dim, -1)
+             for u, _, vh in schmidt]
 
     def diluted(i, count):
-        u, vh, terms, amplitudes, _ = kept(i, count)
-        # column j: the coordinates of u_j (x) vh_j
-        pairs = to_basis @ (u[:, None, :] * vh.T[None]).reshape(rho.dim, -1)
-        return _kron_columns(pairs, terms, amplitudes).sum(axis=1)
+        return _kron_columns(pairs[i], *kept(i, count)).sum(axis=1)
 
     k = len(ensemble)
     r_t = composition_factor(lambda i, count: functools.reduce(
@@ -436,10 +439,11 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     `support_factors` of rho^(x)n, rho_T and rho'_T: fid1_holds, fid2_holds,
     and triangle_holds, the Bures triangle through rho_T up to BURES_TOL of
     rounding.  It runs while its work, r^n T min(T, r^n) on r^n support
-    coordinates and T typical sequences plus 32 c r_s^c per block of c
-    copies (r_s = min(dA, dB)), stays within qcore.EXACT_WORK_CAP; past it
-    only the analytic bounds from p_T and the dilution fidelities are
-    emitted and the three flags are None.
+    coordinates and T typical sequences plus 32 (c rows + r^c keep) per
+    block of c copies, its walk's head arranged in rows and cut to keep
+    terms, stays within qcore.EXACT_WORK_CAP; past it only the analytic
+    bounds from p_T and the dilution fidelities are emitted and the three
+    flags are None.
 
     exact_bures and the 2 sqrt(eps3) term of bures_bound share the rounding
     floor of `bures_from_fidelity`; a lossless dilution gives eps2 = eps3 = 0
@@ -460,24 +464,18 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     los, his = map(sum, zip(*tset.count_windows))
     blocks = [(i, c) for i, (lo, hi) in enumerate(tset.count_windows)
               for c in range(max(lo, 1), hi + 1) if los - lo <= n - c <= his - hi]
-    # exact mode's work: the factors' QR and norms, and the kept-term tables
+    # one Schmidt decomposition per member, one walk per block in both modes
+    schmidt = [_schmidt(psi) for psi in ensemble.states]
+    walk = functools.cache(lambda i, count: _truncation(
+        _ranked_patterns(schmidt[i][1], count), plan.entries[i].singlets))
+    # exact mode's work: the factors' QR and norms, and per block its kept
+    # terms' rows and their Kronecker table, r^c coordinates per kept term
     support = support_basis(rho, ensemble.states)
-    r_n, t = support[0].shape[1] ** n, tset.num_sequences
-    exact = r_n * t * min(t, r_n) + 32 * sum(
-        c * min(rho.dims) ** c for _, c in blocks) <= EXACT_WORK_CAP
-
-    # per-block dilution of each (member, count): exact mode selects a
-    # block's kept terms once, for its fidelity and for rho'_T, and analytic
-    # mode needs only the fidelity
-    if exact:
-        kept = functools.cache(lambda i, count: _kept_terms(
-            ensemble.states[i], count, plan.entries[i].singlets))
-        fidelity = lambda i, count: kept(i, count)[-1]
-    else:
-        fidelity = functools.cache(lambda i, count: dilution_fidelity(
-            ensemble.states[i], count, plan.entries[i].singlets))
-
-    eps2 = max((1.0 - fidelity(i, c) for i, c in blocks), default=0.0)
+    r, t = support[0].shape[1], tset.num_sequences
+    eps2 = max((1.0 - walk(i, c)[1] for i, c in blocks), default=0.0)
+    dilution = sum(c * sum(a for _, a, _ in walk(i, c)[2]) + r ** c * walk(i, c)[0]
+                   for i, c in blocks)
+    exact = r ** n * t * min(t, r ** n) + 32 * dilution <= EXACT_WORK_CAP
     eps3 = 1.0 - (1.0 - eps2) ** k
     bound = bures_from_fidelity(np.sqrt(max(0.0, 1.0 - eps1))) + 2.0 * np.sqrt(eps3)
 
@@ -490,8 +488,9 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     exact_bures = fid1 = fid2 = None
     fid1_holds = fid2_holds = triangle_holds = None
     if exact:
+        kept = lambda i, count: _kept_terms(schmidt[i][1].size, *walk(i, count)[::2])
+        lam_n, r_t, r_y = support_factors(rho, ensemble, tset, schmidt, kept, support)
         # unit trace: 1 / sqrt(p_T) scales the factors of the weights p_s
-        lam_n, r_t, r_y = support_factors(rho, ensemble, tset, kept, support)
         r_t, r_y = r_t / np.sqrt(p_t), r_y / np.sqrt(p_t)
         fid1 = nuclear_norm(r_t * lam_n)
         fid2 = nuclear_norm(r_t @ r_y.conj().T)

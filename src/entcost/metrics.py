@@ -23,6 +23,7 @@ from .qcore import (
 )
 
 CHAIN_TOL = 1e-9
+CROSS_CHECK_TOL = 1e-8    # direct tensor-power fidelity against F^k
 
 
 def _matrices(rho, sigma):
@@ -153,8 +154,7 @@ def divergence_sequence(f1, k_max):
 
 
 def tensor_power_divergence(rho, sigma, k_max, *,
-                            dim_cap=round(DENSE_WORK_CAP ** (1 / 3)),
-                            cross_check_tol=1e-8):
+                            dim_cap=round(DENSE_WORK_CAP ** (1 / 3))):
     """Per-copy fidelity raised to tensor powers: (k, F^k, 2 sqrt(1 - F^k)).
 
     Fidelity is multiplicative under tensor products, so F_k = F(rho, sigma)^k;
@@ -181,7 +181,7 @@ def tensor_power_divergence(rho, sigma, k_max, *,
             pa, pdims_a = tensor_matrix(pa, pdims_a, a, dims)
             pb, pdims_b = tensor_matrix(pb, pdims_b, b, dims)
             direct = fidelity_matrices(pa, pb)
-            if abs(direct - fk) > cross_check_tol:
+            if abs(direct - fk) > CROSS_CHECK_TOL:
                 raise RuntimeError(
                     f"tensor-power fidelity at k={k} disagrees with F^k: "
                     f"{direct!r} vs {fk!r}")

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eof import _eigen_rows, _minimize_rows
+from .eof import _eigen_rows, _minimize_rows, _ensemble_size
 from .qcore import ROW_WORK_CAP, QuantumState, RandomSource, tensor_rows
 from .serialize import INTERNAL
 
@@ -77,7 +77,7 @@ def regularized_sequence(rho: QuantumState, n_max: int, *,
         rng = RandomSource(0)
     B1 = _eigen_rows(rho)
     r, d = B1.shape
-    L = ensemble_size if ensemble_size is not None else min(r * r, d * d)
+    L = _ensemble_size(ensemble_size, r, d)
     if (L * r * d) ** n_max > ROW_WORK_CAP:
         raise ValueError(f"row work {L * r * d}^{n_max} exceeds "
                          f"the limit {ROW_WORK_CAP:.0e}")

@@ -312,6 +312,20 @@ class TestFormationCommand:
         assert res["rate"] == pytest.approx(rate, abs=1e-12)
         assert res["slack"] <= 0.1 + 1.0 / n
 
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_a_product_state_on_one_by_two_runs_exactly_at_any_n(self, tmp_path, n):
+        # one Schmidt weight per copy: one kept term of n indices, and a
+        # support basis of width 1, neither bounded by numpy's 64 axes
+        from entcost.qcore import PureState
+        path = tmp_path / "psi.json"
+        save_object(path, PureState((1, 2), np.array([0.6, 0.8])))
+        code, doc = run_to_json(["formation", str(path), "--n", str(n)], tmp_path)
+        assert code == EXIT_OK
+        res = doc["result"]
+        assert res["exact_mode"] is True
+        assert res["fid1_holds"] and res["fid2_holds"] and res["triangle_holds"]
+        assert (res["eps2"], res["m"]) == (0.0, 0)
+
     @pytest.mark.parametrize("dims,weights,args", [
         ((3, 3), None, ["--n", "400"]),
         ((2, 2), (0.55, 0.45), ["--n", "1100", "--delta2", "0"])])

@@ -14,6 +14,8 @@ from entcost.formation import (
     _kept_terms,
     _kron_columns,
     _ranked_patterns,
+    _schmidt,
+    _truncation,
     composition_factor,
     dilution_fidelity,
     dilution_plan,
@@ -322,11 +324,20 @@ def _sequence_vector(blocks, seq, dims):
     return out
 
 
+def kept_terms(psi, count, budget):
+    """(u, vh, terms, amplitudes, fidelity): psi's Schmidt vectors, and the
+    kept terms and fidelity of diluting psi^(x)count from `budget` singlets,
+    from one walk as formation_protocol takes them."""
+    u, mu, vh = _schmidt(psi)
+    keep, fidelity, head = _truncation(_ranked_patterns(mu, count), budget)
+    return (u, vh, *_kept_terms(mu.size, keep, head), fidelity)
+
+
 def diluted_state(psi, count, budget):
-    """Dense reference: the kept terms of `_kept_terms` summed as the vector
+    """Dense reference: the kept terms of `kept_terms` summed as the vector
     on (dA^count, dB^count), each a Kronecker product of psi's own Schmidt
     vectors, and the fidelity."""
-    u, vh, terms, amplitudes, fidelity = _kept_terms(psi, count, budget)
+    u, vh, terms, amplitudes, fidelity = kept_terms(psi, count, budget)
     left = _kron_columns(u, terms, amplitudes)
     right = _kron_columns(vh.T, terms, np.ones(len(terms))).T
     return PureState((left.shape[0], right.shape[1]), (left @ right).ravel()), fidelity
@@ -525,13 +536,13 @@ class TestDilution:
                     sample_pure_state((2, 3), RandomSource(5))):
             for count in (1, 2, 3):
                 assert dilution_fidelity(psi, count, count) == 1.0
-                assert _kept_terms(psi, count, count)[-1] == 1.0
+                assert kept_terms(psi, count, count)[-1] == 1.0
         assert dilution_fidelity(basis_pure((2, 2), 0, 1), 4, 0) == 1.0
 
     def test_huge_budget_keeps_everything(self):
         psi = sample_pure_state((2, 2), RandomSource(5))
         assert dilution_fidelity(psi, 3, 10 ** 300) == 1.0
-        assert _kept_terms(psi, 3, 10 ** 300)[-1] == 1.0
+        assert kept_terms(psi, 3, 10 ** 300)[-1] == 1.0
 
     def test_walked_mass_sums_to_one(self):
         # each weight carries at most `count` roundings and psi's Schmidt
@@ -584,9 +595,9 @@ class TestDilution:
         with pytest.raises(ValueError):
             dilution_fidelity(psi, 1, -1)
         with pytest.raises(ValueError):
-            _kept_terms(psi, 0, 1)
+            kept_terms(psi, 0, 1)
         with pytest.raises(ValueError):
-            _kept_terms(psi, 1, -1)
+            kept_terms(psi, 1, -1)
 
 
 def _sorted_spectrum(mu, count):
@@ -609,6 +620,41 @@ def test_pattern_walk_matches_the_sorted_spectrum(dims, max_count, seed):
         for budget in range(2 * count + 1):
             expect = 1.0 - spectrum[min(spectrum.size, 2 ** budget):].sum()
             assert abs(dilution_fidelity(psi, count, budget) ** 2 - expect) <= 1e-15
+
+
+def table_kept_terms(mu, count, keep):
+    """The deleted selection: every r^count index tuple, weighed by mu over
+    its sorted tuple factor by factor, kept by a stable sort on weight."""
+    terms = np.indices((mu.size,) * count).reshape(count, -1).T
+    w = functools.reduce(np.multiply, mu[np.sort(terms, axis=1)].T)
+    kept = np.argsort(-w, kind="stable")[:keep]
+    return terms[kept], np.sqrt(w[kept]) / np.linalg.norm(np.sqrt(w[kept]))
+
+
+def _kept_term_spectra():
+    """Seeded Schmidt spectra, and spectra whose patterns tie: all of them
+    (Bell, uniform on (3, 3)), with zero weights, or across patterns."""
+    seeded = [_schmidt(sample_pure_state(dims, RandomSource(seed)))[1]
+              for dims in ((2, 2), (2, 3), (3, 3)) for seed in (0, 5)]
+    ties = [(0.5, 0.5), (0.5, 0.5, 0.0), (1 / 3,) * 3, (0.5, 0.25, 0.25)]
+    return seeded + [np.array(mu) for mu in ties]
+
+
+@pytest.mark.parametrize("mu", _kept_term_spectra(),
+                         ids=lambda mu: ",".join(f"{x:.3g}" for x in mu))
+def test_kept_rows_equal_the_sorted_term_table(mu):
+    # row for row and amplitude for amplitude, bit for bit, at counts 1-8
+    # (r = 2) or 1-5 (r = 3) and budgets up to ceil(c log2 r) + 2, and 10^3
+    r = mu.size
+    for count in range(1, 9 if r == 2 else 6):
+        ranked = _ranked_patterns(mu, count)
+        for budget in [*range(math.ceil(count * math.log2(r)) + 3), 10 ** 3]:
+            keep, _, head = _truncation(ranked, budget)
+            assert keep == min(r ** count, 2 ** budget)
+            terms, amplitudes = _kept_terms(r, keep, head)
+            expect_terms, expect_amplitudes = table_kept_terms(mu, count, keep)
+            assert np.array_equal(terms, expect_terms), (count, budget)
+            assert np.array_equal(amplitudes, expect_amplitudes), (count, budget)
 
 
 class TestDilutionPlan:
@@ -714,28 +760,27 @@ class TestFormationProtocol:
 
 @pytest.mark.parametrize("n", [4, 7])
 def test_each_dilution_is_ranked_once(monkeypatch, n):
-    # exact mode (n = 4) takes eps2 and the rho'_T blocks from one kept-term
-    # selection per (member, count); analytic mode (n = 7) builds no block
-    # and ranks each (member, count) once for its fidelity
-    calls = {"_kept_terms": [], "dilution_fidelity": []}
+    # one pattern walk per (member, count) block in both modes gives eps2
+    # and the exact-mode work; exact mode (n = 4) arranges each block's kept
+    # terms from that walk, and analytic mode (n = 7) arranges none
+    calls = {"_ranked_patterns": [], "_kept_terms": [], "dilution_fidelity": []}
     for name, seen in calls.items():
         original = getattr(entcost.formation, name)
         monkeypatch.setattr(entcost.formation, name,
-                            lambda psi, c, b, seen=seen, original=original:
-                            seen.append((psi, c)) or original(psi, c, b))
+                            lambda *args, seen=seen, original=original:
+                            seen.append(args) or original(*args))
     ens = Ensemble(np.array([0.5, 0.3, 0.2]),
                    tuple(sample_pure_state((2, 2), RandomSource(139 + j))
                          for j in range(3)))
     res = formation_protocol(ensemble_average(ens), ens, n, 0.5, 0.25)
     blocks = {(i, seq.count(i)) for seq, _ in pairs(res.typical_set)
               for i in set(seq)}
-    exact, analytic = ((calls["_kept_terms"], calls["dilution_fidelity"])
-                       if n == 4 else
-                       (calls["dilution_fidelity"], calls["_kept_terms"]))
+    members = {tuple(_schmidt(psi)[1]): i for i, psi in enumerate(ens.states)}
+    walks = [(members[tuple(mu)], c) for mu, c in calls["_ranked_patterns"]]
     assert res.exact_mode is (n == 4)
-    assert len(exact) == len(blocks) and not analytic
-    members = {id(psi): i for i, psi in enumerate(ens.states)}
-    assert {(members[id(psi)], c) for psi, c in exact} == blocks
+    assert len(walks) == len(blocks) and set(walks) == blocks
+    assert len(calls["_kept_terms"]) == (len(blocks) if n == 4 else 0)
+    assert not calls["dilution_fidelity"]
 
 
 def test_exact_mode_finishes_at_the_work_cap():
@@ -749,11 +794,14 @@ def test_exact_mode_finishes_at_the_work_cap():
     assert res.triangle_holds
 
 
-@pytest.mark.parametrize("n, exact", [(20, True), (21, False)])
-def test_a_pure_state_turns_analytic_before_its_term_table_outgrows_the_cap(
+@pytest.mark.parametrize("n, exact", [(101, True), (102, False)])
+def test_a_pure_state_turns_analytic_past_its_kept_row_limit(
         monkeypatch, n, exact):
-    # r = T = 1, so the work is the kept-term table, 32 n 2^n: 6.7e8 at
-    # n = 20, 1.4e9 at n = 21.  Exact mode's first step selects kept terms
+    # r = T = 1, so the work is 1 + 32 n rows, the rows being the
+    # arrangements of the patterns down to the cut weight: 2^17 kept terms
+    # of 171,802 rows at n = 101 (5.6e8), and 2^18 at n = 102, whose cut
+    # falls in a pattern of C(102, 4) arrangements (4,426,529 rows, 1.4e10).
+    # Exact mode's first step after the work test arranges kept terms
     class ExactMode(Exception):
         pass
 
@@ -768,6 +816,43 @@ def test_a_pure_state_turns_analytic_before_its_term_table_outgrows_the_cap(
             formation_protocol(psi.to_state(), ens, n, 0.5, 0.1)
     else:
         assert not formation_protocol(psi.to_state(), ens, n, 0.5, 0.1).exact_mode
+
+
+def test_a_pure_state_holds_only_its_kept_rows():
+    # psi^(x)20 keeps 2^4 of its 2^20 Schmidt terms; the r^c term table
+    # that selected them peaked at 518 MB of process memory here
+    psi = sample_pure_state((2, 2), RandomSource(5))
+    ens = Ensemble(np.array([1.0]), (psi,))
+    tracemalloc.start()
+    try:
+        res = formation_protocol(psi.to_state(), ens, 20, 0.5, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exact_mode and res.fid1_holds and res.fid2_holds
+    assert res.triangle_holds
+    assert peak < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("w, n, delta2", [(0.5, 19, 0.25), (0.7, 20, 0.0)])
+def test_a_block_past_its_kronecker_table_limit_is_analytic(
+        monkeypatch, w, n, delta2):
+    # sqrt(w)|00> + sqrt(1 - w)|11> at weight 0.99 and |00>, r = 2 and
+    # n + 1 typical sequences: the factor work is 2.1e8 at n = 19 and 4.6e8
+    # at n = 20, and the kept rows 32 n keep or fewer, but the diluted
+    # block of n copies is a 2^n x keep table of complex entries: 2^19 x
+    # 2^19 at (0.5, 19) and 2^20 x 2^18 at (0.7, 20), 4 TiB each
+    class ExactMode(Exception):
+        pass
+
+    def built(*args):
+        raise ExactMode
+
+    monkeypatch.setattr(entcost.formation, "support_factors", built)
+    ens = Ensemble(np.array([0.99, 0.01]),
+                   (schmidt_state(w), basis_pure((2, 2), 0, 0)))
+    res = formation_protocol(ensemble_average(ens), ens, n, 0.5, delta2)
+    assert not res.exact_mode and res.typical_set.num_sequences == n + 1
 
 
 class TestFidelityChain:

@@ -20,7 +20,14 @@ from entcost.eof import (
     eof_optimize,
     eof_two_qubit_closed_form,
 )
-from entcost.formation import _kept_terms, _kron_columns, dilution_fidelity
+from entcost.formation import (
+    _kept_terms,
+    _kron_columns,
+    _ranked_patterns,
+    _schmidt,
+    _truncation,
+    dilution_fidelity,
+)
 from entcost.qcore import (
     Ensemble,
     PureState,
@@ -195,7 +202,9 @@ def test_dilution_fidelity_matches_brute_force_ranking(dims, seed, count, data):
 def test_diluted_state_overlap_is_its_fidelity(dims, seed, count, data):
     budget = data.draw(st.integers(0, 2 * count))
     psi = _random_pure(dims, seed)
-    u, vh, terms, amplitudes, fid = _kept_terms(psi, count, budget)
+    u, mu, vh = _schmidt(psi)
+    keep, fid, head = _truncation(_ranked_patterns(mu, count), budget)
+    terms, amplitudes = _kept_terms(mu.size, keep, head)
     # the kept terms summed as a vector on (dA^count, dB^count)
     approx = (_kron_columns(u, terms, amplitudes)
               @ _kron_columns(vh.T, terms, np.ones(len(terms))).T).ravel()

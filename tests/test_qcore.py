@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,17 @@ def test_every_cap_is_defined_in_qcore_and_tabled_in_the_readme():
     rows = [line for line in readme.splitlines() if line.startswith("| `")]
     for name in defined:
         assert sum(line.startswith(f"| `{name}`") for line in rows) == 1, name
+    # each table formula opens the comment of its cap in qcore, word for
+    # word: "NAME = value   # formula[ what it counts]: time"
+    comments = dict(re.findall(r"^(\w+_CAP) = [^#]*# (.*): [\d.]+ s$",
+                               (root / "src" / "entcost" / "qcore.py").read_text(),
+                               re.MULTILINE))
+    assert comments.keys() == defined.keys(), comments
+    for line in rows:
+        name, formula = (cell.strip().replace("`", "") for cell in line.split("|")[1:3])
+        if name in comments:
+            assert comments[name] == formula or comments[name].startswith(
+                formula + " "), (name, formula, comments[name])
     stale = ("DIMENSION" + "_CAP", "ENUMERATION" + "_CAP")
     for path in [root / "README.md", *(root / "src").rglob("*.py"),
                  *(root / "tests").glob("*.py"), *(root / "benchmarks").glob("*.py")]:
