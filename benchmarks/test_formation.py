@@ -32,7 +32,12 @@ corpus does (rank 3, 81 rows, 56 typical sequences), and on the 16-member
 `eof_optimize` ensemble of a full-rank two-qubit state at n = 3 (64 rows,
 3360 typical sequences, so R_t and R_y are QR-compressed), and at the
 exact-mode work limit: criterion 6 at n = 10 with delta1 = 0.3 (1024 rows,
-912 typical sequences, work 8.5e8 of `qcore.EXACT_WORK_CAP` = 1e9).
+912 typical sequences, work 8.5e8 of `qcore.EXACT_WORK_CAP` = 1e9).  The
+narrow case, three copies of |00> at weights (0.98, 0.01, 0.01) and n = 30
+(one row, 190,591 typical sequences in 9 compositions), shows the cost per
+sequence: the grouping, the gathers and the row stack, with one QR per
+`formation.QR_ROWS` rows.  Its fidelities exceed 1 by the rounding of p_T,
+a sum of T weights (T eps at most).
 """
 
 import functools
@@ -121,6 +126,9 @@ def _ensemble(case):
         v[0] = v[3] = 1 / np.sqrt(2)
         return Ensemble(np.array([0.5, 0.5]), (PureState((2, 2), v),
                                                basis_pure((2, 2), 0, 0))), 10, 0.3
+    if case == "identical-n30":
+        return Ensemble(np.array([0.98, 0.01, 0.01]),
+                        (basis_pure((2, 2), 0, 0),) * 3), 30, 0.5
     rho = sample_density_matrix((2, 2), 4, RandomSource(11))
     return eof_optimize(rho, rng=RandomSource(11)).ensemble, 3, 0.5
 
@@ -143,7 +151,12 @@ def _protocol_inputs(case):
     return rho, ens, tset, schmidt, kept, support, lam_n, r_t * scale, r_y * scale
 
 
-CASES = ["ens3-n4", "sixteen-n3", "criterion6-n10"]
+CASES = ["ens3-n4", "sixteen-n3", "criterion6-n10", "identical-n30"]
+
+
+def _fidelity_ceiling(tset):
+    """1 plus the rounding of p_T, or 1e-12 where that is smaller."""
+    return 1.0 + max(1e-12, tset.num_sequences * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -156,14 +169,15 @@ def test_factor_build(benchmark, case):
 
 @pytest.mark.parametrize("case", CASES)
 def test_fid1(benchmark, case):
-    *_, lam_n, r_t, _ = _protocol_inputs(case)
-    assert 0.0 < benchmark(lambda: nuclear_norm(r_t * lam_n)) <= 1.0 + 1e-12
+    _, _, tset, *_, lam_n, r_t, _ = _protocol_inputs(case)
+    assert 0.0 < benchmark(lambda: nuclear_norm(r_t * lam_n)) <= _fidelity_ceiling(tset)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_fid2(benchmark, case):
-    *_, r_t, r_y = _protocol_inputs(case)
-    assert 0.0 < benchmark(lambda: nuclear_norm(r_t @ r_y.conj().T)) <= 1.0 + 1e-12
+    _, _, tset, *_, r_t, r_y = _protocol_inputs(case)
+    assert (0.0 < benchmark(lambda: nuclear_norm(r_t @ r_y.conj().T))
+            <= _fidelity_ceiling(tset))
 
 
 @pytest.mark.parametrize("case", CASES)

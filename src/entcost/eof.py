@@ -448,15 +448,15 @@ class ContinuityCheck:
 
 
 def continuity_bound(rho: QuantumState, rho2: QuantumState,
-                     eof_rho: float, eof_rho2: float,
-                     tol: float = OPTIMIZER_TOL) -> ContinuityCheck:
-    """|E_f(rho) - E_f(rho')| against 5 D log2(dim) + 2 eta(D), D the Bures distance."""
+                     eof_rho: float, eof_rho2: float) -> ContinuityCheck:
+    """|E_f(rho) - E_f(rho')| against 5 D log2(dim) + 2 eta(D), D the Bures
+    distance, up to OPTIMIZER_TOL."""
     if rho.dims != rho2.dims:
         raise DimensionError(f"dims mismatch: {rho.dims} vs {rho2.dims}")
     d = bures_distance(rho, rho2)
     bound = 5.0 * d * np.log2(rho.dim) + 2.0 * eta(d)
     gap = abs(eof_rho - eof_rho2)
-    return ContinuityCheck(d, float(bound), float(gap), bool(gap <= bound + tol))
+    return ContinuityCheck(d, float(bound), float(gap), bool(gap <= bound + OPTIMIZER_TOL))
 
 
 # ---------------------------------------------------------------------------

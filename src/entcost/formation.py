@@ -183,28 +183,30 @@ def support_basis(rho: QuantumState, states):
             np.concatenate([np.sqrt(lam), np.zeros(extra.shape[1])]))
 
 
-class _RowStack:
-    """Rows whose R factor is wanted, compressed by QR (rows = Q R gives the
-    same R^T conj(R) from R) whenever they fill twice the row width, so the
-    buffer never holds more than 2 width^2 entries."""
+# Fewest rows a QR compresses: each QR is a LAPACK call at any height, and
+# every 2 r^n = 2 rows (|00> x3, n = 30) made 381,180 in 5.1 s; from here 6
+QR_ROWS = 4096
 
-    def __init__(self, total, width):
-        self.rows = np.empty((min(total, 2 * width), width), dtype=complex)
-        self.width, self.filled = width, 0
+
+class _RowStack:
+    """Rows whose R factor is wanted, appended as whole blocks and replaced
+    by their R (rows = Q R gives the same R^T conj(R) from R) once they pass
+    both twice the row width and QR_ROWS."""
+
+    def __init__(self, width):
+        self.blocks, self.held, self.width = [], 0, width
+        self.limit = max(2 * width, QR_ROWS)
 
     def add(self, block):
-        while len(block):
-            if self.filled == len(self.rows):
-                self.rows[:self.width] = np.linalg.qr(self.rows, mode="r")
-                self.filled = self.width
-            take = block[:len(self.rows) - self.filled]
-            self.rows[self.filled:self.filled + len(take)] = take
-            self.filled += len(take)
-            block = block[len(take):]
+        self.blocks.append(block)
+        self.held += len(block)
+        if self.held > self.limit:
+            self.blocks = [self.r()]
+            self.held = len(self.blocks[0])
 
     def r(self):
-        rows = self.rows[:self.filled]
-        return np.linalg.qr(rows, mode="r") if self.filled > self.width else rows
+        rows = np.concatenate(self.blocks)
+        return np.linalg.qr(rows, mode="r") if len(rows) > self.width else rows
 
 
 def _kron(a, b):
@@ -212,42 +214,40 @@ def _kron(a, b):
     return np.multiply.outer(a, b).ravel()
 
 
-def composition_factor(block, k, dim, sequences, weights):
-    """R with R^T conj(R) = sum_s w_s |v_s><v_s|, at most dim^n rows.
+def composition_factor(blocks, dim, sequences, weights):
+    """One R per function in `blocks`, R^T conj(R) = sum_s w_s |v_s><v_s|
+    with at most dim^n rows, from one grouping of the sequences.
 
-    `sequences` is a (T, n) integer array, each row s a sequence of indices
-    into k members, and `weights` the (T,) array of their w_s, as in a
-    `TypicalSet`.  The vector v_s, on dim coordinates per copy, is the product
-    over members i of block(i, c_i), the c_i-copy block of member i (a vector
-    of length dim^c_i), with its copies placed on the positions where i
-    occurs in s.  The product is built once per composition (c_0, ...,
-    c_{k-1}); each sequence's v_s is gathered from it by permuting digits.
+    `sequences` (T, n) and `weights` (T,) are as in a `TypicalSet`.  v_s, on
+    dim coordinates per copy, is the product over members i of block(i, c_i),
+    the c_i-copy block of member i (length dim^c_i), its copies placed where
+    i occurs in s.  Each product is built once per composition and block;
+    each v_s is gathered from it by a digit permutation all blocks share.
     """
-    block = functools.cache(block)
-    roots = np.sqrt(weights)
-    if sequences.min() < 0 or sequences.max() >= k:
-        raise StateValidationError(
-            "sequence indexes a member the ensemble does not have")
+    blocks = [functools.cache(block) for block in blocks]
     n = sequences.shape[1]
     # a product holds member 0's copies first, then member 1's, ...: its
-    # slot m is copy order[m] of s, so copy j of s is its slot inv[j], and
-    # the sorted sequence names the composition
+    # slot m is copy order[m] of s, so copy j of s has the stride of slot
+    # inv[j]; the sorted sequence, compared as bytes, names the composition,
+    # and in composition order (by_group) each composition is one slice
     order = np.argsort(sequences, axis=1, kind="stable")
-    inv = np.argsort(order, axis=1)
     comps = np.take_along_axis(sequences, order, axis=1)
-    _, first, group = np.unique(comps @ k ** np.arange(n - 1, -1, -1),
+    _, first, group = np.unique(comps.view(np.dtype((np.void, comps[0].nbytes)))[:, 0],
                                 return_index=True, return_inverse=True)
-    comps = comps[first]
+    by_group = np.argsort(group, kind="stable")
     strides = dim ** np.arange(n - 1, -1, -1)
+    places = strides[np.argsort(order[by_group], axis=1)]   # strides[inv]
+    roots = np.sqrt(weights[by_group])[:, None]
     digits = np.arange(dim ** n) // strides[:, None] % dim
-    stack = _RowStack(len(sequences), dim ** n)
-    ends = np.cumsum(np.bincount(group))[:-1]
-    for comp, members in zip(comps.tolist(),
-                             np.split(np.argsort(group, kind="stable"), ends)):
-        product = functools.reduce(_kron, [block(i, comp.count(i))
-                                           for i in sorted(set(comp))])
-        stack.add(product[strides[inv[members]] @ digits] * roots[members, None])
-    return stack.r()
+    stacks = [_RowStack(dim ** n) for _ in blocks]
+    ends = np.cumsum(np.bincount(group)).tolist()
+    for comp, start, end in zip(comps[first].tolist(), [0, *ends], ends):
+        counts = [(i, comp.count(i)) for i in sorted(set(comp))]
+        gather = places[start:end] @ digits
+        for block, stack in zip(blocks, stacks):
+            product = functools.reduce(_kron, [block(i, c) for i, c in counts])
+            stack.add(product[gather] * roots[start:end])
+    return [stack.r() for stack in stacks]
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +364,9 @@ def support_factors(rho: QuantumState, ensemble: Ensemble, tset, schmidt, kept, 
     def diluted(i, count):
         return _kron_columns(pairs[i], *kept(i, count)).sum(axis=1)
 
-    k = len(ensemble)
-    r_t = composition_factor(lambda i, count: functools.reduce(
-        _kron, [coords[:, i]] * count), k, dim, tset.sequences, tset.weights)
-    r_y = composition_factor(diluted, k, dim, tset.sequences, tset.weights)
+    r_t, r_y = composition_factor(
+        [lambda i, count: functools.reduce(_kron, [coords[:, i]] * count), diluted],
+        dim, tset.sequences, tset.weights)
     return functools.reduce(_kron, [sqrt_lam] * tset.n), r_t, r_y
 
 
@@ -438,9 +437,9 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     Exact mode judges the whole fidelity chain on fidelities from
     `support_factors` of rho^(x)n, rho_T and rho'_T: fid1_holds, fid2_holds,
     and triangle_holds, the Bures triangle through rho_T up to BURES_TOL of
-    rounding.  It runs while its work, r^n T min(T, r^n) on r^n support
-    coordinates and T typical sequences plus 32 (c rows + r^c keep) per
-    block of c copies, its walk's head arranged in rows and cut to keep
+    rounding.  It runs while its work, r^n T min(T, r^n) + 2048 T on r^n
+    support coordinates and T typical sequences plus 32 (c rows + r^c keep)
+    per block of c copies, its walk's head arranged in rows and cut to keep
     terms, stays within qcore.EXACT_WORK_CAP; past it only the analytic
     bounds from p_T and the dilution fidelities are emitted and the three
     flags are None.
@@ -468,14 +467,14 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     schmidt = [_schmidt(psi) for psi in ensemble.states]
     walk = functools.cache(lambda i, count: _truncation(
         _ranked_patterns(schmidt[i][1], count), plan.entries[i].singlets))
-    # exact mode's work: the factors' QR and norms, and per block its kept
-    # terms' rows and their Kronecker table, r^c coordinates per kept term
+    # exact mode's work: the factors' QR and norms, the grouping per sequence,
+    # and per block its kept rows and their r^c-per-term Kronecker table
     support = support_basis(rho, ensemble.states)
     r, t = support[0].shape[1], tset.num_sequences
     eps2 = max((1.0 - walk(i, c)[1] for i, c in blocks), default=0.0)
     dilution = sum(c * sum(a for _, a, _ in walk(i, c)[2]) + r ** c * walk(i, c)[0]
                    for i, c in blocks)
-    exact = r ** n * t * min(t, r ** n) + 32 * dilution <= EXACT_WORK_CAP
+    exact = r ** n * t * min(t, r ** n) + 2048 * t + 32 * dilution <= EXACT_WORK_CAP
     eps3 = 1.0 - (1.0 - eps2) ** k
     bound = bures_from_fidelity(np.sqrt(max(0.0, 1.0 - eps1))) + 2.0 * np.sqrt(eps3)
 

@@ -24,6 +24,7 @@ from .qcore import (
 
 CHAIN_TOL = 1e-9
 CROSS_CHECK_TOL = 1e-8    # direct tensor-power fidelity against F^k
+DIRECT_DIM = round(DENSE_WORK_CAP ** (1 / 3))   # 1000: largest dimension checked
 
 
 def _matrices(rho, sigma):
@@ -153,14 +154,12 @@ def divergence_sequence(f1, k_max):
             for k in range(1, k_max + 1)]
 
 
-def tensor_power_divergence(rho, sigma, k_max, *,
-                            dim_cap=round(DENSE_WORK_CAP ** (1 / 3))):
+def tensor_power_divergence(rho, sigma, k_max):
     """Per-copy fidelity raised to tensor powers: (k, F^k, 2 sqrt(1 - F^k)).
 
     Fidelity is multiplicative under tensor products, so F_k = F(rho, sigma)^k;
     the Bures distance 2 sqrt(1 - F_k) tends to 2 whenever F < 1.  Up to total
-    dimension `dim_cap`, by default 1000 where the dense work dim^3 reaches
-    qcore.DENSE_WORK_CAP, F_k is cross-checked against the dense fidelity.
+    dimension DIRECT_DIM, F_k is cross-checked against the dense fidelity.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -177,7 +176,7 @@ def tensor_power_divergence(rho, sigma, k_max, *,
         direct = None
         if k == 1:
             direct = f1
-        elif pa is not None and (dims[0] * dims[1]) ** k <= dim_cap:
+        elif pa is not None and (dims[0] * dims[1]) ** k <= DIRECT_DIM:
             pa, pdims_a = tensor_matrix(pa, pdims_a, a, dims)
             pb, pdims_b = tensor_matrix(pb, pdims_b, b, dims)
             direct = fidelity_matrices(pa, pb)

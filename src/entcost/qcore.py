@@ -23,7 +23,7 @@ WEIGHT_FLOOR = 1e-12
 # Work limits, one per engine, each on a formula evaluated before the work;
 # past one, exact formation turns analytic, the dense check stops, the rest
 # raise ValueError.  Time at the limit, one BLAS thread, 2-core VM (BENCH_*):
-EXACT_WORK_CAP = 10 ** 9   # r^n T min(T, r^n) + 32 sum (c rows + r^c keep): 2.1 s
+EXACT_WORK_CAP = 10 ** 9   # r^n T min(T, r^n) + 2048 T + 32 sum (c rows + r^c keep): 3.7 s
 DENSE_WORK_CAP = 10 ** 9   # (d^k)^3 of the direct tensor-power fidelity: 4.0 s
 ROW_WORK_CAP = 10 ** 8     # (L_1 r d)^n_max of the deepest warm refine: 3.1 s
 START_CAP = 1024           # restarts sqrt(L r d) of one call's random starts: 1.8 s

@@ -21,6 +21,7 @@ from .eof import _eigen_rows, _minimize_rows, _ensemble_size
 from .qcore import ROW_WORK_CAP, QuantumState, RandomSource, tensor_rows
 from .serialize import INTERNAL
 
+FEKETE_TOL = 1e-3   # slack on a_n + a_m >= a_{n+m}, optimizer values
 LIMIT_CAVEAT = ("finite-n certificate only: the n -> infinity limit is not "
                 "computable and these entries bound it from above, not estimate it")
 
@@ -112,13 +113,13 @@ class FeketeReport:
     tolerance: float
 
 
-def fekete_check(trace: RegularizationTrace, c: float, tol: float = 1e-3) -> FeketeReport:
-    """Verify a_n <= c n on the entries and a_n + a_m >= a_{n+m} - tol on the
-    subadditivity gaps the trace already carries."""
+def fekete_check(trace: RegularizationTrace, c: float) -> FeketeReport:
+    """Verify a_n <= c n on the entries and a_n + a_m >= a_{n+m} - FEKETE_TOL
+    on the subadditivity gaps the trace already carries."""
     linear = all(e.n * e.rate <= c * e.n + 1e-9 for e in trace.entries)
     triples = trace.subadditivity_checks
-    ok = all(g >= -tol for _, _, g in triples)
-    return FeketeReport(bool(linear), float(c), triples, bool(ok), tol)
+    ok = all(g >= -FEKETE_TOL for _, _, g in triples)
+    return FeketeReport(bool(linear), float(c), triples, bool(ok), FEKETE_TOL)
 
 
 @dataclass(frozen=True)

@@ -458,11 +458,11 @@ class TestDemoDivergence:
         assert [row["k"] for row in doc["result"]] == [1, 2, 3]
 
 
-    def test_rows_equal_tensor_power_divergence(self, tmp_path):
-        from entcost.metrics import tensor_power_divergence
+    def test_rows_equal_tensor_power_divergence(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(entcost.metrics, "DIRECT_DIM", 16)
         rho = sample_density_matrix((2, 2), 2, RandomSource(8))
         sigma = sample_density_matrix((2, 2), 3, RandomSource(9))
-        entries = tensor_power_divergence(rho, sigma, 6, dim_cap=16)
+        entries = entcost.metrics.tensor_power_divergence(rho, sigma, 6)
         fid = repr(entries[0]["fidelity"])
         code, doc = run_to_json(["demo-divergence", "--fidelity", fid,
                                  "--k-max", "6", "--format", "json"], tmp_path)

@@ -248,8 +248,8 @@ class TestTruncatedState:
         assert basis.shape == (4, 2)
         assert np.abs((basis * sqrt_lam ** 2) @ basis.conj().T
                       - rho.matrix).max() < 1e-12
-        r = composition_factor(undiluted_blocks(ens, basis), 2, 2, tset.sequences,
-                               tset.weights)
+        r, = composition_factor([undiluted_blocks(ens, basis)], 2, tset.sequences,
+                                tset.weights)
         lam_n = functools.reduce(np.kron, [sqrt_lam ** 2] * 3)
         assert np.abs(r.T @ r.conj() - np.diag(lam_n)).max() < 1e-12
         # back on (A1 B1 A2 B2 A3 B3), regrouped as tensor_power's (A1 A2 A3 B1 B2 B3)
@@ -262,8 +262,8 @@ class TestTruncatedState:
         ens = half_half_ensemble()
         tset = typical_set(ens.weights, 4, 0.5)
         basis, _ = support_basis(ensemble_average(ens), ens.states)
-        r = composition_factor(undiluted_blocks(ens, basis), 2, 2, tset.sequences,
-                               tset.weights)
+        r, = composition_factor([undiluted_blocks(ens, basis)], 2, tset.sequences,
+                                tset.weights)
         assert r.shape == (len(tset.sequences), 16)
         assert (np.abs(r) ** 2).sum() == pytest.approx(tset.total_weight,
                                                        abs=1e-12)
@@ -273,15 +273,15 @@ class TestTruncatedState:
         # pure_power regroups them to (A1 A2 A3 B1 B2 B3)
         psi = schmidt_state(0.9)
         ens = Ensemble(np.array([1.0]), (psi,))
-        r = composition_factor(undiluted_blocks(ens, np.eye(4)), 1, 4,
-                               np.zeros((1, 3), dtype=np.uint8), np.ones(1))
+        r, = composition_factor([undiluted_blocks(ens, np.eye(4))], 4,
+                                np.zeros((1, 3), dtype=np.uint8), np.ones(1))
         assert r.shape == (1, 64)
         regrouped = r[0].reshape((2, 2) * 3).transpose(0, 2, 4, 1, 3, 5)
         assert np.abs(regrouped.reshape(-1) - pure_power(psi, 3).vector).max() < 1e-15
 
     def test_more_sequences_than_dimension_give_a_square_factor(self):
-        # nine members on 2x2: 81 sequences at n = 2, against r^n = 16 rows,
-        # compressed by QR three times over
+        # nine members on 2x2: 81 sequences at n = 2, against r^n = 16 rows;
+        # one grouping feeds both block functions, each its own factor
         rng = RandomSource(3)
         ens = Ensemble(np.full(9, 1 / 9),
                        tuple(sample_pure_state((2, 2), rng.split())
@@ -289,18 +289,14 @@ class TestTruncatedState:
         tset = typical_set(ens.weights, 2, 2.0, "plain")
         assert len(tset.sequences) == 81
         basis, sqrt_lam = support_basis(ensemble_average(ens), ens.states)
-        r = composition_factor(undiluted_blocks(ens, basis), 9, 4, tset.sequences,
-                               tset.weights)
-        assert r.shape == (16, 16)
+        blocks = undiluted_blocks(ens, basis)
+        # 2^c times each c-copy block scales every v_s by 2^n = 4
+        r, doubled = composition_factor([blocks, lambda i, c: 2 ** c * blocks(i, c)],
+                                        4, tset.sequences, tset.weights)
+        assert r.shape == doubled.shape == (16, 16)
         lam_n = np.kron(sqrt_lam ** 2, sqrt_lam ** 2)
         assert np.abs(r.T @ r.conj() - np.diag(lam_n)).max() < 1e-12
-
-    def test_mismatched_ensemble_rejected(self):
-        ens = half_half_ensemble()
-        tset = typical_set([0.5, 0.3, 0.2], 3, 0.5)
-        with pytest.raises(StateValidationError):
-            composition_factor(undiluted_blocks(ens, np.eye(4)), 2, 4,
-                               tset.sequences, tset.weights)
+        assert np.abs(doubled.T @ doubled.conj() - 16 * np.diag(lam_n)).max() < 1e-12
 
 
 def _sequence_vector(blocks, seq, dims):
@@ -853,6 +849,95 @@ def test_a_block_past_its_kronecker_table_limit_is_analytic(
                    (schmidt_state(w), basis_pure((2, 2), 0, 0)))
     res = formation_protocol(ensemble_average(ens), ens, n, 0.5, delta2)
     assert not res.exact_mode and res.typical_set.num_sequences == n + 1
+
+
+def identical_members(weights):
+    """Copies of |00> at the given weights: r = 1, so every factor is one
+    column wide and only the typical sequences cost anything."""
+    return Ensemble(np.array(weights), (basis_pure((2, 2), 0, 0),) * len(weights))
+
+
+def test_a_narrow_factor_is_compressed_once_per_composition_at_most(monkeypatch):
+    # (0.98, 0.01, 0.01) at n = 30: 190,591 typical sequences in 9
+    # compositions, one column wide.  Compressing every 2 r^n = 2 rows took
+    # 381,180 QR calls; whole blocks and QR_ROWS take at most one per
+    # composition and one at the end, per factor
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda *args, **kw: calls.append(args) or qr(*args, **kw))
+    ens = identical_members((0.98, 0.01, 0.01))
+    res = formation_protocol(ensemble_average(ens), ens, 30, 0.5, 0.25)
+    assert res.exact_mode and res.typical_set.num_sequences == 190_591
+    assert res.fid1_holds and res.fid2_holds and res.triangle_holds
+    assert 0 < len(calls) <= 2 * (9 + 1)
+
+
+def test_an_exact_run_groups_its_sequences_once(monkeypatch):
+    # R_t and R_y come from one composition_factor call, one grouping
+    calls = []
+    original = entcost.formation.composition_factor
+    monkeypatch.setattr(entcost.formation, "composition_factor",
+                        lambda blocks, *args: calls.append(len(blocks))
+                        or original(blocks, *args))
+    ens = half_half_ensemble()
+    assert formation_protocol(ensemble_average(ens), ens, 4, 0.5, 0.25).exact_mode
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("n, exact", [(37, True), (38, False)])
+def test_typical_sequences_past_their_work_limit_are_analytic(monkeypatch, n, exact):
+    # identical members at (0.98, 0.01, 0.01), r = 1: the factor work is T
+    # and the blocks' 32 sum (c rows + r^c keep) about 160 n, so 2048 T
+    # decides: 445,629 sequences at n = 37 (9.1e8) and 496,395 at n = 38
+    # (1.02e9).  Grouping and gathering take a few microseconds a sequence
+    class ExactMode(Exception):
+        pass
+
+    def built(*args):
+        raise ExactMode
+
+    monkeypatch.setattr(entcost.formation, "support_factors", built)
+    ens = identical_members((0.98, 0.01, 0.01))
+    if exact:
+        with pytest.raises(ExactMode):
+            formation_protocol(ensemble_average(ens), ens, n, 0.5, 0.25)
+    else:
+        res = formation_protocol(ensemble_average(ens), ens, n, 0.5, 0.25)
+        assert not res.exact_mode and res.typical_set.num_sequences == 496_395
+
+
+def _compressing_cases():
+    rho = sample_density_matrix((2, 2), 4, RandomSource(11))
+    sixteen = eof_optimize(rho, rng=RandomSource(11)).ensemble
+    for n in (1, 2, 3):
+        yield pytest.param(sixteen, n, 0.25, id=f"sixteen-n{n}")
+    for k in (7, 8, 9, 10):
+        rng = RandomSource(k)
+        ens = Ensemble(np.full(k, 1 / k), tuple(sample_pure_state((2, 2), rng.split())
+                                                for _ in range(k)))
+        for n in (2, 3):
+            yield pytest.param(ens, n, 0.0, id=f"uniform{k}-n{n}")
+
+
+@pytest.mark.parametrize("ens, n, delta2", _compressing_cases())
+def test_compressing_the_factors_moves_no_fidelity(monkeypatch, ens, n, delta2):
+    # T > 2 r^n typical sequences: rows compressed every 2 r^n rows
+    # (QR_ROWS = 0), from QR_ROWS on, and only once at the end give the
+    # same fidelities to 1e-14 and the same flags
+    rho = ensemble_average(ens)
+    runs = []
+    for rows in (0, entcost.formation.QR_ROWS, 10 ** 9):
+        monkeypatch.setattr(entcost.formation, "QR_ROWS", rows)
+        runs.append(formation_protocol(rho, ens, n, 0.5, delta2))
+    r = support_basis(rho, ens.states)[0].shape[1]
+    assert runs[0].exact_mode and runs[0].typical_set.num_sequences > 2 * r ** n
+    for res in runs[1:]:
+        for name in ("fid1_fidelity", "fid2_fidelity", "exact_bures"):
+            assert getattr(res, name) == pytest.approx(getattr(runs[0], name),
+                                                       abs=1e-14), name
+        assert ((res.fid1_holds, res.fid2_holds, res.triangle_holds)
+                == (runs[0].fid1_holds, runs[0].fid2_holds, runs[0].triangle_holds))
 
 
 class TestFidelityChain:

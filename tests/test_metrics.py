@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import entcost.metrics
 from entcost.metrics import (
     DistanceReport,
     bures_distance,
@@ -197,11 +198,12 @@ class TestTensorPowerDivergence:
             assert abs(e["direct_fidelity"] - e["fidelity"]) < 1e-8
         assert entries[-1]["bures"] > entries[0]["bures"]
 
-    def test_cross_check_disabled_beyond_cap(self):
+    def test_cross_check_disabled_beyond_cap(self, monkeypatch):
+        monkeypatch.setattr(entcost.metrics, "DIRECT_DIM", 256)
         rng = RandomSource(33)
         a = sample_density_matrix((2, 2), 2, rng.split())
         b = sample_density_matrix((2, 2), 2, rng.split())
-        entries = tensor_power_divergence(a, b, 8, dim_cap=256)
+        entries = tensor_power_divergence(a, b, 8)
         assert entries[3]["direct_fidelity"] is not None   # 4^4 = 256
         assert entries[4]["direct_fidelity"] is None
 
@@ -215,11 +217,12 @@ class TestTensorPowerDivergence:
         assert [e["direct_fidelity"] is not None for e in entries] == (
             [True] * 4 + [False] * 2)
 
-    def test_divergence_approaches_two(self):
+    def test_divergence_approaches_two(self, monkeypatch):
+        monkeypatch.setattr(entcost.metrics, "DIRECT_DIM", 64)
         rng = RandomSource(35)
         a = sample_density_matrix((2, 2), 4, rng.split())
         b = sample_density_matrix((2, 2), 4, rng.split())
-        entries = tensor_power_divergence(a, b, 200, dim_cap=64)
+        entries = tensor_power_divergence(a, b, 200)
         assert entries[-1]["bures"] > 1.9
 
     def test_invalid_k_max(self):
