@@ -35,7 +35,6 @@ from .qcore import (
     StateValidationError,
     binary_entropy,
     entanglement_entropies,
-    pure_entanglement,
     sample_pure_state,
     sample_unitary,
 )
@@ -260,8 +259,8 @@ def _refine(U, B, dA, dB, improvement_tol):
     the better of it and the parabola's minimizer through f(0), f'(0), f(1),
     halved until Armijo holds or the decrease asked for is below rounding.
     The starts stop together ("converged") after `_STALLS` iterations in a
-    row each gaining less than improvement_tol, or once no decrease is
-    found; else at MAX_ITERATIONS ("iteration_cap").
+    row each gaining less than improvement_tol, or once the slope is within
+    16 ulps of the value or no decrease is found; else at MAX_ITERATIONS.
     """
     forms = _pauli_forms(B, dA, dB) if min(dA, dB) == 2 else None
     value, values, g = _objective(U, B, dA, dB, forms)
@@ -284,7 +283,10 @@ def _refine(U, B, dA, dB, improvement_tol):
             # not a descent direction: forget the pairs, take the gradient
             pairs.clear()
             direction, slope = -grad, -_inner(grad, grad)
-        if slope == 0.0:
+        # no trial passes t = 1 (where Armijo fails there, the parabola's step
+        # is below 1/2 and halvings shrink it), so -slope bounds the
+        # first-order decrease of every trial: below 16 ulps none can show
+        if -slope <= 16 * _EPS * abs(value):
             outcome = "converged"
             break
         best = trial(1.0)
@@ -362,15 +364,24 @@ def eof_optimize(rho: QuantumState, ensemble_size=None, restarts=4,
 
     The returned value is always an upper bound on E_f: the achieving ensemble
     is stored and reproduces rho exactly.  `restarts` random isometry starts
-    are refined (`_refine`) as one stack of isometries; the lowest value
-    wins, by more than 4 eps over earlier ones.
+    are refined (`_minimize_rows`) as one stack of isometries; the lowest
+    value wins, by more than 4 eps over earlier ones.  Its ensemble is the
+    rows of weight above 1e-12 of the winner's U B, renormalized.
     The default ensemble size is rank(rho)^2 capped at (dA dB)^2, and
     restarts sqrt(L r d) may not pass qcore.START_CAP.
     """
     if rng is None:
         rng = RandomSource(0)
-    return _minimize_rows(_eigen_rows(rho), rho.dims, ensemble_size,
-                          restarts, rng, improvement_tol)[0]
+    B = _eigen_rows(rho)
+    _, U, records = _minimize_rows(B, rho.dims, ensemble_size, restarts, rng,
+                                   improvement_tol)
+    ensemble = _ensemble_from_rows(U @ B, rho.dims)
+    # report the value the stored ensemble actually achieves
+    value = float(np.dot(ensemble.weights, entanglement_entropies(
+        np.stack([s.vector for s in ensemble.states]), rho.dims)))
+    return EofResult(value, ensemble, len(records),
+                     all(s.outcome != "iteration_cap" for s in records),
+                     tuple(s.value for s in records), records)
 
 
 def _ensemble_size(ensemble_size, r, d):
@@ -380,22 +391,21 @@ def _ensemble_size(ensemble_size, r, d):
 
 def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
                    improvement_tol=DEFAULT_IMPROVEMENT_TOL, warm=None):
-    """`eof_optimize` on the state sum_j |b_j><b_j| of the r x d rows b_j of B.
+    """Minimize sum_i p_i E(psi_i) over the decompositions U B of the state
+    sum_j |b_j><b_j| of the r x d rows b_j of B, U an L x r isometry.
 
     `warm`, an L x r isometry, is refined alone as the "warm" start and sets
     L; without it, `restarts` random starts are drawn and refined as one
     stack of isometries.  Never both: a call with a warm start and random
     ones is a ValueError, and so are random starts whose work
     restarts sqrt(L r d) passes qcore.START_CAP, before any refine.  Returns
-    the EofResult and the isometry U of the winning start, whose rows U B
-    are its ensemble's.  A rank-1 state has the one decomposition W = B.
+    the winner's refine value over all L rows of U B, its U, and a
+    StartRecord per start; no ensemble.  Rank 1 has one: W = B, no start.
     """
     dA, dB = dims
     r, d = B.shape
     if r == 1:
-        psi = PureState(dims, B[0])
-        return (EofResult(pure_entanglement(psi), Ensemble(np.array([1.0]), (psi,)),
-                          0, True, ()), np.ones((1, 1)))
+        return _objective(np.ones((1, 1, 1)), B, dA, dB)[0], np.ones((1, 1)), ()
     restarts = int(restarts)
     if warm is not None:
         if restarts:
@@ -421,14 +431,8 @@ def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
         # a start a few ulps below an earlier one does not displace it
         if value < values[best] - 4 * _EPS * abs(values[best]):
             best = i
-    ensemble = _ensemble_from_rows(U[best] @ B, dims)
-    # report the value the stored ensemble actually achieves
-    value = float(np.dot(ensemble.weights, entanglement_entropies(
-        np.stack([s.vector for s in ensemble.states]), dims)))
-    records = tuple(StartRecord(kind, iterations, evaluations, v, outcome)
-                    for v in values)
-    return (EofResult(value, ensemble, len(records), outcome != "iteration_cap",
-                      tuple(values), records), U[best])
+    return values[best], U[best], tuple(
+        StartRecord(kind, iterations, evaluations, v, outcome) for v in values)
 
 # ---------------------------------------------------------------------------
 # Continuity bound

@@ -111,8 +111,8 @@ def typical_count_windows(p, n, delta1, window="paper"):
 def typical_set(p, n, delta1, window="paper") -> TypicalSet:
     """Every length-n index sequence whose type fits the window, in base-k
     order, as rows of the smallest unsigned dtype that holds k - 1; their
-    weights p_s, products of p_i from the left; and p_T, their sum in order.
-    ValueError once more than qcore.TYPICAL_CAP prefixes fit at one place."""
+    weights p_s, products of p_i from the left; and p_T = math.fsum(p_s).
+    ValueError once fitting prefixes x max(k, 8) pass qcore.TYPICAL_CAP."""
     p = np.asarray(p, dtype=float)
     if abs(p.sum() - 1.0) > 1e-9:
         raise StateValidationError("probabilities must sum to 1")
@@ -135,12 +135,12 @@ def typical_set(p, n, delta1, window="paper") -> TypicalSet:
     digits = np.zeros((1, 0), dtype=np.min_scalar_type(k - 1))
     counts, weights = np.zeros((1, k), dtype=count), np.ones(1)
     for left in range(n - 1, -1, -1):
-        missing = ((lo - np.minimum(counts, lo)).sum(axis=1, dtype=count)[:, None]
-                   - (counts < lo))
-        rows = np.flatnonzero((counts < hi) & (missing <= left))
-        if len(rows) > TYPICAL_CAP:
-            raise ValueError(f"more than {TYPICAL_CAP} typical prefixes to list")
-        prefix, index = np.divmod(rows, k)
+        fits = (((lo - np.minimum(counts, lo)).sum(axis=1, dtype=count)[:, None]
+                 - (counts < lo) <= left) & (counts < hi))
+        if np.count_nonzero(fits) * max(k, 8) > TYPICAL_CAP:
+            raise ValueError(f"more than {TYPICAL_CAP // max(k, 8)} typical "
+                             f"prefixes to list for {k} members")
+        prefix, index = np.divmod(np.flatnonzero(fits), k)
         digits = np.column_stack([digits[prefix], index.astype(digits.dtype)])
         counts = counts[prefix] + np.eye(k, dtype=count)[index]
         weights = weights[prefix] * p[index]
@@ -153,7 +153,7 @@ def typical_set(p, n, delta1, window="paper") -> TypicalSet:
               min(1.0, 2.0 ** (-float(sum(lo * g for (lo, _), g
                                           in zip(windows, logs))))))
     return TypicalSet(n, float(delta1), k, window, len(digits), digits, weights,
-                      float(np.cumsum(weights)[-1]), entropy, bounds, windows)
+                      math.fsum(weights), entropy, bounds, windows)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ EXACT_WORK_CAP = 10 ** 9   # r^n T min(T, r^n) + 2048 T + 32 sum (c rows + r^c k
 DENSE_WORK_CAP = 10 ** 9   # (d^k)^3 of the direct tensor-power fidelity: 4.0 s
 ROW_WORK_CAP = 10 ** 8     # (L_1 r d)^n_max of the deepest warm refine: 3.1 s
 START_CAP = 1024           # restarts sqrt(L r d) of one call's random starts: 1.8 s
-TYPICAL_CAP = 1 << 22      # typical prefixes that fit at one place: 1.1 s
+TYPICAL_CAP = 1 << 25      # prefixes that fit at one place x max(k, 8): 1.1 s
 SPECTRUM_CAP = 1 << 22     # C(c + r - 1, c) c per dilution walk: 1.0 s
 
 

@@ -45,9 +45,10 @@ class Gap(NamedTuple):
 
 @dataclass(frozen=True)
 class RegularizationTrace:
+    """A_n, the gaps, and each step's isometry U_n: n A_n is the value of U_n B_n."""
     entries: tuple                 # TraceEntry per n = 1..n_max
     subadditivity_checks: tuple    # Gap per n <= m with n + m <= n_max
-    ensembles: tuple = field(metadata=INTERNAL)   # best ensemble per n
+    isometries: tuple = field(metadata=INTERNAL)  # winning U_n per n
     caveat: str = field(default=LIMIT_CAVEAT, init=False)
 
     def rate(self, n: int) -> float:
@@ -67,7 +68,9 @@ def regularized_sequence(rho: QuantumState, n_max: int, *,
     It is refined alone: random starts there never ended below it by more
     than 4 eps on the 105 steps of ROADMAP direction 12, and cost most of a
     trace.  Refining only lowers its value, so n A_n <= (n-1) A_(n-1) + A_1
-    up to rounding, A_2 <= A_1 in particular (tested at 1e-9).  ValueError
+    up to rounding, A_2 <= A_1 in particular (tested at 1e-9).  n A_n is the
+    refine's value of the exact decomposition U_n B_n, all rows kept, so an
+    upper bound on E_f(rho^(x)n); steps keep U_n, no ensemble.  ValueError
     when the row work of the deepest step, (L_1 r d)^n_max for the L_1 x r
     isometry on r x d eigen rows, passes qcore.ROW_WORK_CAP, or when the
     single-copy random starts pass qcore.START_CAP.
@@ -82,16 +85,16 @@ def regularized_sequence(rho: QuantumState, n_max: int, *,
     if (L * r * d) ** n_max > ROW_WORK_CAP:
         raise ValueError(f"row work {L * r * d}^{n_max} exceeds "
                          f"the limit {ROW_WORK_CAP:.0e}")
-    res, U1 = _minimize_rows(B1, rho.dims, ensemble_size,
-                             max(int(restarts), 1), rng.split())
-    entries = [TraceEntry(1, res.value, warm_started=False)]
-    ensembles = [res.ensemble]
+    value, U1, _ = _minimize_rows(B1, rho.dims, ensemble_size,
+                                  max(int(restarts), 1), rng.split())
+    entries = [TraceEntry(1, value, warm_started=False)]
+    isometries = [U1]
     B, dims, U = B1, rho.dims, U1
     for n in range(2, n_max + 1):
         B, dims = tensor_rows(B, dims, B1, rho.dims)
-        res, U = _minimize_rows(B, dims, None, 0, rng, warm=np.kron(U, U1))
-        entries.append(TraceEntry(n, res.value / n, warm_started=True))
-        ensembles.append(res.ensemble)
+        value, U, _ = _minimize_rows(B, dims, None, 0, rng, warm=np.kron(U, U1))
+        entries.append(TraceEntry(n, value / n, warm_started=True))
+        isometries.append(U)
 
     checks = []
     for n in range(1, n_max + 1):
@@ -101,7 +104,7 @@ def regularized_sequence(rho: QuantumState, n_max: int, *,
                 a_m = m * entries[m - 1].rate
                 a_nm = (n + m) * entries[n + m - 1].rate
                 checks.append(Gap(n, m, float(a_n + a_m - a_nm)))
-    return RegularizationTrace(tuple(entries), tuple(checks), tuple(ensembles))
+    return RegularizationTrace(tuple(entries), tuple(checks), tuple(isometries))
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,8 @@ def fekete_check(trace: RegularizationTrace, c: float) -> FeketeReport:
 
 @dataclass(frozen=True)
 class CostBracket:
+    """Refine values over all rows of U_n B_n: `achievable_rate` counts rows
+    of weight at most 1e-12, which the ensemble `eof` prints drops."""
     upper_on_regularized: float    # min over computed A_n
     achievable_rate: float         # A_1 = E_f(rho): protocol-achievable cost
     n_max: int

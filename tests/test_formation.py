@@ -106,16 +106,15 @@ def pairs(tset):
 
 def scanned_typical_set(p, n, delta1, window):
     """Brute-force reference: (sequences, p_T) from a scan of all k^n
-    sequences in product order, each weighed on its own and summed in turn."""
+    sequences in product order, each weighed on its own; p_T is their
+    correctly rounded sum, which no summation order changes."""
     p = np.asarray(p, dtype=float)
     windows = typical_count_windows(p, n, delta1, window)
-    sequences, total = [], 0.0
+    sequences = []
     for seq in itertools.product(range(p.size), repeat=n):
         if all(lo <= seq.count(i) <= hi for i, (lo, hi) in enumerate(windows)):
-            ps = float(np.prod(p[list(seq)]))
-            sequences.append((seq, ps))
-            total += ps
-    return tuple(sequences), total
+            sequences.append((seq, float(np.prod(p[list(seq)]))))
+    return tuple(sequences), math.fsum(ps for _, ps in sequences)
 
 
 class TestTypicalSet:
@@ -883,6 +882,17 @@ def test_an_exact_run_groups_its_sequences_once(monkeypatch):
     ens = half_half_ensemble()
     assert formation_protocol(ensemble_average(ens), ens, 4, 0.5, 0.25).exact_mode
     assert calls == [2]
+
+
+def test_a_narrow_run_has_unit_fidelities():
+    # (0.98, 0.01, 0.01) of |00> at n = 30: rho_T is rho^(x)n, so both
+    # fidelities are 1, up to the rounding of p_T; summed one by one over the
+    # 190,591 weights, p_T put them 6863 and 13,726 eps above 1
+    ens = identical_members((0.98, 0.01, 0.01))
+    res = formation_protocol(ensemble_average(ens), ens, 30, 0.5, 0.25)
+    eps = np.finfo(float).eps
+    assert abs(res.fid1_fidelity - 1.0) <= 4 * eps
+    assert abs(res.fid2_fidelity - 1.0) <= 4 * eps
 
 
 @pytest.mark.parametrize("n, exact", [(37, True), (38, False)])

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 import entcost.eof
+import entcost.qcore
 import entcost.regcost
-from entcost.eof import _eigen_rows, _minimize_rows, eof_two_qubit_closed_form
+from entcost.eof import (
+    _eigen_rows,
+    _ensemble_from_rows,
+    _minimize_rows,
+    _objective,
+    eof_two_qubit_closed_form,
+)
 from entcost.qcore import (
     Ensemble,
     PureState,
@@ -45,6 +52,15 @@ def row_mixture(rows):
     return rows.T @ rows.conj()
 
 
+def regularize_n2_corpus():
+    """(rho, CLI seed) of the 26 items of the regularize-n2 benchmark corpus
+    at seed 1."""
+    rng = RandomSource(1)
+    cli_seeds = rng.split().gen.integers(0, 2 ** 31, size=26).tolist()
+    return [(sample_density_matrix((2, 2), 2, rng.split()), seed)
+            for seed in cli_seeds]
+
+
 def test_product_ensemble_realizes_tensor_product():
     # the product ensemble's rows are the tensor_rows of the two ensembles' rows
     e1 = Ensemble(np.array([0.6, 0.4]),
@@ -73,19 +89,22 @@ def test_kronecker_rows_realize_tensor_power(dims):
 
 def test_warm_rows_are_the_product_ensemble():
     # (U (x) U1)(B (x) B1) = (U B) (x) (U1 B1): the warm start's rows are the
-    # tensor_pure products of the two ensembles' members, weights multiplied
+    # tensor_pure products of the two ensembles' members, weights multiplied,
+    # each ensemble built from its isometry's rows as eof_optimize builds it
     rho = sample_density_matrix((2, 3), 2, RandomSource(11))
     B1 = _eigen_rows(rho)
-    res1, U1 = _minimize_rows(B1, rho.dims, None, 1, RandomSource(0))
+    _, U1, _ = _minimize_rows(B1, rho.dims, None, 1, RandomSource(0))
     B2, dims2 = tensor_rows(B1, rho.dims, B1, rho.dims)
-    res2, U2 = _minimize_rows(B2, dims2, None, 0, RandomSource(0),
+    _, U2, _ = _minimize_rows(B2, dims2, None, 0, RandomSource(0),
                               warm=np.kron(U1, U1))
-    assert len(res1.ensemble) == len(U1) and len(res2.ensemble) == len(U2)
+    ens1 = _ensemble_from_rows(U1 @ B1, rho.dims)
+    ens2 = _ensemble_from_rows(U2 @ B2, dims2)
+    assert len(ens1) == len(U1) and len(ens2) == len(U2)
     B3, dims3 = tensor_rows(B2, dims2, B1, rho.dims)
     warm_rows = np.kron(U2, U1) @ B3
     expect = [np.sqrt(p * q) * tensor_pure(s, t).vector
-              for p, s in zip(res2.ensemble.weights, res2.ensemble.states)
-              for q, t in zip(res1.ensemble.weights, res1.ensemble.states)]
+              for p, s in zip(ens2.weights, ens2.states)
+              for q, t in zip(ens1.weights, ens1.states)]
     assert dims3 == (8, 27)
     assert np.abs(warm_rows - np.array(expect)).max() < 1e-12
 
@@ -103,9 +122,9 @@ def test_random_starts_never_beat_the_warm_start(rank, n):
         B, dims = B1, rho.dims
         for _ in range(n - 1):
             B, dims = tensor_rows(B, dims, B1, rho.dims)
-        cold, _ = _minimize_rows(B, dims, rank ** n, 2, RandomSource(seed))
-        assert [r.kind for r in cold.starts] == ["random"] * 2
-        assert cold.value >= n * trace.rate(n) - 1e-9, (rank, n, seed)
+        cold, _, starts = _minimize_rows(B, dims, rank ** n, 2, RandomSource(seed))
+        assert [r.kind for r in starts] == ["random"] * 2
+        assert cold >= n * trace.rate(n) - 1e-9, (rank, n, seed)
 
 
 class TestRegularizedSequence:
@@ -129,10 +148,7 @@ class TestRegularizedSequence:
         # the warm start is the Kronecker square of the single-copy isometry,
         # so A_2 <= A_1 holds up to rounding, within the benchmark's bound of
         # 1e-9
-        rng = RandomSource(1)
-        cli_seeds = rng.split().gen.integers(0, 2 ** 31, size=26).tolist()
-        for i, seed in enumerate(cli_seeds):
-            rho = sample_density_matrix((2, 2), 2, rng.split())
+        for i, (rho, seed) in enumerate(regularize_n2_corpus()):
             trace = regularized_sequence(rho, 2, rng=RandomSource(seed),
                                          restarts=0, ensemble_size=3)
             a1, a2 = trace.rate(1), trace.rate(2)
@@ -142,6 +158,59 @@ class TestRegularizedSequence:
             (n, m, gap), = trace.subadditivity_checks
             assert (n, m) == (1, 1)
             assert gap == pytest.approx(a1 + a1 - 2 * a2, abs=1e-12)
+
+    def test_a_step_stationary_to_rounding_stops_at_once(self):
+        # corpus items whose n = 2 step gains under 1e-14: the warm start's
+        # slope is within 16 ulps of its value, so the refine stops after at
+        # most one trial, where a stop at a zero slope took 4-7 evaluations
+        corpus = regularize_n2_corpus()
+        for i in (1, 7, 14, 15, 19):
+            rho, seed = corpus[i]
+            rng = RandomSource(seed)
+            B1 = _eigen_rows(rho)
+            _, U1, _ = _minimize_rows(B1, rho.dims, 3, 1, rng.split())
+            B2, dims2 = tensor_rows(B1, rho.dims, B1, rho.dims)
+            warm = np.kron(U1, U1)
+            start = _objective(warm[None], B2, *dims2)[0]
+            value, _, (record,) = _minimize_rows(B2, dims2, None, 0, rng,
+                                                 warm=warm)
+            assert record.outcome == "converged" and record.evaluations <= 2, i
+            assert abs(value - start) <= 1e-14, i
+
+    def test_steps_build_no_ensemble(self, monkeypatch):
+        # a step keeps its isometry and its refine value: no PureState,
+        # Ensemble or entanglement_entropies call, at rank 2 or rank 1
+        states = [sample_density_matrix((2, 2), 2, RandomSource(1)),
+                  partially_entangled().to_state()]
+        calls = []
+        for module in (entcost.eof, entcost.qcore):
+            for name in ("PureState", "Ensemble", "entanglement_entropies"):
+                monkeypatch.setattr(module, name,
+                                    lambda *a, name=name, f=getattr(module, name):
+                                        calls.append(name) or f(*a))
+        for rho in states:
+            trace = regularized_sequence(rho, 3, rng=RandomSource(0), restarts=1)
+            assert len(trace.isometries) == 3
+        assert calls == []
+        # the counters do see the ensemble eof_optimize builds
+        entcost.eof.eof_optimize(states[0], restarts=1, rng=RandomSource(0))
+        assert set(calls) == {"PureState", "Ensemble", "entanglement_entropies"}
+
+    def test_rates_are_the_refine_values(self, monkeypatch):
+        # n A_n is the value _minimize_rows returns at step n, and the trace
+        # keeps that step's isometry
+        returned = []
+        minimize = entcost.regcost._minimize_rows
+        monkeypatch.setattr(entcost.regcost, "_minimize_rows",
+                            lambda *a, **kw: returned.append(minimize(*a, **kw))
+                            or returned[-1])
+        rho = sample_density_matrix((2, 2), 3, RandomSource(5))
+        trace = regularized_sequence(rho, 3, rng=RandomSource(0), restarts=2,
+                                     ensemble_size=4)
+        assert len(returned) == 3
+        for n, (value, U, _) in enumerate(returned, start=1):
+            assert trace.rate(n) == value / n
+            assert trace.isometries[n - 1] is U
 
     def test_rates_to_n4_match_the_closed_form(self):
         # the state of the ROADMAP's trace timings: every A_n equals E_f(rho),
