@@ -27,7 +27,14 @@ Layers, at dims (2, 2) and (4, 4):
 - one step of the regularization trace at n = 3 and n = 4: the warm start
   alone on the Kronecker rows, as `regularized_sequence` runs every step
   past n = 1, with its iterations and evaluations in `extra_info` (0 / 1 at
-  both, where a stop at a zero slope took 2 / 6).
+  both, where a stop at a zero slope took 2 / 6);
+- the A_2 steps of the 26 regularize-n2 items at seed 1 (its states, CLI
+  seeds, `--ensemble-size 3` and `--restarts 1`), one pass, each warm
+  start refined as `regularized_sequence` refines it, with their summed
+  iterations and evaluations in `extra_info`: 19 / 45, where the stall and
+  rounding stops alone took 71 / 104.  Most of these warm starts have a
+  Riemannian gradient within the default tol and stop at their first
+  evaluation.
 
 The inputs mirror the benchmark workloads: a rank-3 two-qubit state with five
 rows (eof-qubit), and the square of a rank-2 two-qubit state, dims (4, 4),
@@ -161,3 +168,29 @@ def test_trace_step(benchmark, n):
     assert start.kind == "warm" and len(warm) == 4 ** n
     benchmark.extra_info.update(iterations=start.iterations,
                                 evaluations=start.evaluations)
+
+
+def _corpus_steps():
+    """(B_2, dims, rng, warm) of the A_2 step of each regularize-n2 item at
+    seed 1, as `regularized_sequence` builds it from the item's CLI seed."""
+    rng = RandomSource(1)
+    cli_seeds = rng.split().gen.integers(0, 2 ** 31, size=26).tolist()
+    steps = []
+    for seed in cli_seeds:
+        B1 = _eigen_rows(sample_density_matrix((2, 2), 2, rng.split()))
+        item_rng = RandomSource(seed)
+        _, U1, _ = _minimize_rows(B1, (2, 2), 3, 1, item_rng.split())
+        B2, dims2 = tensor_rows(B1, (2, 2), B1, (2, 2))
+        steps.append((B2, dims2, item_rng, np.kron(U1, U1)))
+    return steps
+
+
+def test_regularize_n2_steps(benchmark):
+    steps = _corpus_steps()
+    records = benchmark(lambda: [
+        _minimize_rows(B, dims, None, 0, rng, warm=warm)[2][0]
+        for B, dims, rng, warm in steps])
+    assert len(records) == 26 and {r.kind for r in records} == {"warm"}
+    benchmark.extra_info.update(
+        iterations=sum(r.iterations for r in records),
+        evaluations=sum(r.evaluations for r in records))

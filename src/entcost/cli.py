@@ -280,8 +280,10 @@ def build_parser():
     p.add_argument("--tol", type=_POSITIVE_FLOAT,
                    default=DEFAULT_IMPROVEMENT_TOL,
                    help="per-iteration improvement tolerance in ebits: starts "
-                        "refined together stop together after five iterations "
-                        "in a row whose summed gain is below it")
+                        "refined together stop together once their Riemannian "
+                        "gradient norm is within it, tested before the first "
+                        "iteration and after each iteration whose summed gain "
+                        "is below it, or after five such iterations in a row")
     common(p)
 
     p = sub.add_parser("metrics", help="fidelity, Bures and trace distance report")

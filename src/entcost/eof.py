@@ -258,9 +258,11 @@ def _refine(U, B, dA, dB, improvement_tol):
     retracts U + t D.  The line search keeps t = 1 if it meets Armijo, else
     the better of it and the parabola's minimizer through f(0), f'(0), f(1),
     halved until Armijo holds or the decrease asked for is below rounding.
-    The starts stop together ("converged") after `_STALLS` iterations in a
-    row each gaining less than improvement_tol, or once the slope is within
-    16 ulps of the value or no decrease is found; else at MAX_ITERATIONS.
+    The starts stop together ("converged") once the Riemannian gradient norm
+    is at most improvement_tol, tested before the first iteration and after
+    each iteration gaining less than improvement_tol; after `_STALLS` such
+    iterations in a row; or once the slope is within 16 ulps of the value or
+    no decrease is found; else at MAX_ITERATIONS.
     """
     forms = _pauli_forms(B, dA, dB) if min(dA, dB) == 2 else None
     value, values, g = _objective(U, B, dA, dB, forms)
@@ -283,6 +285,17 @@ def _refine(U, B, dA, dB, improvement_tol):
             # not a descent direction: forget the pairs, take the gradient
             pairs.clear()
             direction, slope = -grad, -_inner(grad, grad)
+        # at the start, or after a stalled iteration, a Riemannian gradient
+        # within improvement_tol ends the refine: in the optimizer's quartic
+        # valleys the excess left at gradient norm g is about |g|^(4/3)
+        # (ROADMAP Baseline), so below improvement_tol^(4/3), far less than
+        # the gain each of the remaining stalls may make.  The first
+        # direction is -grad, so there -slope is already |grad|^2
+        if not iterations or stalls:
+            norm2 = _inner(grad, grad) if iterations else -slope
+            if norm2 <= improvement_tol ** 2:
+                outcome = "converged"
+                break
         # no trial passes t = 1 (where Armijo fails there, the parabola's step
         # is below 1/2 and halvings shrink it), so -slope bounds the
         # first-order decrease of every trial: below 16 ulps none can show
@@ -398,9 +411,12 @@ def _minimize_rows(B, dims, ensemble_size, restarts, rng: RandomSource,
     L; without it, `restarts` random starts are drawn and refined as one
     stack of isometries.  Never both: a call with a warm start and random
     ones is a ValueError, and so are random starts whose work
-    restarts sqrt(L r d) passes qcore.START_CAP, before any refine.  Returns
-    the winner's refine value over all L rows of U B, its U, and a
-    StartRecord per start; no ensemble.  Rank 1 has one: W = B, no start.
+    restarts sqrt(L r d) passes qcore.START_CAP, before any refine.  A stack
+    whose Riemannian gradient norm is within improvement_tol is returned as
+    given, after one evaluation and no iteration (`_refine`'s gradient
+    stop), as most of a trace's warm starts are.  Returns the winner's
+    refine value over all L rows of U B, its U, and a StartRecord per start;
+    no ensemble.  Rank 1 has one: W = B, no start.
     """
     dA, dB = dims
     r, d = B.shape

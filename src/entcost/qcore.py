@@ -232,11 +232,24 @@ def entanglement_entropies(vectors, dims) -> np.ndarray:
 
 
 def ensemble_average(ensemble: Ensemble) -> QuantumState:
-    """The density matrix sum_i p_i |psi_i><psi_i| realized by the ensemble."""
-    acc = np.zeros((ensemble.states[0].dim,) * 2, dtype=complex)
-    for p, s in zip(ensemble.weights, ensemble.states):
-        acc += p * s.density_matrix()
-    return QuantumState(ensemble.dims, acc)
+    """The density matrix sum_i p_i |psi_i><psi_i| realized by the ensemble.
+
+    The terms p_i |psi_i><psi_i| are formed as one stack per block of members
+    (at most 2^16 entries) and summed over the leading axis, which numpy adds
+    in order, so the sum is rounded exactly as a member-by-member loop
+    rounds it.  A matrix product would round it differently, and the exact
+    formation fidelities follow rho to the last bits.
+    """
+    V = np.stack([s.vector for s in ensemble.states])
+    w = ensemble.weights
+    d = V.shape[1]
+    step = max(1, 2 ** 16 // (d * d))
+    acc = np.zeros((1, d, d), dtype=complex)
+    for i in range(0, len(V), step):
+        b = slice(i, i + step)
+        terms = w[b, None, None] * (V[b, :, None] * V[b, None, :].conj())
+        acc = np.concatenate((acc, terms)).sum(axis=0, keepdims=True)
+    return QuantumState(ensemble.dims, acc[0])
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,14 @@ eof_optimize = product_ensemble = tensor_product = tensor_pure = None
 
 @dataclass(frozen=True)
 class TraceEntry:
+    """A_n and its step's refine work: deterministic counters of the one
+    stack the step refines (its `StartRecord`s share them), 0 and 0 at rank
+    1, where no start is refined."""
     n: int
     rate: float          # A_n = E_f(rho^(x)n)/n in ebits
     warm_started: bool
+    iterations: int      # L-BFGS iterations of the step's refine
+    evaluations: int     # its objective evaluations, value and gradient each
 
 
 class Gap(NamedTuple):
@@ -55,6 +60,12 @@ class RegularizationTrace:
         return self.entries[n - 1].rate
 
 
+def _entry(n, rate, warm_started, records):
+    """The TraceEntry of a step from the StartRecords of its one stack."""
+    work = (records[0].iterations, records[0].evaluations) if records else (0, 0)
+    return TraceEntry(n, rate, warm_started, *work)
+
+
 def regularized_sequence(rho: QuantumState, n_max: int, *,
                          rng: RandomSource | None = None,
                          restarts=2, ensemble_size=None) -> RegularizationTrace:
@@ -70,10 +81,12 @@ def regularized_sequence(rho: QuantumState, n_max: int, *,
     trace.  Refining only lowers its value, so n A_n <= (n-1) A_(n-1) + A_1
     up to rounding, A_2 <= A_1 in particular (tested at 1e-9).  n A_n is the
     refine's value of the exact decomposition U_n B_n, all rows kept, so an
-    upper bound on E_f(rho^(x)n); steps keep U_n, no ensemble.  ValueError
-    when the row work of the deepest step, (L_1 r d)^n_max for the L_1 x r
-    isometry on r x d eigen rows, passes qcore.ROW_WORK_CAP, or when the
-    single-copy random starts pass qcore.START_CAP.
+    upper bound on E_f(rho^(x)n); steps keep U_n, no ensemble.  Each entry
+    carries its step's iterations and evaluations; a warm start whose
+    gradient is already within the refine's tolerance takes 0 and 1.
+    ValueError when the row work of the deepest step, (L_1 r d)^n_max for
+    the L_1 x r isometry on r x d eigen rows, passes qcore.ROW_WORK_CAP, or
+    when the single-copy random starts pass qcore.START_CAP.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -85,15 +98,16 @@ def regularized_sequence(rho: QuantumState, n_max: int, *,
     if (L * r * d) ** n_max > ROW_WORK_CAP:
         raise ValueError(f"row work {L * r * d}^{n_max} exceeds "
                          f"the limit {ROW_WORK_CAP:.0e}")
-    value, U1, _ = _minimize_rows(B1, rho.dims, ensemble_size,
-                                  max(int(restarts), 1), rng.split())
-    entries = [TraceEntry(1, value, warm_started=False)]
+    value, U1, records = _minimize_rows(B1, rho.dims, ensemble_size,
+                                        max(int(restarts), 1), rng.split())
+    entries = [_entry(1, value, False, records)]
     isometries = [U1]
     B, dims, U = B1, rho.dims, U1
     for n in range(2, n_max + 1):
         B, dims = tensor_rows(B, dims, B1, rho.dims)
-        value, U, _ = _minimize_rows(B, dims, None, 0, rng, warm=np.kron(U, U1))
-        entries.append(TraceEntry(n, value / n, warm_started=True))
+        value, U, records = _minimize_rows(B, dims, None, 0, rng,
+                                           warm=np.kron(U, U1))
+        entries.append(_entry(n, value / n, True, records))
         isometries.append(U)
 
     checks = []

@@ -143,6 +143,21 @@ class TestEnsemble:
         avg = ensemble_average(ens)
         assert np.allclose(avg.matrix, np.diag([0.7, 0.0, 0.0, 0.3]))
 
+    @pytest.mark.parametrize("members, dims", [(3, (2, 2)), (5000, (2, 2)),
+                                              (20, (8, 8))])
+    def test_average_rounds_as_the_member_loop(self, members, dims):
+        # the stacked terms, one or more blocks of them, sum to the matrix a
+        # loop over the members gives, bit for bit
+        rng = RandomSource(members)
+        w = rng.gen.random(members)
+        ens = Ensemble(w / w.sum(), tuple(sample_pure_state(dims, rng.split())
+                                          for _ in range(members)))
+        acc = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
+        for p, s in zip(ens.weights, ens.states):
+            acc += p * s.density_matrix()
+        expect = QuantumState(dims, acc).matrix
+        assert np.array_equal(ensemble_average(ens).matrix, expect)
+
     def test_prunes_tiny_weights(self):
         states = (basis_pure((2, 2), 0, 0), basis_pure((2, 2), 1, 1),
                   basis_pure((2, 2), 0, 1))

@@ -7,10 +7,14 @@ import entcost.eof
 import entcost.qcore
 import entcost.regcost
 from entcost.eof import (
+    DEFAULT_IMPROVEMENT_TOL,
+    _EPS,
     _eigen_rows,
     _ensemble_from_rows,
+    _inner,
     _minimize_rows,
     _objective,
+    _tangent,
     eof_two_qubit_closed_form,
 )
 from entcost.qcore import (
@@ -134,6 +138,8 @@ class TestRegularizedSequence:
         assert trace.rate(1) == pytest.approx(1.0, abs=1e-12)
         assert trace.rate(2) == pytest.approx(1.0, abs=1e-12)
         assert [e.warm_started for e in trace.entries] == [False, True]
+        # rank 1: no start is refined
+        assert [(e.iterations, e.evaluations) for e in trace.entries] == [(0, 0)] * 2
 
     def test_pure_state_rate_is_reduction_entropy(self):
         rho = partially_entangled().to_state()
@@ -177,6 +183,56 @@ class TestRegularizedSequence:
             assert record.outcome == "converged" and record.evaluations <= 2, i
             assert abs(value - start) <= 1e-14, i
 
+    def test_a_warm_start_within_the_gradient_tolerance_is_not_iterated(self):
+        # corpus items whose warm start has a Riemannian gradient below the
+        # default tol but above the rounding stop's sqrt(16 eps |value|): the
+        # gradient stop ends the refine before its first trial, where five
+        # stalled iterations (6 evaluations) ended it before
+        corpus = regularize_n2_corpus()
+        for i in (0, 10, 18):
+            rho, seed = corpus[i]
+            rng = RandomSource(seed)
+            B1 = _eigen_rows(rho)
+            _, U1, _ = _minimize_rows(B1, rho.dims, 3, 1, rng.split())
+            B2, dims2 = tensor_rows(B1, rho.dims, B1, rho.dims)
+            warm = np.kron(U1, U1)
+            start, _, g = _objective(warm[None], B2, *dims2)
+            grad = _tangent(warm[None], g)
+            norm = np.sqrt(_inner(grad, grad))
+            assert np.sqrt(16 * _EPS * start) < norm <= DEFAULT_IMPROVEMENT_TOL, i
+            value, _, (record,) = _minimize_rows(B2, dims2, None, 0, rng,
+                                                 warm=warm)
+            assert (record.iterations, record.evaluations) == (0, 1), i
+            assert record.outcome == "converged" and value == start, i
+
+    def test_the_corpus_n2_steps_make_at_most_60_evaluations(self):
+        # a deterministic work count: the n = 2 steps of the 26 corpus items
+        # made 104 evaluations when only the stall and rounding rules
+        # stopped them (100 through the CLI, whose states pass through a
+        # file); the gradient stop brings them to 45 either way
+        total = 0
+        for rho, seed in regularize_n2_corpus():
+            trace = regularized_sequence(rho, 2, rng=RandomSource(seed),
+                                         restarts=1, ensemble_size=3)
+            total += trace.entries[1].evaluations
+        assert total <= 60
+
+    def test_default_tol_rates_stay_at_the_closed_form(self):
+        # every A_1 and A_2 at the default tol lies within 1e-6 above E_f and
+        # never below it beyond rounding, on the 26 corpus states and on
+        # ROADMAP Baseline's rank-2 and rank-3 states; its rank-4 states end
+        # up to 7.5e-6 above E_f, with or without the gradient stop, which
+        # is ROADMAP direction 12's stall residue
+        states = [(rho, seed, 3) for rho, seed in regularize_n2_corpus()]
+        states += [(sample_density_matrix((2, 2), rank, RandomSource(500 + seed)),
+                    seed, None) for rank in (2, 3) for seed in (1, 2, 3)]
+        for rho, seed, size in states:
+            trace = regularized_sequence(rho, 2, rng=RandomSource(seed),
+                                         restarts=2, ensemble_size=size)
+            oracle = eof_two_qubit_closed_form(rho)
+            for e in trace.entries:
+                assert -1e-12 <= e.rate - oracle <= 1e-6, (seed, e.n, e.rate, oracle)
+
     def test_steps_build_no_ensemble(self, monkeypatch):
         # a step keeps its isometry and its refine value: no PureState,
         # Ensemble or entanglement_entropies call, at rank 2 or rank 1
@@ -208,9 +264,13 @@ class TestRegularizedSequence:
         trace = regularized_sequence(rho, 3, rng=RandomSource(0), restarts=2,
                                      ensemble_size=4)
         assert len(returned) == 3
-        for n, (value, U, _) in enumerate(returned, start=1):
+        for n, (value, U, records) in enumerate(returned, start=1):
             assert trace.rate(n) == value / n
             assert trace.isometries[n - 1] is U
+            # the entry carries its step's work, which its records share
+            entry = trace.entries[n - 1]
+            assert {(r.iterations, r.evaluations) for r in records} == {
+                (entry.iterations, entry.evaluations)}
 
     def test_rates_to_n4_match_the_closed_form(self):
         # the state of the ROADMAP's trace timings: every A_n equals E_f(rho),

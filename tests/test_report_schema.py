@@ -96,7 +96,8 @@ def test_regularize(tmp_path):
     assert set(trace) == {"entries", "subadditivity_checks", "caveat"}
     assert len(trace["entries"]) == 2
     for entry in trace["entries"]:
-        assert set(entry) == {"n", "rate", "warm_started"}
+        assert set(entry) == {"n", "rate", "warm_started", "iterations",
+                              "evaluations"}
     assert len(trace["subadditivity_checks"]) == 1
     for check in trace["subadditivity_checks"]:
         assert set(check) == {"n", "m", "gap"}
