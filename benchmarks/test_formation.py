@@ -135,20 +135,19 @@ def _ensemble(case):
 
 @functools.cache
 def _protocol_inputs(case):
-    """rho, ensemble, typical set, Schmidt decompositions, kept-term
-    selection (walk included), support basis and unit-trace factors, with
-    delta2 = 0.25 as the formation-exact items."""
+    """Ensemble, typical set, Schmidt decompositions, kept-term selection
+    (walk included), support basis and unit-trace factors, with delta2 = 0.25
+    as the formation-exact items."""
     ens, n, delta1 = _ensemble(case)
-    rho = ensemble_average(ens)
     tset = typical_set(ens.weights, n, delta1)
     plan = dilution_plan(ens, tset, 0.25)
     schmidt = [_schmidt(psi) for psi in ens.states]
     kept = lambda i, c: _kept_terms(schmidt[i][1].size, *_truncation(
         _ranked_patterns(schmidt[i][1], c), plan.entries[i].singlets)[::2])
-    support = support_basis(rho, ens.states)
-    lam_n, r_t, r_y = support_factors(rho, ens, tset, schmidt, kept, support)
+    support = support_basis(ensemble_average(ens), ens.states)
+    lam_n, r_t, r_y = support_factors(ens, tset, schmidt, kept, support)
     scale = 1.0 / np.sqrt(tset.total_weight)
-    return rho, ens, tset, schmidt, kept, support, lam_n, r_t * scale, r_y * scale
+    return ens, tset, schmidt, kept, support, lam_n, r_t * scale, r_y * scale
 
 
 CASES = ["ens3-n4", "sixteen-n3", "criterion6-n10", "identical-n30"]
@@ -156,9 +155,8 @@ CASES = ["ens3-n4", "sixteen-n3", "criterion6-n10", "identical-n30"]
 
 @pytest.mark.parametrize("case", CASES)
 def test_factor_build(benchmark, case):
-    rho, ens, tset, schmidt, kept, support, *_ = _protocol_inputs(case)
-    lam_n, r_t, r_y = benchmark(support_factors, rho, ens, tset, schmidt, kept,
-                                support)
+    ens, tset, schmidt, kept, support, *_ = _protocol_inputs(case)
+    lam_n, r_t, r_y = benchmark(support_factors, ens, tset, schmidt, kept, support)
     assert r_t.shape[1] == r_y.shape[1] == lam_n.size
 
 

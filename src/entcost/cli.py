@@ -105,8 +105,8 @@ def _resolve_seed(args):
 def _load(path):
     try:
         return load_state(path)
-    except FileNotFoundError as exc:
-        raise InputError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
     except (ValueError, KeyError, TypeError, StateValidationError) as exc:
         raise InputError(f"failed to load {path}: {exc}") from exc
 
@@ -209,19 +209,18 @@ def _cmd_formation(args):
     seed = _resolve_seed(args)
     obj = _load(args.state)
     with _library_input_checks():
-        if isinstance(obj, Ensemble):
-            ensemble = obj
-            rho = ensemble_average(ensemble)
-        else:
-            rho = _as_density(obj)
-            ensemble = eof_optimize(rho, restarts=args.restarts,
+        # the protocol's state is its ensemble's average: a density input
+        # is first optimized into an ensemble
+        ensemble = obj
+        if not isinstance(obj, Ensemble):
+            ensemble = eof_optimize(_as_density(obj), restarts=args.restarts,
                                     rng=RandomSource(seed)).ensemble
-        res = formation_protocol(rho, ensemble, args.n, args.delta1,
-                                 args.delta2, window=args.window)
+        res = formation_protocol(ensemble, args.n, args.delta1, args.delta2,
+                                 window=args.window)
     _emit(_envelope(seed, args, res), args.output)
     if args.csv:
         # the sweep's last row is the run reported above
-        runs = [formation_protocol(rho, ensemble, n, args.delta1, args.delta2,
+        runs = [formation_protocol(ensemble, n, args.delta1, args.delta2,
                                    window=args.window) for n in range(1, args.n)]
         rows = [(r.n, r.m, r.rate, r.eps1, r.eps3, r.bures_bound,
                  r.exact_bures if r.exact_bures is not None else "")
@@ -347,10 +346,7 @@ def main(argv=None):
     handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
     try:
         return handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except StateValidationError as exc:
+    except (InputError, StateValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

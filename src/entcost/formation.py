@@ -1,9 +1,9 @@
 """Exact small-n simulation of the constructive formation protocol.
 
-Given an ensemble {p_i, psi_i} realizing rho, the protocol keeps only the
-strongly typical sequences of ensemble members, prepares each typical
-product state by entanglement dilution (the 2^budget heaviest Kronecker
-products of each member's own Schmidt vectors), and mixes the diluted states.
+Given an ensemble {p_i, psi_i} whose average is the state rho, the protocol
+keeps only the strongly typical sequences of ensemble members, prepares each
+typical product state by entanglement dilution (the 2^budget heaviest
+Kronecker products of each member's own Schmidt vectors), and mixes them.
 At desk scale everything is computed exactly, so the fidelity chain
 
     F(rho^(x)n, rho_T) >= sqrt(1 - eps1)
@@ -341,9 +341,10 @@ def _kron_columns(x, terms, amplitudes):
     return cols
 
 
-def support_factors(rho: QuantumState, ensemble: Ensemble, tset, schmidt, kept, support):
+def support_factors(ensemble: Ensemble, tset, schmidt, kept, support):
     """(lam_n, R_t, R_y): the factors of rho^(x)n, rho_T and rho'_T in
-    coordinates of span(E)^(x)n, `support` = (E, sqrt(lam)) from `support_basis`.
+    coordinates of span(E)^(x)n, `support` = (E, sqrt(lam)) from `support_basis`
+    of rho, the ensemble's average.
 
     rho^(x)n is diag(lam_n)^2, lam_n = sqrt(lam)^(x)n.  R_t and R_y are the
     `composition_factor`s of the typical set `tset` with undiluted blocks
@@ -358,7 +359,7 @@ def support_factors(rho: QuantumState, ensemble: Ensemble, tset, schmidt, kept, 
     dim, to_basis = basis.shape[1], basis.conj().T
     coords = to_basis @ np.stack([psi.vector for psi in ensemble.states], axis=1)
     # column j of member i's pairs: the coordinates of u_j (x) vh_j
-    pairs = [to_basis @ (u[:, None, :] * vh.T[None]).reshape(rho.dim, -1)
+    pairs = [to_basis @ (u[:, None, :] * vh.T[None]).reshape(basis.shape[0], -1)
              for u, _, vh in schmidt]
 
     def diluted(i, count):
@@ -427,10 +428,10 @@ class FormationResult:
     typical_set: TypicalSet
 
 
-def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
-                       delta1: float, delta2: float, *,
-                       window="paper") -> FormationResult:
-    """Run the typical-set formation protocol for rho^(x)n and account its cost.
+def formation_protocol(ensemble: Ensemble, n: int, delta1: float,
+                       delta2: float, *, window="paper") -> FormationResult:
+    """Run the typical-set formation protocol for rho^(x)n and account its
+    cost, rho being the ensemble's average.
 
     eps2 is the worst dilution infidelity over the (member, count) blocks
     that occur in some typical sequence, read off the count windows.
@@ -448,10 +449,6 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     floor of `bures_from_fidelity`; a lossless dilution gives eps2 = eps3 = 0
     exactly.
     """
-    avg = ensemble_average(ensemble)
-    if avg.dims != rho.dims or np.abs(avg.matrix - rho.matrix).max() > 1e-7:
-        raise StateValidationError("ensemble does not realize the given state")
-
     tset = typical_set(ensemble.weights, n, delta1, window)
     plan = dilution_plan(ensemble, tset, delta2)
     k = len(ensemble)
@@ -469,7 +466,7 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
         _ranked_patterns(schmidt[i][1], count), plan.entries[i].singlets))
     # exact mode's work: the factors' QR and norms, the grouping per sequence,
     # and per block its kept rows and their r^c-per-term Kronecker table
-    support = support_basis(rho, ensemble.states)
+    support = support_basis(ensemble_average(ensemble), ensemble.states)
     r, t = support[0].shape[1], tset.num_sequences
     eps2 = max((1.0 - walk(i, c)[1] for i, c in blocks), default=0.0)
     dilution = sum(c * sum(a for _, a, _ in walk(i, c)[2]) + r ** c * walk(i, c)[0]
@@ -488,7 +485,7 @@ def formation_protocol(rho: QuantumState, ensemble: Ensemble, n: int,
     fid1_holds = fid2_holds = triangle_holds = None
     if exact:
         kept = lambda i, count: _kept_terms(schmidt[i][1].size, *walk(i, count)[::2])
-        lam_n, r_t, r_y = support_factors(rho, ensemble, tset, schmidt, kept, support)
+        lam_n, r_t, r_y = support_factors(ensemble, tset, schmidt, kept, support)
         # unit trace: 1 / sqrt(p_T) scales the factors of the weights p_s
         r_t, r_y = r_t / np.sqrt(p_t), r_y / np.sqrt(p_t)
         fid1 = nuclear_norm(r_t * lam_n)

@@ -170,22 +170,20 @@ def tensor_power_divergence(rho, sigma, k_max):
         raise TypeError("tensor_power_divergence requires QuantumState inputs")
     f1 = uhlmann_fidelity(rho, sigma)
     entries = []
-    pa, pdims_a = a, dims
-    pb, pdims_b = b, dims
+    pa, pb, pdims = a, b, dims
     for k, fk, dk in divergence_sequence(f1, k_max):
         direct = None
         if k == 1:
             direct = f1
-        elif pa is not None and (dims[0] * dims[1]) ** k <= DIRECT_DIM:
-            pa, pdims_a = tensor_matrix(pa, pdims_a, a, dims)
-            pb, pdims_b = tensor_matrix(pb, pdims_b, b, dims)
+        elif (dims[0] * dims[1]) ** k <= DIRECT_DIM:
+            # dim^k only grows with k: past the cap, the analytic sequence only
+            pa, _ = tensor_matrix(pa, pdims, a, dims)
+            pb, pdims = tensor_matrix(pb, pdims, b, dims)
             direct = fidelity_matrices(pa, pb)
             if abs(direct - fk) > CROSS_CHECK_TOL:
                 raise RuntimeError(
                     f"tensor-power fidelity at k={k} disagrees with F^k: "
                     f"{direct!r} vs {fk!r}")
-        else:
-            pa = None   # beyond the cap: analytic sequence only
         entries.append({"k": k, "fidelity": fk, "bures": dk,
                         "direct_fidelity": direct})
     return entries

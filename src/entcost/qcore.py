@@ -40,6 +40,8 @@ class StateValidationError(ValueError):
 
 
 def _as_dims(dims):
+    if len(dims) != 2:
+        raise DimensionError(f"expected two local dimensions, got {tuple(dims)}")
     dA, dB = int(dims[0]), int(dims[1])
     if dA < 1 or dB < 1:
         raise DimensionError(f"local dimensions must be positive, got {(dA, dB)}")

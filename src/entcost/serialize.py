@@ -45,10 +45,11 @@ def object_from_json_obj(obj):
         return Ensemble(np.array([_number(w) for w in obj["weights"]]), states)
     if "dims" not in obj:
         raise StateValidationError("missing 'dims' field")
-    dims = tuple(obj["dims"])
+    dims = obj["dims"]
     # int() would truncate 2.5, parse "2" or read true as 1
-    if not all(type(d) is int for d in dims):
-        raise StateValidationError(f"'dims' must be JSON integers, got {obj['dims']!r}")
+    if not (isinstance(dims, list) and len(dims) == 2
+            and all(type(d) is int for d in dims)):
+        raise StateValidationError(f"'dims' must be two JSON integers, got {dims!r}")
     if "vector" in obj:
         vec = np.array([_pair_to_complex(p) for p in obj["vector"]])
         return PureState(dims, vec)

@@ -22,7 +22,6 @@ from entcost.qcore import (
     PureState,
     RandomSource,
     basis_pure,
-    ensemble_average,
     sample_density_matrix,
     singlet,
 )
@@ -118,8 +117,7 @@ def test_criterion_6_formation_protocol_at_n_4():
     v[0] = v[3] = 1 / np.sqrt(2)
     ens = Ensemble(np.array([0.5, 0.5]),
                    (PureState((2, 2), v), basis_pure((2, 2), 0, 0)))
-    rho = ensemble_average(ens)
-    res = formation_protocol(rho, ens, 4, 0.5, 0.25)
+    res = formation_protocol(ens, 4, 0.5, 0.25)
     lo, hi = res.typical_set.weight_bounds
     weights_ok = all(lo - 1e-15 <= ps <= hi + 1e-15
                      for ps in res.typical_set.weights.tolist())

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import entcost
+import entcost.formation
 import entcost.regcost
 from entcost import __version__
 from entcost import cli
@@ -151,9 +152,10 @@ class TestInputErrors:
                      "--output", str(tmp_path / "x.json")]) == EXIT_INPUT
 
     @pytest.mark.parametrize("dims", [[2, 2.5], [2.9, 2.2], ["2", "2"],
-                                      [True, 4]])
+                                      [True, 4], [2], [2, 2, 1]])
     def test_non_integer_dims_are_an_input_error(self, tmp_path, dims):
-        # int() would read these as (2, 2), or [true, 4] as (1, 4)
+        # int() would read these as (2, 2), or [true, 4] as (1, 4); reading
+        # only the first two entries would run [2, 2, 1] as (2, 2)
         from entcost.qcore import StateValidationError
         from entcost.serialize import load_state
         path = tmp_path / "dims.json"
@@ -163,6 +165,11 @@ class TestInputErrors:
         with pytest.raises(StateValidationError, match="dims"):
             load_state(path)
         assert main(["eof", str(path)]) == EXIT_INPUT
+
+    def test_unreadable_path_is_an_input_error(self, tmp_path, capsys):
+        # a directory fails to open with IsADirectoryError, an OSError
+        assert main(["eof", str(tmp_path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: cannot read ")
 
     def test_string_weight_is_an_input_error(self, tmp_path):
         # float() would read "0.5" as 0.5
@@ -266,6 +273,43 @@ class TestFormationCommand:
             ["formation", mixed_file, "--n", "2", "--restarts", "2"], tmp_path)
         assert code == EXIT_OK
         assert doc["result"]["exact_mode"]
+
+    def test_density_input_runs_on_its_optimized_ensemble_alone(self, mixed_file,
+                                                               tmp_path):
+        # the protocol's state is the average of the optimizer's ensemble
+        from entcost.eof import eof_optimize
+        from entcost.formation import formation_protocol
+        from entcost.serialize import dumps_canonical, load_state
+        code, doc = run_to_json(["formation", mixed_file, "--n", "2",
+                                 "--restarts", "2", "--seed", "5"], tmp_path)
+        ens = eof_optimize(load_state(mixed_file), restarts=2,
+                           rng=RandomSource(5)).ensemble
+        res = formation_protocol(ens, 2, 0.5, 0.25)
+        assert code == EXIT_OK
+        assert doc["result"] == json.loads(dumps_canonical(res))
+
+    def test_an_ensemble_is_averaged_once_per_run(self, monkeypatch, tmp_path):
+        # the CLI builds no state of its own: each protocol run, the report
+        # and every row of the --csv sweep, averages the ensemble once
+        from entcost.qcore import sample_pure_state
+        calls = []
+        for module in (cli, entcost.formation):
+            average = module.ensemble_average
+            monkeypatch.setattr(module, "ensemble_average",
+                                lambda ens, average=average:
+                                calls.append(ens) or average(ens))
+        ens = Ensemble(np.array([0.5, 0.3, 0.2]),
+                       tuple(sample_pure_state((2, 2), RandomSource(j))
+                             for j in range(3)))
+        path = tmp_path / "ens.json"
+        save_object(path, ens)
+        assert main(["formation", str(path), "--n", "2",
+                     "--output", str(tmp_path / "out.json")]) == EXIT_OK
+        assert len(calls) == 1
+        assert main(["formation", str(path), "--n", "3",
+                     "--csv", str(tmp_path / "sweep.csv"),
+                     "--output", str(tmp_path / "out.json")]) == EXIT_OK
+        assert len(calls) == 1 + 3
 
     def test_csv_sweep(self, tmp_path):
         from entcost.qcore import PureState

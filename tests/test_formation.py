@@ -21,6 +21,7 @@ from entcost.formation import (
     dilution_plan,
     formation_protocol,
     support_basis,
+    support_factors,
     typical_count_windows,
     typical_set,
 )
@@ -32,6 +33,7 @@ from entcost.metrics import (
     psd_factor,
 )
 from entcost.qcore import (
+    RANK_TOL,
     Ensemble,
     PureState,
     QuantumState,
@@ -393,7 +395,7 @@ def _equivalence_cases():
 
 def assert_matches_dense_reference(ens, n, delta2):
     rho = ensemble_average(ens)
-    res = formation_protocol(rho, ens, n, 0.5, delta2)
+    res = formation_protocol(ens, n, 0.5, delta2)
     assert res.exact_mode
     fid1, fid1_sub, fid2, fid_bures = dense_reference(rho, ens, res)
     assert res.fid1_fidelity == pytest.approx(fid1, abs=1e-12)
@@ -429,33 +431,43 @@ def test_factored_fidelities_match_dense_reference_with_more_members_than_dimens
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_factored_fidelities_match_dense_reference_when_members_leave_the_support(n):
-    # the ensemble realizes rho only to about 1e-8: one member has a part of
-    # norm 5e-8 outside supp(rho), while the diluted blocks lie mostly
-    # outside it.  The single-copy basis takes that direction in, so each
+    # the third member has a part of norm 5e-8 outside the span of the other
+    # two: its weight in rho, about 0.2 (5e-8)^2, falls below the RANK_TOL
+    # cut, while its diluted blocks lie mostly outside supp(rho).  The
+    # single-copy basis takes that direction in with sqrt(lam) = 0, so each
     # member leaves at most SUPPORT_TOL outside it; projecting onto
-    # supp(rho)^(x)n alone would move fid2 by about 1e-8
+    # supp(rho)^(x)n alone would move fid2 by about 1e-8.  The reference is
+    # the factors on the full eigenbasis of rho, eigenvalues at or below
+    # RANK_TOL set to 0, which hold every member whole (a dense reference
+    # floors those eigenvalues and misses by 1e-9)
     rng = RandomSource(23)
     states = [sample_pure_state((2, 2), rng.split()) for _ in range(2)]
-    ens = Ensemble(np.array([0.5, 0.5]), tuple(states))
-    rho = ensemble_average(ens)
     q, _ = np.linalg.qr(np.stack([psi.vector for psi in states]
                                  + [sample_pure_state((2, 2), rng.split()).vector],
                                  axis=1))
-    v = states[0].vector + 5e-8 * q[:, 2]
-    ens = Ensemble(ens.weights, (PureState((2, 2), v / np.linalg.norm(v)), states[1]))
-    assert 1e-9 < np.abs(ensemble_average(ens).matrix - rho.matrix).max() < 1e-7
+    v = (states[0].vector + states[1].vector) / np.sqrt(2) + 5e-8 * q[:, 2]
+    ens = Ensemble(np.array([0.4, 0.4, 0.2]),
+                   (*states, PureState((2, 2), v / np.linalg.norm(v))))
+    rho = ensemble_average(ens)
     basis, sqrt_lam = support_basis(rho, ens.states)
     assert basis.shape[1] == 3 and sqrt_lam[2] == 0.0
     for psi in ens.states:
         outside = psi.vector - basis @ (basis.conj().T @ psi.vector)
         assert np.linalg.norm(outside) <= SUPPORT_TOL
-    res = formation_protocol(rho, ens, n, 0.5, 0.0)
+    res = formation_protocol(ens, n, 0.5, 0.0)
     assert res.exact_mode and res.eps2 > 0.0
-    fid1, _, fid2, fid_bures = dense_reference(rho, ens, res)
-    assert res.fid1_fidelity == pytest.approx(fid1, abs=1e-12)
-    assert res.fid2_fidelity == pytest.approx(fid2, abs=1e-12)
-    assert 1.0 - (res.exact_bures / 2.0) ** 2 == pytest.approx(fid_bures,
-                                                               abs=1e-12)
+    evals, evecs = np.linalg.eigh(rho.matrix)
+    lam = np.where(evals > RANK_TOL, evals, 0.0)
+    schmidt = [_schmidt(psi) for psi in ens.states]
+    kept = lambda i, c: kept_terms(ens.states[i], c, res.plan.entries[i].singlets)[2:4]
+    lam_n, r_t, r_y = support_factors(ens, res.typical_set, schmidt, kept,
+                                      (evecs, np.sqrt(lam / lam.sum())))
+    r_t, r_y = r_t / np.sqrt(1.0 - res.eps1), r_y / np.sqrt(1.0 - res.eps1)
+    assert res.fid1_fidelity == pytest.approx(nuclear_norm(r_t * lam_n), abs=1e-12)
+    assert res.fid2_fidelity == pytest.approx(nuclear_norm(r_t @ r_y.conj().T),
+                                              abs=1e-12)
+    assert 1.0 - (res.exact_bures / 2.0) ** 2 == pytest.approx(
+        nuclear_norm(r_y * lam_n), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -471,8 +483,7 @@ def test_tiny_perturbations_do_not_move_the_diluted_fidelities(n):
 
     for ens in _seeded_ensembles():
         moved = Ensemble(ens.weights, tuple(nudge(psi) for psi in ens.states))
-        a, b = (formation_protocol(ensemble_average(e), e, n, 0.5, 0.0)
-                for e in (ens, moved))
+        a, b = (formation_protocol(e, n, 0.5, 0.0) for e in (ens, moved))
         assert abs(a.fid2_fidelity - b.fid2_fidelity) < 1e-10
         assert abs(a.exact_bures - b.exact_bures) < 1e-10
 
@@ -674,8 +685,7 @@ class TestDilutionPlan:
 class TestFormationProtocol:
     def test_mixed_example_accounting(self):
         ens = half_half_ensemble()
-        rho = ensemble_average(ens)
-        res = formation_protocol(rho, ens, 4, 0.5, 0.25)
+        res = formation_protocol(ens, 4, 0.5, 0.25)
         assert res.exact_mode
         assert res.m == 4
         assert res.rate == pytest.approx(1.0, abs=1e-12)
@@ -692,7 +702,7 @@ class TestFormationProtocol:
     def test_pure_state_degenerates_to_dilution(self):
         psi = schmidt_state(0.9)
         ens = Ensemble(np.array([1.0]), (psi,))
-        res = formation_protocol(psi.to_state(), ens, 2, 0.5, 0.6)
+        res = formation_protocol(ens, 2, 0.5, 0.6)
         h = binary_entropy(0.9)
         assert res.m == math.ceil(2 * (h + 0.6))
         assert res.eps1 == 0.0
@@ -703,8 +713,7 @@ class TestFormationProtocol:
     def test_separable_ensemble_costs_nothing(self):
         ens = Ensemble(np.array([0.5, 0.5]),
                        (basis_pure((2, 2), 0, 0), basis_pure((2, 2), 1, 1)))
-        rho = ensemble_average(ens)
-        res = formation_protocol(rho, ens, 4, 0.5, 0.25)
+        res = formation_protocol(ens, 4, 0.5, 0.25)
         assert res.m == 0
         assert res.rate == 0.0
         assert res.fid2_holds
@@ -713,8 +722,7 @@ class TestFormationProtocol:
         # criterion 6 at n = 10: 2^10 x 1002 x 1002 = 1.03e9 factor work
         # exceeds EXACT_WORK_CAP
         ens = half_half_ensemble()
-        rho = ensemble_average(ens)
-        res = formation_protocol(rho, ens, 10, 0.5, 0.25)
+        res = formation_protocol(ens, 10, 0.5, 0.25)
         assert not res.exact_mode
         assert res.exact_bures is None
         assert res.fid1_fidelity is None
@@ -726,31 +734,23 @@ class TestFormationProtocol:
         # covers only 4 of the 8 Schmidt weights, so the dilution is lossy
         ens = Ensemble(np.array([0.5, 0.5]),
                        (schmidt_state(0.9), basis_pure((2, 2), 0, 1)))
-        rho = ensemble_average(ens)
-        res = formation_protocol(rho, ens, 3, 0.5, 0.0)
+        res = formation_protocol(ens, 3, 0.5, 0.0)
         assert res.exact_mode
         assert res.eps2 > 0.0
         assert res.exact_bures <= res.bures_bound + 1e-12
         assert res.fid1_holds and res.fid2_holds and res.triangle_holds
 
-    def test_wrong_ensemble_rejected(self):
-        ens = half_half_ensemble()
-        other = sample_density_matrix((2, 2), 2, RandomSource(3))
-        with pytest.raises(StateValidationError):
-            formation_protocol(other, ens, 3, 0.5, 0.25)
-
     def test_fid1_is_checked_against_the_unit_trace_bound(self):
         # unit-trace rho_T: sqrt(p_T) F(rho^(x)n, rho_T) = 0.926 would miss
         # the bound sqrt(p_T) = 0.935, but F itself is compared with it
         ens = half_half_ensemble()
-        rho = ensemble_average(ens)
-        res = formation_protocol(rho, ens, 4, 0.5, 0.25)
+        res = formation_protocol(ens, 4, 0.5, 0.25)
         assert np.sqrt(1.0 - res.eps1) * res.fid1_fidelity < np.sqrt(0.875)
         assert res.fid1_holds is bool(res.fid1_fidelity
                                       >= np.sqrt(1.0 - res.eps1) - 1e-9)
         assert res.fid1_holds
         with pytest.raises(TypeError):
-            formation_protocol(rho, ens, 3, 0.5, 0.25, normalization="sub")
+            formation_protocol(ens, 3, 0.5, 0.25, normalization="sub")
 
 
 @pytest.mark.parametrize("n", [4, 7])
@@ -767,7 +767,7 @@ def test_each_dilution_is_ranked_once(monkeypatch, n):
     ens = Ensemble(np.array([0.5, 0.3, 0.2]),
                    tuple(sample_pure_state((2, 2), RandomSource(139 + j))
                          for j in range(3)))
-    res = formation_protocol(ensemble_average(ens), ens, n, 0.5, 0.25)
+    res = formation_protocol(ens, n, 0.5, 0.25)
     blocks = {(i, seq.count(i)) for seq, _ in pairs(res.typical_set)
               for i in set(seq)}
     members = {tuple(_schmidt(psi)[1]): i for i, psi in enumerate(ens.states)}
@@ -782,7 +782,7 @@ def test_exact_mode_finishes_at_the_work_cap():
     # criterion 6 at n = 9, 2^9 x 492 x 492 = 1.2e8 factor work, is the
     # largest n it runs exactly at these deltas; n = 10 is analytic
     ens = half_half_ensemble()
-    res = formation_protocol(ensemble_average(ens), ens, 9, 0.5, 0.25)
+    res = formation_protocol(ens, 9, 0.5, 0.25)
     assert res.exact_mode
     assert res.fid1_holds and res.fid2_holds
     assert res.exact_bures <= res.bures_bound
@@ -808,9 +808,9 @@ def test_a_pure_state_turns_analytic_past_its_kept_row_limit(
     ens = Ensemble(np.array([1.0]), (psi,))
     if exact:
         with pytest.raises(ExactMode):
-            formation_protocol(psi.to_state(), ens, n, 0.5, 0.1)
+            formation_protocol(ens, n, 0.5, 0.1)
     else:
-        assert not formation_protocol(psi.to_state(), ens, n, 0.5, 0.1).exact_mode
+        assert not formation_protocol(ens, n, 0.5, 0.1).exact_mode
 
 
 def test_a_pure_state_holds_only_its_kept_rows():
@@ -820,7 +820,7 @@ def test_a_pure_state_holds_only_its_kept_rows():
     ens = Ensemble(np.array([1.0]), (psi,))
     tracemalloc.start()
     try:
-        res = formation_protocol(psi.to_state(), ens, 20, 0.5, 0.1)
+        res = formation_protocol(ens, 20, 0.5, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -846,7 +846,7 @@ def test_a_block_past_its_kronecker_table_limit_is_analytic(
     monkeypatch.setattr(entcost.formation, "support_factors", built)
     ens = Ensemble(np.array([0.99, 0.01]),
                    (schmidt_state(w), basis_pure((2, 2), 0, 0)))
-    res = formation_protocol(ensemble_average(ens), ens, n, 0.5, delta2)
+    res = formation_protocol(ens, n, 0.5, delta2)
     assert not res.exact_mode and res.typical_set.num_sequences == n + 1
 
 
@@ -866,7 +866,7 @@ def test_a_narrow_factor_is_compressed_once_per_composition_at_most(monkeypatch)
     monkeypatch.setattr(np.linalg, "qr",
                         lambda *args, **kw: calls.append(args) or qr(*args, **kw))
     ens = identical_members((0.98, 0.01, 0.01))
-    res = formation_protocol(ensemble_average(ens), ens, 30, 0.5, 0.25)
+    res = formation_protocol(ens, 30, 0.5, 0.25)
     assert res.exact_mode and res.typical_set.num_sequences == 190_591
     assert res.fid1_holds and res.fid2_holds and res.triangle_holds
     assert 0 < len(calls) <= 2 * (9 + 1)
@@ -880,7 +880,7 @@ def test_an_exact_run_groups_its_sequences_once(monkeypatch):
                         lambda blocks, *args: calls.append(len(blocks))
                         or original(blocks, *args))
     ens = half_half_ensemble()
-    assert formation_protocol(ensemble_average(ens), ens, 4, 0.5, 0.25).exact_mode
+    assert formation_protocol(ens, 4, 0.5, 0.25).exact_mode
     assert calls == [2]
 
 
@@ -889,7 +889,7 @@ def test_a_narrow_run_has_unit_fidelities():
     # fidelities are 1, up to the rounding of p_T; summed one by one over the
     # 190,591 weights, p_T put them 6863 and 13,726 eps above 1
     ens = identical_members((0.98, 0.01, 0.01))
-    res = formation_protocol(ensemble_average(ens), ens, 30, 0.5, 0.25)
+    res = formation_protocol(ens, 30, 0.5, 0.25)
     eps = np.finfo(float).eps
     assert abs(res.fid1_fidelity - 1.0) <= 4 * eps
     assert abs(res.fid2_fidelity - 1.0) <= 4 * eps
@@ -911,9 +911,9 @@ def test_typical_sequences_past_their_work_limit_are_analytic(monkeypatch, n, ex
     ens = identical_members((0.98, 0.01, 0.01))
     if exact:
         with pytest.raises(ExactMode):
-            formation_protocol(ensemble_average(ens), ens, n, 0.5, 0.25)
+            formation_protocol(ens, n, 0.5, 0.25)
     else:
-        res = formation_protocol(ensemble_average(ens), ens, n, 0.5, 0.25)
+        res = formation_protocol(ens, n, 0.5, 0.25)
         assert not res.exact_mode and res.typical_set.num_sequences == 496_395
 
 
@@ -939,7 +939,7 @@ def test_compressing_the_factors_moves_no_fidelity(monkeypatch, ens, n, delta2):
     runs = []
     for rows in (0, entcost.formation.QR_ROWS, 10 ** 9):
         monkeypatch.setattr(entcost.formation, "QR_ROWS", rows)
-        runs.append(formation_protocol(rho, ens, n, 0.5, delta2))
+        runs.append(formation_protocol(ens, n, 0.5, delta2))
     r = support_basis(rho, ens.states)[0].shape[1]
     assert runs[0].exact_mode and runs[0].typical_set.num_sequences > 2 * r ** n
     for res in runs[1:]:
@@ -953,8 +953,7 @@ def test_compressing_the_factors_moves_no_fidelity(monkeypatch, ens, n, delta2):
 class TestFidelityChain:
     def test_exact_run_passes_all_checks(self):
         ens = half_half_ensemble()
-        rho = ensemble_average(ens)
-        res = formation_protocol(rho, ens, 4, 0.5, 0.25)
+        res = formation_protocol(ens, 4, 0.5, 0.25)
         assert res.fid1_holds and res.fid2_holds and res.triangle_holds
         assert res.exact_bures <= (bures_from_fidelity(res.fid1_fidelity)
                                    + bures_from_fidelity(res.fid2_fidelity)
@@ -963,8 +962,7 @@ class TestFidelityChain:
     def test_lossy_run_still_passes(self):
         ens = Ensemble(np.array([0.5, 0.5]),
                        (schmidt_state(0.7), schmidt_state(0.95)))
-        rho = ensemble_average(ens)
-        res = formation_protocol(rho, ens, 3, 0.5, 0.0)
+        res = formation_protocol(ens, 3, 0.5, 0.0)
         assert res.fid1_holds and res.fid2_holds and res.triangle_holds
 
     def test_triangle_holds_at_the_rounding_floor(self):
@@ -976,7 +974,7 @@ class TestFidelityChain:
             psi = sample_pure_state((2, 2), RandomSource(s))
             ens = Ensemble(np.array([1.0]), (psi,))
             for n, delta2 in itertools.product(range(1, 7), (0.1, 0.0)):
-                res = formation_protocol(psi.to_state(), ens, n, 0.5, delta2)
+                res = formation_protocol(ens, n, 0.5, delta2)
                 assert res.exact_mode and res.triangle_holds, (s, n, delta2)
                 if res.bures_bound == 0.0:
                     floor = max(floor, res.exact_bures)
@@ -985,11 +983,10 @@ class TestFidelityChain:
     def test_triangle_is_judged_on_the_fidelities(self, monkeypatch):
         # exact_bures, the triangle's left side, is the last nuclear norm
         ens = half_half_ensemble()
-        rho = ensemble_average(ens)
         norms = iter([nuclear_norm, nuclear_norm, lambda m: 0.5])
         monkeypatch.setattr(entcost.formation, "nuclear_norm",
                             lambda m: next(norms)(m))
-        res = formation_protocol(rho, ens, 3, 0.5, 0.25)
+        res = formation_protocol(ens, 3, 0.5, 0.25)
         assert res.fid1_holds and res.fid2_holds
         assert res.exact_bures == bures_from_fidelity(0.5)
         assert res.triangle_holds is False
@@ -1004,7 +1001,7 @@ def test_eps2_covers_exactly_the_blocks_of_typical_sequences(seed):
     weights = rng.gen.dirichlet(np.ones(k))
     ens = Ensemble(weights, tuple(sample_pure_state((2, 2), rng.split())
                                   for _ in range(k)))
-    res = formation_protocol(ensemble_average(ens), ens, 7 - k, 0.3 * (1 + seed),
+    res = formation_protocol(ens, 7 - k, 0.3 * (1 + seed),
                              0.0, window=("paper", "plain")[seed % 2])
     blocks = {(i, seq.count(i)) for seq, _ in pairs(res.typical_set)
               for i in set(seq)}
@@ -1028,7 +1025,7 @@ def test_exact_chain_holds_beyond_two_qubits(dims, n_top):
     for k, seed, n, delta2 in itertools.product((2, 3, 4), (0, 1),
                                                range(1, n_top + 1), (0.0, 0.25)):
         ens = _seeded_members(dims, k, seed)
-        res = formation_protocol(ensemble_average(ens), ens, n, 0.5, delta2)
+        res = formation_protocol(ens, n, 0.5, delta2)
         case = (k, seed, n, delta2)
         assert res.exact_mode, case
         assert res.fid1_holds and res.fid2_holds and res.triangle_holds, case

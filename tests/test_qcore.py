@@ -218,6 +218,14 @@ class TestValidation:
         with pytest.raises(DimensionError):
             QuantumState((2, 3), np.eye(4) / 4)
 
+    @pytest.mark.parametrize("dims", [(4,), (2, 2, 1), (2, 1, 7)])
+    def test_rejects_other_than_two_local_dimensions(self, dims):
+        # indexing only the first two would read (2, 1, 7) as (2, 1)
+        with pytest.raises(DimensionError):
+            QuantumState(dims, np.eye(4) / 4)
+        with pytest.raises(DimensionError):
+            PureState(dims, np.eye(4)[0])
+
     def test_tiny_negative_eigenvalue_clipped_silently(self):
         m = np.diag([0.6, 0.4 + 5e-10, -5e-10, 0.0])
         rho = QuantumState((2, 2), m)
