@@ -6,7 +6,10 @@ floats at 17 significant digits, so a rerun with the same configuration and
 inputs is byte-identical.  Exit codes: 0 success, 1 property violation,
 2 input or usage error, 3 internal error (an unexpected exception, reported
 on stderr).  The ENTCOST_SEED environment variable overrides the
-default seed; an explicit --seed flag wins over both.
+default seed; an explicit --seed flag wins over both.  Each subcommand's
+handler returns (report, property holds, [(table text, path)]); `main` alone
+resolves the seed, writes the envelope, then the tables, and picks the exit
+code.
 """
 
 from __future__ import annotations
@@ -122,16 +125,14 @@ def _as_density(obj):
 
 
 def _emit(text, path):
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
@@ -168,45 +169,38 @@ def _csv(rows, header):
 # Subcommand handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_eof(args):
-    seed = _resolve_seed(args)
+def _cmd_eof(args, seed):
     rho = _as_density(_load(args.state))
     with _library_input_checks():
         res = eof_optimize(rho, ensemble_size=args.ensemble_size,
                            restarts=args.restarts, rng=RandomSource(seed),
                            improvement_tol=args.tol)
-    _emit(_envelope(seed, args, res), args.output)
-    return EXIT_OK
+    return res, True, []
 
 
-def _cmd_metrics(args):
-    seed = _resolve_seed(args)
+def _cmd_metrics(args, seed):
     rho = _as_density(_load(args.state_a))
     sigma = _as_density(_load(args.state_b))
     if rho.dims != sigma.dims:
         raise InputError(f"dims mismatch: {rho.dims} vs {sigma.dims}")
     report = metric_relation_check(rho, sigma)
-    _emit(_envelope(seed, args, report), args.output)
-    return EXIT_OK if report.chain_holds else EXIT_VIOLATION
+    return report, report.chain_holds, []
 
 
-def _cmd_regularize(args):
-    seed = _resolve_seed(args)
+def _cmd_regularize(args, seed):
     rho = _as_density(_load(args.state))
     with _library_input_checks():
         trace, bracket = cost_bracket(rho, args.n_max, rng=RandomSource(seed),
                                       restarts=args.restarts,
                                       ensemble_size=args.ensemble_size)
-    _emit(_envelope(seed, args, {"trace": trace, "bracket": bracket}),
-          args.output)
+    tables = []
     if args.csv:
         rows = [(e.n, e.rate) for e in trace.entries]
-        _emit(_csv(rows, ("n", "rate")), args.csv)
-    return EXIT_OK
+        tables.append((_csv(rows, ("n", "rate")), args.csv))
+    return {"trace": trace, "bracket": bracket}, True, tables
 
 
-def _cmd_formation(args):
-    seed = _resolve_seed(args)
+def _cmd_formation(args, seed):
     obj = _load(args.state)
     with _library_input_checks():
         # the protocol's state is its ensemble's average: a density input
@@ -215,41 +209,35 @@ def _cmd_formation(args):
         if not isinstance(obj, Ensemble):
             ensemble = eof_optimize(_as_density(obj), restarts=args.restarts,
                                     rng=RandomSource(seed)).ensemble
-        res = formation_protocol(ensemble, args.n, args.delta1, args.delta2,
-                                 window=args.window)
-    _emit(_envelope(seed, args, res), args.output)
-    if args.csv:
-        # the sweep's last row is the run reported above
+        # --csv sweeps n = 1..N; the last run is the one reported
         runs = [formation_protocol(ensemble, n, args.delta1, args.delta2,
-                                   window=args.window) for n in range(1, args.n)]
+                                   window=args.window)
+                for n in range(1 if args.csv else args.n, args.n + 1)]
+    res, tables = runs[-1], []
+    if args.csv:
         rows = [(r.n, r.m, r.rate, r.eps1, r.eps3, r.bures_bound,
                  r.exact_bures if r.exact_bures is not None else "")
-                for r in runs + [res]]
-        _emit(_csv(rows, ("n", "m", "rate", "eps1", "eps3", "bures_bound",
-                          "exact_bures")), args.csv)
-    ok = False not in (res.fid1_holds, res.fid2_holds, res.triangle_holds)
-    return EXIT_OK if ok else EXIT_VIOLATION
+                for r in runs]
+        tables.append((_csv(rows, ("n", "m", "rate", "eps1", "eps3",
+                                   "bures_bound", "exact_bures")), args.csv))
+    return res, False not in (res.fid1_holds, res.fid2_holds,
+                              res.triangle_holds), tables
 
 
-def _cmd_verify(args):
-    seed = _resolve_seed(args)
+def _cmd_verify(args, seed):
     report, clean = run_verification(
         seed, pairs=args.pairs, channels=args.channels,
         perturbed=args.perturbed, quadruples=args.quadruples)
-    _emit(_envelope(seed, args, report), args.output)
-    return EXIT_OK if clean else EXIT_VIOLATION
+    return report, clean, []
 
 
-def _cmd_demo_divergence(args):
-    seed = _resolve_seed(args)
+def _cmd_demo_divergence(args, seed):
     if not 0.0 <= args.fidelity <= 1.0:
         raise InputError("per-copy fidelity must lie in [0, 1]")
     rows = divergence_sequence(args.fidelity, args.k_max)
     if args.format == "csv":
-        _emit(_csv(rows, ("k", "fidelity", "bures")), args.output)
-    else:
-        _emit(_envelope(seed, args, rows), args.output)
-    return EXIT_OK
+        return None, True, [(_csv(rows, ("k", "fidelity", "bures")), args.output)]
+    return rows, True, []
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +333,13 @@ def main(argv=None):
     # looked up per call, so a handler replaced at run time is the one run
     handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
     try:
-        return handler(args)
+        seed = _resolve_seed(args)
+        result, holds, tables = handler(args, seed)
+        if result is not None:
+            _emit(_envelope(seed, args, result), args.output)
+        for text, path in tables:
+            _emit(text, path)
+        return EXIT_OK if holds else EXIT_VIOLATION
     except (InputError, StateValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -112,7 +112,9 @@ def typical_set(p, n, delta1, window="paper") -> TypicalSet:
     """Every length-n index sequence whose type fits the window, in base-k
     order, as rows of the smallest unsigned dtype that holds k - 1; their
     weights p_s, products of p_i from the left; and p_T = math.fsum(p_s).
-    ValueError once fitting prefixes x max(k, 8) pass qcore.TYPICAL_CAP."""
+    ValueError once the prefixes that fit at one place, times max(k, 8), pass
+    qcore.TYPICAL_CAP, or once the walk's total work, the sum over places of
+    prefixes x (place + 64), passes 32 TYPICAL_CAP."""
     p = np.asarray(p, dtype=float)
     if abs(p.sum() - 1.0) > 1e-9:
         raise StateValidationError("probabilities must sum to 1")
@@ -134,12 +136,20 @@ def typical_set(p, n, delta1, window="paper") -> TypicalSet:
     lo, hi = np.array(windows, dtype=count).T
     digits = np.zeros((1, 0), dtype=np.min_scalar_type(k - 1))
     counts, weights = np.zeros((1, k), dtype=count), np.ones(1)
+    work = 0
     for left in range(n - 1, -1, -1):
         fits = (((lo - np.minimum(counts, lo)).sum(axis=1, dtype=count)[:, None]
                  - (counts < lo) <= left) & (counts < hi))
-        if np.count_nonzero(fits) * max(k, 8) > TYPICAL_CAP:
+        kept = np.count_nonzero(fits)
+        if kept * max(k, 8) > TYPICAL_CAP:
             raise ValueError(f"more than {TYPICAL_CAP // max(k, 8)} typical "
                              f"prefixes to list for {k} members")
+        # each kept prefix copies its digits so far: thin windows keep few
+        # prefixes at every place but copy O(T n^2) digits in all
+        work += kept * (n - left + 64)
+        if work > 32 * TYPICAL_CAP:
+            raise ValueError(f"typical-set walk past {32 * TYPICAL_CAP} work, "
+                             f"prefixes x (place + 64), at place {n - left} of {n}")
         prefix, index = np.divmod(np.flatnonzero(fits), k)
         digits = np.column_stack([digits[prefix], index.astype(digits.dtype)])
         counts = counts[prefix] + np.eye(k, dtype=count)[index]
@@ -255,9 +265,11 @@ def composition_factor(blocks, dim, sequences, weights):
 # ---------------------------------------------------------------------------
 
 def _schmidt(psi: PureState):
-    """Schmidt vectors and weights of psi: psi = sum_j sqrt(mu_j) u_j (x) vh_j."""
+    """Schmidt vectors and nonzero weights of psi: psi = sum_j sqrt(mu_j) u_j (x) vh_j."""
     u, s, vh = np.linalg.svd(psi.vector.reshape(psi.dims), full_matrices=False)
-    return u, s * s, vh
+    # views, not copies: a copy's memory layout moves later BLAS products' rounding
+    rank = np.count_nonzero(s)
+    return u[:, :rank], (s * s)[:rank], vh[:rank]
 
 
 def _times(count: int, weight: float) -> float:

@@ -27,8 +27,8 @@ EXACT_WORK_CAP = 10 ** 9   # r^n T min(T, r^n) + 2048 T + 32 sum (c rows + r^c k
 DENSE_WORK_CAP = 10 ** 9   # (d^k)^3 of the direct tensor-power fidelity: 4.0 s
 ROW_WORK_CAP = 10 ** 8     # (L_1 r d)^n_max of the deepest warm refine: 3.1 s
 START_CAP = 1024           # restarts sqrt(L r d) of one call's random starts: 1.8 s
-TYPICAL_CAP = 1 << 25      # prefixes that fit at one place x max(k, 8): 1.1 s
-SPECTRUM_CAP = 1 << 22     # C(c + r - 1, c) c per dilution walk: 1.0 s
+TYPICAL_CAP = 1 << 25      # prefixes that fit at one place x max(k, 8), and prefixes x (place + 64) summed / 32: 1.2 s
+SPECTRUM_CAP = 1 << 22     # C(c + r - 1, c) c per dilution walk, r nonzero Schmidt weights: 1.0 s
 
 
 class DimensionError(ValueError):

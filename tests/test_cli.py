@@ -146,6 +146,19 @@ class TestInputErrors:
         bad.write_text("{not json")
         assert main(["eof", str(bad)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("argv", [["regularize", "{state}", "--n-max", "1"],
+                                      ["formation", "{state}", "--n", "2"]],
+                             ids=["regularize", "formation"])
+    def test_an_unwritable_table_path_exits_2_after_the_report(
+            self, argv, singlet_file, tmp_path, capsys):
+        table = tmp_path / "no-such-dir" / "table.csv"
+        code, doc = run_to_json(
+            [singlet_file if a == "{state}" else a for a in argv]
+            + ["--restarts", "1", "--csv", str(table)], tmp_path)
+        assert code == EXIT_INPUT
+        assert doc["config"]["subcommand"] == argv[0]
+        assert capsys.readouterr().err.startswith(f"error: cannot write {table}")
+
     def test_bad_seed_env(self, singlet_file, monkeypatch, tmp_path):
         monkeypatch.setenv("ENTCOST_SEED", "banana")
         assert main(["eof", singlet_file,
@@ -188,7 +201,7 @@ class TestInputErrors:
 
     def test_unexpected_exception_is_an_internal_error(self, singlet_file,
                                                        monkeypatch, capsys):
-        def crash(args):
+        def crash(args, seed):
             raise RuntimeError("boom")
         monkeypatch.setattr(cli, "_cmd_eof", crash)
         assert main(["eof", singlet_file]) == EXIT_INTERNAL
@@ -261,12 +274,17 @@ class TestFormationCommand:
                                       "triangle_holds"])
     def test_a_broken_link_of_the_chain_exits_1(self, flag, mixed_file,
                                                monkeypatch, tmp_path):
+        # the report and the --csv sweep are written all the same
         protocol = cli.formation_protocol
         monkeypatch.setattr(cli, "formation_protocol", lambda *a, **kw:
                             dataclasses.replace(protocol(*a, **kw), **{flag: False}))
-        code, doc = run_to_json(["formation", mixed_file, "--n", "2"], tmp_path)
+        csv_path = tmp_path / "sweep.csv"
+        code, doc = run_to_json(["formation", mixed_file, "--n", "2",
+                                 "--csv", str(csv_path)], tmp_path)
         assert code == EXIT_VIOLATION
         assert doc["result"][flag] is False
+        assert [line.split(",")[0] for line in
+                csv_path.read_text().splitlines()] == ["n", "1", "2"]
 
     def test_density_input_optimizes_first(self, mixed_file, tmp_path):
         code, doc = run_to_json(
@@ -481,11 +499,14 @@ class TestVerifyCommand:
 
 
 class TestDemoDivergence:
-    def test_csv_matches_closed_form(self, tmp_path):
+    def test_csv_matches_closed_form(self, tmp_path, capsys):
         out = tmp_path / "div.csv"
         code = main(["demo-divergence", "--fidelity", "0.99", "--k-max", "200",
                      "--output", str(out)])
         assert code == EXIT_OK
+        # the table alone: no envelope on stdout or in another file
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == [out]
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "k,fidelity,bures"
         assert len(lines) == 201

@@ -178,6 +178,15 @@ class TestTypicalSet:
         tset = typical_set([0.9, 0.1], 24, 0.5)
         assert tset.num_sequences == 55_455
 
+    @pytest.mark.parametrize("p,n,delta1", [([1 - 1e-6, 1e-6], 3000, 0.01),
+                                            ([1.0], 100_000, 0.5)],
+                             ids=["thin-window", "one-member"])
+    def test_the_walks_total_work_is_capped(self, p, n, delta1):
+        # few prefixes fit at each place, but each copies its digits at
+        # every place: n + 1 and 1 sequences cost O(T n^2) in all
+        with pytest.raises(ValueError, match="typical-set walk past"):
+            typical_set(p, n, delta1)
+
     def test_coverage_is_high_at_moderate_n(self):
         p = [0.7, 0.3]
         tset = typical_set(p, 12, 0.3, "plain")
@@ -489,6 +498,19 @@ def test_tiny_perturbations_do_not_move_the_diluted_fidelities(n):
 
 
 class TestDilution:
+    def test_a_product_state_walks_only_its_nonzero_weight(self):
+        # |00> on (2, 2) has a zero Schmidt weight that (1, 2) lacks; walked,
+        # it made 2049 patterns at count 2048, past SPECTRUM_CAP
+        zero = basis_pure((2, 2), 0, 0)
+        assert dilution_fidelity(zero, 2048, 0) == 1.0
+        wide, narrow = (formation_protocol(Ensemble(np.array([1.0]), (psi,)),
+                                           2048, 0.5, 0.25)
+                        for psi in (zero, PureState((1, 2), np.array([1.0, 0.0]))))
+        keys = ("rate", "eps1", "eps2", "eps3", "bures_bound", "exact_bures",
+                "fid1_fidelity", "fid2_fidelity")
+        assert wide.exact_mode
+        assert [getattr(wide, k) for k in keys] == [getattr(narrow, k) for k in keys]
+
     def test_product_state_needs_no_singlets(self):
         psi = basis_pure((2, 2), 0, 1)
         assert dilution_fidelity(psi, 3, 0) == pytest.approx(1.0, abs=1e-12)
